@@ -39,16 +39,7 @@ from .runio import (
     write_summary_json,
 )
 from .scenarios import builtin_grid, grid_from_rows, run_grid
-from .solver import (
-    Constraints,
-    Selection,
-    Totals,
-    Means,
-    equity_floors,
-    municipal_potentials,
-    pareto_sweep,
-    solve,
-)
+from .solver import Means, Selection, Totals, pareto_sweep, solve, target_constraints
 from .synth import generate, germany_like, spec_from_json, SynthSpec
 
 EXIT_OK = 0
@@ -131,7 +122,7 @@ def scale_cmd(instance_dir, out_path, bins):
     """Emit the scaled-equalized criterion value distributions."""
     t0 = time.perf_counter()
     instance = _load_validated(instance_dir)
-    scaled = scale_candidates(instance.candidates)
+    scaled = scale_candidates(instance.sites)
     arrays = {"lcoe": scaled.lcoe, "scenicness": scaled.scenicness,
               "network_length": scaled.network_length}
     hi = max(float(a.max()) for a in arrays.values())
@@ -169,18 +160,9 @@ def solve_cmd(instance_dir, scenario_path, scale, out_dir):
     instance = _load_validated(instance_dir)
     sc = _scenario_from_file(scenario_path)
     weights = Weights(float(sc["w_c"]), float(sc["w_s"]), float(sc["w_l"]))
-    total = float(sc["total_capacity_mw"]) * scale
-    existing_total = sum(m.existing_capacity for m in instance.municipalities)
-    added = total - existing_total
-    if added <= 0:
-        raise ValidationError(
-            f"scaled total target {total} MW does not exceed existing "
-            f"capacity {existing_total} MW")
-    floors = None
-    if sc.get("equity"):
-        floors = equity_floors(instance.municipalities, total,
-                               municipal_potentials(instance))
-    sel = solve(instance, weights, Constraints(cap_obj=added, equity_floors=floors))
+    constraints = target_constraints(instance, float(sc["total_capacity_mw"]) * scale,
+                                     bool(sc.get("equity")))
+    sel = solve(instance, weights, constraints)
     os.makedirs(out_dir, exist_ok=True)
     write_selection_csv(sel, instance, os.path.join(out_dir, "selection.csv"))
     write_geojson(sel, instance, os.path.join(out_dir, "selection.geojson"))
@@ -210,19 +192,8 @@ def sweep_cmd(instance_dir, optimize, sweep_crit, steps, factor,
     """Epsilon-constraint Pareto sweep between two criteria."""
     t0 = time.perf_counter()
     instance = _load_validated(instance_dir)
-    total = total_capacity_mw * scale
-    existing_total = sum(m.existing_capacity for m in instance.municipalities)
-    added = total - existing_total
-    if added <= 0:
-        raise ValidationError(
-            f"scaled total target {total} MW does not exceed existing "
-            f"capacity {existing_total} MW")
-    floors = None
-    if equity:
-        floors = equity_floors(instance.municipalities, total,
-                               municipal_potentials(instance))
-    front = pareto_sweep(instance, optimize, sweep_crit,
-                         Constraints(cap_obj=added, equity_floors=floors),
+    constraints = target_constraints(instance, total_capacity_mw * scale, equity)
+    front = pareto_sweep(instance, optimize, sweep_crit, constraints,
                          steps=steps, step_factor=factor)
     os.makedirs(out_dir, exist_ok=True)
     write_front_csv(front, os.path.join(out_dir, "front.csv"))

@@ -4,6 +4,10 @@ An Instance bundles the candidate turbine pool, the municipality table
 (the equity unit), the existing turbine stock and the transformer set.
 Instances are treated as immutable after load; mutation happens only
 during assembly.
+
+`Instance.sites` is the columnar view of the candidate pool that the
+objective and the solver read: a SiteTable of numpy columns sorted by
+site_id, built on first use and kept with the instance.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+
+import numpy as np
 
 SCENICNESS_MIN = 1.0
 SCENICNESS_MAX = 9.0
@@ -72,6 +79,51 @@ class Municipality:
     existing_capacity: float = 0.0  # MW, derived from existing turbines
 
 
+@dataclass(frozen=True, eq=False)
+class SiteTable:
+    """Numpy columns of a candidate pool, one row per site, sorted by site_id.
+
+    network_length is NaN where a site has no length yet. by_mun lists
+    the rows grouped by municipality (ascending within a group) and
+    mun_rows maps a municipality id to its (start, stop) slice of by_mun.
+    Columns are read-only.
+    """
+    ids: np.ndarray
+    mun: np.ndarray
+    caps: np.ndarray
+    lcoe: np.ndarray
+    scenicness: np.ndarray
+    network_length: np.ndarray
+    by_mun: np.ndarray
+    mun_rows: dict[int, tuple[int, int]]
+
+    @classmethod
+    def of(cls, candidates: list[CandidateSite]) -> SiteTable:
+        cands = sorted(candidates, key=lambda c: c.site_id)
+        mun = np.array([c.municipality_id for c in cands], dtype=np.int64)
+        by_mun = np.argsort(mun, kind="stable")
+        keys, starts, counts = np.unique(mun[by_mun], return_index=True,
+                                         return_counts=True)
+        cols = dict(
+            ids=np.array([c.site_id for c in cands], dtype=np.int64),
+            mun=mun,
+            caps=np.array([c.capacity for c in cands], dtype=float),
+            lcoe=np.array([c.lcoe for c in cands], dtype=float),
+            scenicness=np.array([c.scenicness for c in cands], dtype=float),
+            network_length=np.array([np.nan if c.network_length is None
+                                     else c.network_length for c in cands], dtype=float),
+            by_mun=by_mun,
+        )
+        for arr in cols.values():
+            arr.flags.writeable = False
+        return cls(**cols, mun_rows={int(j): (int(a), int(a + k))
+                                     for j, a, k in zip(keys, starts, counts)})
+
+    @property
+    def n(self) -> int:
+        return self.ids.size
+
+
 @dataclass
 class Instance:
     candidates: list[CandidateSite]
@@ -80,8 +132,10 @@ class Instance:
     transformers: list[Transformer] = field(default_factory=list)
     metadata: str = ""
 
-    def municipality_by_id(self) -> dict[int, Municipality]:
-        return {m.municipality_id: m for m in self.municipalities}
+    @cached_property
+    def sites(self) -> SiteTable:
+        """The candidate pool as a SiteTable, built on first use."""
+        return SiteTable.of(self.candidates)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CandidateSite, ValidationError
+from .domain import SiteTable, ValidationError
 
 TARGET_MEAN = 1.0
 CRITERIA = ("lcoe", "scenicness", "network_length")
@@ -90,34 +90,28 @@ def equalize_means(scaled: dict[str, np.ndarray],
                           degenerate=degenerate)
 
 
-def _raw_arrays(candidates: list[CandidateSite]) -> dict[str, np.ndarray]:
-    lengths = []
-    for c in candidates:
-        if c.network_length is None:
-            raise ValidationError(f"site {c.site_id} has no network_length; run prep first")
-        lengths.append(c.network_length)
-    return {
-        "lcoe": np.array([c.lcoe for c in candidates], dtype=float),
-        "scenicness": np.array([c.scenicness for c in candidates], dtype=float),
-        "network_length": np.array(lengths, dtype=float),
-    }
+def _require_lengths(sites: SiteTable) -> None:
+    missing = np.isnan(sites.network_length)
+    if missing.any():
+        raise ValidationError(
+            f"site {int(sites.ids[missing.argmax()])} has no network_length; run prep first")
 
 
-def scale_candidates(candidates: list[CandidateSite]) -> ScaledCriteria:
+def scale_candidates(sites: SiteTable) -> ScaledCriteria:
     """Min-max scale + mean-equalize all three criteria over the pool."""
-    raw = _raw_arrays(candidates)
+    _require_lengths(sites)
     scaled, x_min, x_max = {}, {}, {}
     degenerate = []
-    for name, arr in raw.items():
-        scaled[name], x_min[name], x_max[name], degen = minmax_scale(arr)
+    for name in CRITERIA:
+        scaled[name], x_min[name], x_max[name], degen = minmax_scale(getattr(sites, name))
         if degen:
             degenerate.append(name)
     return equalize_means(scaled, x_min, x_max, tuple(degenerate))
 
 
-def site_costs(candidates: list[CandidateSite], weights: Weights,
+def site_costs(sites: SiteTable, weights: Weights,
                scaled: ScaledCriteria | None = None) -> np.ndarray:
-    """Per-site objective contribution, aligned with the candidate order.
+    """Per-site objective contribution, aligned with the table rows.
 
     Exactly one active weight: raw criterion values (times the weight).
     Several active weights: scaled-equalized values; `scaled` is computed
@@ -125,33 +119,11 @@ def site_costs(candidates: list[CandidateSite], weights: Weights,
     """
     single = weights.single_criterion()
     if single is not None:
-        raw = _raw_arrays(candidates)
+        _require_lengths(sites)
         w = {"lcoe": weights.w_c, "scenicness": weights.w_s,
              "network_length": weights.w_l}[single]
-        return w * raw[single]
+        return w * getattr(sites, single)
     if scaled is None:
-        scaled = scale_candidates(candidates)
+        scaled = scale_candidates(sites)
     return (weights.w_c * scaled.lcoe + weights.w_s * scaled.scenicness
             + weights.w_l * scaled.network_length)
-
-
-def site_cost(site: CandidateSite, weights: Weights,
-              scaled_triple: tuple[float, float, float] | None = None) -> float:
-    """Objective contribution of one site.
-
-    With several active weights a (lcoe, scenicness, length) triple of
-    scaled-equalized values must be supplied.
-    """
-    single = weights.single_criterion()
-    if single is not None:
-        if single == "network_length" and site.network_length is None:
-            raise ValidationError(f"site {site.site_id} has no network_length")
-        raw = {"lcoe": site.lcoe, "scenicness": site.scenicness,
-               "network_length": site.network_length}[single]
-        w = {"lcoe": weights.w_c, "scenicness": weights.w_s,
-             "network_length": weights.w_l}[single]
-        return w * raw
-    if scaled_triple is None:
-        raise ValidationError("multi-criterion site_cost needs scaled values")
-    c, s, l = scaled_triple
-    return weights.w_c * c + weights.w_s * s + weights.w_l * l

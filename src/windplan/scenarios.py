@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .domain import InfeasibleError, Instance, PlanError
 from .metrics import regional_equity, south_quota
 from .objective import Weights, scale_candidates
-from .solver import Constraints, Selection, equity_floors, municipal_potentials, solve
+from .solver import Constraints, Selection, municipal_potentials, solve, target_constraints
 
 BASE_TOTAL_MW = 105_000.0
 HIGH_TOTAL_MW = 200_000.0
@@ -101,34 +101,30 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
     instance-wide infeasibility (capacity target above total potential)
     aborts with the offending scenario named.
     """
-    existing_total = sum(m.existing_capacity for m in instance.municipalities)
     potential_total = sum(c.capacity for c in instance.candidates)
     pots = municipal_potentials(instance)
     needs_scaling = any(len(cfg.weights.active()) > 1 for cfg in grid)
-    scaled = scale_candidates(instance.candidates) if needs_scaling else None
-    floors_cache: dict[float, dict[int, float]] = {}
-    ordered = sorted(grid, key=lambda c: c.name)
+    scaled = scale_candidates(instance.sites) if needs_scaling else None
+    # one Constraints per (target, equity), so each floor table is built once
+    cache: dict[tuple[float, bool], Constraints] = {}
     jobs = []
-    for cfg in ordered:
+    for cfg in sorted(grid, key=lambda c: c.name):
         total = cfg.total_capacity_2050 * scale
-        added = total - existing_total
-        if added <= 0:
-            raise PlanError(
-                f"scenario {cfg.name}: scaled total target {total} MW does not exceed "
-                f"existing capacity {existing_total} MW")
-        if added > potential_total:
-            raise InfeasibleError(
-                f"scenario {cfg.name}: added target {added:.3f} MW exceeds total "
-                f"potential {potential_total:.3f} MW")
-        floors = None
-        if cfg.equity:
-            if total not in floors_cache:
-                floors_cache[total] = equity_floors(instance.municipalities, total, pots)
-            floors = floors_cache[total]
-        jobs.append((cfg, total, added, Constraints(cap_obj=added, equity_floors=floors)))
+        key = (total, cfg.equity)
+        try:
+            if key not in cache:
+                cache[key] = target_constraints(instance, total, cfg.equity, pots)
+            if cache[key].cap_obj > potential_total:
+                raise InfeasibleError(
+                    f"added target {cache[key].cap_obj:.3f} MW exceeds total "
+                    f"potential {potential_total:.3f} MW")
+        except PlanError as e:
+            raise type(e)(f"scenario {cfg.name}: {e}") from e
+        jobs.append((cfg, total, cache[key]))
 
     def run_one(job) -> ScenarioResult:
-        cfg, total, added, constraints = job
+        cfg, total, constraints = job
+        added = constraints.cap_obj
         t_start = time.perf_counter()
         try:
             sel = solve(instance, cfg.weights, constraints, scaled)

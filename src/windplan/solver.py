@@ -14,6 +14,9 @@ heuristic:
      until the cap is met with minimal slack,
   e) certify with an LP-relaxation lower bound and report the gap.
 
+The pool is read only through `Instance.sites`, the SiteTable built once
+per instance; a row index is a position in that table (site_id order).
+
 Everything is deterministic; ties break on the lowest site id.
 """
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import CandidateSite, InfeasibleError, Instance, Municipality, PlanError
+from .domain import InfeasibleError, Instance, Municipality, PlanError, SiteTable, ValidationError
 from .objective import ScaledCriteria, Weights, site_costs
 
 FEAS_TOL = 1e-9
@@ -53,10 +56,6 @@ class Constraints:
             bad = {j: f for j, f in self.equity_floors.items() if f < 0}
             if bad:
                 raise PlanError(f"negative equity floors: {bad}")
-
-    def active_caps(self) -> list[str]:
-        return [crit for crit, fld in _CAP_FIELDS.items()
-                if getattr(self, fld) is not None]
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,6 @@ class Selection:
     def n_sites(self) -> int:
         return len(self.site_ids)
 
-    def decision(self, site_id: int) -> int:
-        return 1 if site_id in set(self.site_ids) else 0
-
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -110,29 +106,15 @@ class ParetoFront:
     truncated: bool = False  # sweep hit the swept criterion's feasibility limit
 
 
-class _Problem:
-    """Array view of the candidate pool, sorted by site_id."""
+def _ratio_order(sites: SiteTable, cost: np.ndarray) -> np.ndarray:
+    """All rows by ascending cost/capacity ratio, ties on the lower site id."""
+    return np.lexsort((sites.ids, cost / sites.caps))
 
-    def __init__(self, instance: Instance, cost: np.ndarray):
-        cands = instance.candidates
-        self.ids = np.array([c.site_id for c in cands], dtype=np.int64)
-        self.caps = np.array([c.capacity for c in cands], dtype=float)
-        self.cost = np.asarray(cost, dtype=float)
-        lengths = [0.0 if c.network_length is None else c.network_length for c in cands]
-        self.raw = {
-            "lcoe": np.array([c.lcoe for c in cands], dtype=float),
-            "scenicness": np.array([c.scenicness for c in cands], dtype=float),
-            "network_length": np.array(lengths, dtype=float),
-        }
-        self.mun = np.array([c.municipality_id for c in cands], dtype=np.int64)
-        self.mun_sites: dict[int, np.ndarray] = {}
-        order = np.argsort(self.mun, kind="stable")
-        for j, grp in itertools.groupby(order, key=lambda i: self.mun[i]):
-            self.mun_sites[int(j)] = np.fromiter(grp, dtype=np.int64)
-        self.n = len(cands)
 
-    def ratio_order(self, cost: np.ndarray) -> np.ndarray:
-        return np.lexsort((self.ids, cost / self.caps))
+def _mun_ratio_order(sites: SiteTable, cost: np.ndarray) -> np.ndarray:
+    """Rows grouped as in `sites.by_mun` (so `mun_rows` slices it), each
+    group in ratio order; one sort serves every municipality."""
+    return np.lexsort((sites.ids, cost / sites.caps, sites.mun))
 
 
 def _ge(a: float, b: float) -> bool:
@@ -146,9 +128,10 @@ def _le(a: float, b: float) -> bool:
 class _State:
     """Incumbent selection with incrementally maintained totals."""
 
-    def __init__(self, prob: _Problem, cost: np.ndarray, floors: dict[int, float],
-                 cap_specs: list[tuple[np.ndarray, float]]):
-        self.prob = prob
+    def __init__(self, sites: SiteTable, cost: np.ndarray, floors: dict[int, float],
+                 cap_specs: list[tuple[np.ndarray, float]],
+                 rows: list[int] | tuple[int, ...] = ()):
+        self.sites = sites
         self.cost = cost
         self.floors = floors
         self.cap_specs = cap_specs  # (per-site values, limit) per active cap
@@ -157,41 +140,43 @@ class _State:
         self.obj = 0.0
         self.mun_totals: dict[int, float] = {j: 0.0 for j in floors}
         self.v_totals = [0.0] * len(cap_specs)
+        for i in rows:
+            self.add(i)
 
     def add(self, i: int) -> None:
         self.sel.add(i)
-        self.cap_total += self.prob.caps[i]
+        self.cap_total += self.sites.caps[i]
         self.obj += self.cost[i]
-        j = int(self.prob.mun[i])
+        j = int(self.sites.mun[i])
         if j in self.mun_totals:
-            self.mun_totals[j] += self.prob.caps[i]
+            self.mun_totals[j] += self.sites.caps[i]
         for k, (v, _) in enumerate(self.cap_specs):
             self.v_totals[k] += v[i]
 
     def remove(self, i: int) -> None:
         self.sel.discard(i)
-        self.cap_total -= self.prob.caps[i]
+        self.cap_total -= self.sites.caps[i]
         self.obj -= self.cost[i]
-        j = int(self.prob.mun[i])
+        j = int(self.sites.mun[i])
         if j in self.mun_totals:
-            self.mun_totals[j] -= self.prob.caps[i]
+            self.mun_totals[j] -= self.sites.caps[i]
         for k, (v, _) in enumerate(self.cap_specs):
             self.v_totals[k] -= v[i]
 
     def removable(self, i: int, cap_obj: float) -> bool:
-        if not _ge(self.cap_total - self.prob.caps[i], cap_obj):
+        if not _ge(self.cap_total - self.sites.caps[i], cap_obj):
             return False
-        j = int(self.prob.mun[i])
+        j = int(self.sites.mun[i])
         floor = self.floors.get(j, 0.0)
-        if floor > 0 and not _ge(self.mun_totals[j] - self.prob.caps[i], floor):
+        if floor > 0 and not _ge(self.mun_totals[j] - self.sites.caps[i], floor):
             return False
         return True
 
     def swap_feasible(self, out: int, inn: int, cap_obj: float) -> bool:
-        caps = self.prob.caps
+        caps = self.sites.caps
         if not _ge(self.cap_total - caps[out] + caps[inn], cap_obj):
             return False
-        jo, ji = int(self.prob.mun[out]), int(self.prob.mun[inn])
+        jo, ji = int(self.sites.mun[out]), int(self.sites.mun[inn])
         fo = self.floors.get(jo, 0.0)
         if fo > 0:
             t = self.mun_totals[jo] - caps[out] + (caps[inn] if ji == jo else 0.0)
@@ -206,27 +191,24 @@ class _State:
         return all(_le(t, limit) for t, (_, limit) in zip(self.v_totals, self.cap_specs))
 
 
-def _greedy(prob: _Problem, cost: np.ndarray, cap_obj: float,
+def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
             floors: dict[int, float], cap_specs: list[tuple[np.ndarray, float]],
             preselect: tuple[int, ...] = ()) -> _State:
     """Floor-first then global ratio greedy, followed by a trim pass."""
-    state = _State(prob, cost, floors, cap_specs)
-    caps, ids = prob.caps, prob.ids
-    for i in preselect:
-        state.add(i)
+    state = _State(sites, cost, floors, cap_specs, preselect)
+    caps, ids = sites.caps, sites.ids
 
+    order = _mun_ratio_order(sites, cost) if floors else None
     for j in sorted(floors):
         floor = floors[j]
-        if floor <= 0:
-            continue
-        idxs = prob.mun_sites.get(j)
-        if idxs is None:
+        rows = sites.mun_rows.get(j)
+        if rows is None:
             raise InfeasibleError(
                 f"equity floor {floor} MW in municipality {j} with no candidates")
         start_cum = state.mun_totals.get(j, 0.0)
         if _ge(start_cum, floor):
             continue
-        local = sorted(idxs, key=lambda i: (cost[i] / caps[i], ids[i]))
+        local = order[slice(*rows)]
         chosen, cum, cost_a = [], start_cum, 0.0
         for i in local:
             if i in state.sel:
@@ -240,7 +222,7 @@ def _greedy(prob: _Problem, cost: np.ndarray, cap_obj: float,
             raise InfeasibleError(
                 f"equity floor {floor} MW exceeds potential {cum} MW in municipality {j}")
         if start_cum == 0.0:
-            single = min(((cost[i], ids[i], i) for i in idxs
+            single = min(((cost[i], ids[i], i) for i in local
                           if i not in state.sel and _ge(caps[i], floor)),
                          default=None)
             if single is not None and single[0] < cost_a:
@@ -249,7 +231,7 @@ def _greedy(prob: _Problem, cost: np.ndarray, cap_obj: float,
             state.add(i)
 
     if not _ge(state.cap_total, cap_obj):
-        for i in prob.ratio_order(cost):
+        for i in _ratio_order(sites, cost):
             if i in state.sel:
                 continue
             state.add(i)
@@ -270,8 +252,8 @@ def _greedy(prob: _Problem, cost: np.ndarray, cap_obj: float,
 def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
             neighborhood: int | None = None) -> None:
     """Single-swap (and drop) local search; in-place, deterministic."""
-    prob, cost, ids = state.prob, state.cost, state.prob.ids
-    n = prob.n
+    sites, cost, ids = state.sites, state.cost, state.sites.ids
+    n = sites.n
     if neighborhood is None:
         neighborhood = n if n <= 400 else 120
     for _ in range(max_rounds):
@@ -281,7 +263,7 @@ def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
                 state.remove(i)
                 improved = True
         outs = sorted(state.sel, key=lambda i: (-cost[i], ids[i]))[:neighborhood]
-        unsel = [i for i in prob.ratio_order(cost) if i not in state.sel]
+        unsel = [i for i in _ratio_order(sites, cost) if i not in state.sel]
         ins = unsel[:neighborhood]
         for out in outs:
             if out not in state.sel:
@@ -322,8 +304,8 @@ def _try_move(state: _State, cap_obj: float, outs: tuple[int, ...],
 
 def _deep_polish(state: _State, cap_obj: float) -> None:
     """Exchange moves up to 2-out / 2-in; only used on small pools."""
-    prob = state.prob
-    if prob.n > 64:
+    n = state.sites.n
+    if n > 64:
         return
     guard = 0
     changed = True
@@ -332,7 +314,7 @@ def _deep_polish(state: _State, cap_obj: float) -> None:
         guard += 1
         _polish(state, cap_obj, max_rounds=60)
         sel = sorted(state.sel)
-        unsel = [i for i in range(prob.n) if i not in state.sel]
+        unsel = [i for i in range(n) if i not in state.sel]
         sel_pairs = list(itertools.combinations(sel, 2))
         unsel_pairs = list(itertools.combinations(unsel, 2))
         for outs, ins in itertools.chain(
@@ -353,28 +335,26 @@ def _feasible(state: _State, cap_obj: float) -> bool:
     return state.caps_ok()
 
 
-def _lp_nested(prob: _Problem, cost: np.ndarray, cap_obj: float,
-               floors: dict[int, float]) -> float:
+def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
+               cap_obj: float, floors: dict[int, float]) -> float:
     """Exact optimum of the fractional relaxation (floors + covering).
 
     Floors are filled fractionally at the cheapest within-municipality
     ratios; the residual capacity takes the globally cheapest remaining
     fractional marginals. Marginal cost curves are convex, so this
-    greedy is LP-optimal.
+    greedy is LP-optimal. `order` is `_mun_ratio_order(sites, cost)`
+    (None without floors).
     """
-    caps, ids = prob.caps, prob.ids
-    used = np.zeros(prob.n)  # fraction of each site already committed
+    caps = sites.caps
+    used = np.zeros(sites.n)  # fraction of each site already committed
     total_cost = 0.0
     floor_cap = 0.0
     for j, floor in floors.items():
-        if floor <= 0:
-            continue
-        idxs = prob.mun_sites.get(j)
-        if idxs is None:
+        rows = sites.mun_rows.get(j)
+        if rows is None:
             return np.inf
-        local = sorted(idxs, key=lambda i: (cost[i] / caps[i], ids[i]))
         need = floor
-        for i in local:
+        for i in order[slice(*rows)]:
             take = min(caps[i], need)
             frac = take / caps[i]
             used[i] += frac
@@ -387,7 +367,7 @@ def _lp_nested(prob: _Problem, cost: np.ndarray, cap_obj: float,
         floor_cap += floor
     residual = cap_obj - floor_cap
     if residual > 1e-15:
-        for i in prob.ratio_order(cost):
+        for i in _ratio_order(sites, cost):
             avail = caps[i] * (1.0 - used[i])
             if avail <= 0:
                 continue
@@ -401,21 +381,22 @@ def _lp_nested(prob: _Problem, cost: np.ndarray, cap_obj: float,
     return total_cost
 
 
-def _floor_int_bound(prob: _Problem, cost: np.ndarray, floors: dict[int, float]) -> float:
+def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
+                     floors: dict[int, float]) -> float:
     """Lower bound keeping floor coverage integral per municipality.
 
     Exact when a floor fits a single site or the municipality is small
-    enough to enumerate; otherwise the municipal fractional fill is
-    used. Ignores the global constraint, which only relaxes further.
+    enough to enumerate; otherwise the municipal fractional fill along
+    `order` (as in `_lp_nested`) is used. Ignores the global constraint,
+    which only relaxes further.
     """
-    caps, ids = prob.caps, prob.ids
+    caps = sites.caps
     total = 0.0
     for j, floor in floors.items():
-        if floor <= 0:
-            continue
-        idxs = prob.mun_sites.get(j)
-        if idxs is None:
+        rows = sites.mun_rows.get(j)
+        if rows is None:
             return np.inf
+        idxs = sites.by_mun[slice(*rows)]
         min_cap = caps[idxs].min()
         if floor <= min_cap + 1e-15:
             total += cost[idxs].min()
@@ -428,9 +409,8 @@ def _floor_int_bound(prob: _Problem, cost: np.ndarray, floors: dict[int, float])
                 return np.inf
             total += float((bits @ cost[idxs])[feas].min())
         else:
-            local = sorted(idxs, key=lambda i: (cost[i] / caps[i], ids[i]))
             need = floor
-            for i in local:
+            for i in order[slice(*rows)]:
                 take = min(caps[i], need)
                 total += take / caps[i] * cost[i]
                 need -= take
@@ -441,85 +421,86 @@ def _floor_int_bound(prob: _Problem, cost: np.ndarray, floors: dict[int, float])
     return total
 
 
-def _lower_bound(prob: _Problem, cost: np.ndarray, cap_obj: float,
+def _floor_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
+                 floors: dict[int, float]) -> float:
+    order = _mun_ratio_order(sites, cost) if floors else None
+    return max(_lp_nested(sites, cost, order, cap_obj, floors),
+               _floor_int_bound(sites, cost, order, floors))
+
+
+def _lower_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                  floors: dict[int, float],
                  cap_specs: list[tuple[np.ndarray, float]],
                  lambdas: list[float]) -> float:
-    bound = max(_lp_nested(prob, cost, cap_obj, floors),
-                _floor_int_bound(prob, cost, floors))
+    bound = _floor_bound(sites, cost, cap_obj, floors)
     if cap_specs and any(l > 0 for l in lambdas):
         pen = cost.copy()
         offset = 0.0
         for (v, limit), lam in zip(cap_specs, lambdas):
             pen = pen + lam * v
             offset += lam * limit
-        lag = max(_lp_nested(prob, pen, cap_obj, floors),
-                  _floor_int_bound(prob, pen, floors)) - offset
-        bound = max(bound, lag)
-    return bound if np.isfinite(bound) else 0.0
+        bound = max(bound, _floor_bound(sites, pen, cap_obj, floors) - offset)
+    return float(bound) if np.isfinite(bound) else 0.0
 
 
-def _make_selection(prob: _Problem, state: _State, weights_cost: np.ndarray,
+def _gap(objective: float, lower_bound: float) -> float:
+    if objective <= lower_bound:
+        return 0.0
+    if lower_bound > 0:
+        return float((objective - lower_bound) / lower_bound)
+    return float("inf")
+
+
+def _make_selection(sites: SiteTable, state: _State, weights_cost: np.ndarray,
                     lower_bound: float) -> Selection:
-    idx = np.array(sorted(state.sel, key=lambda i: prob.ids[i]), dtype=np.int64)
-    ids = tuple(int(i) for i in prob.ids[idx])
+    lower_bound = float(lower_bound)
+    idx = np.array(sorted(state.sel), dtype=np.int64)
+    ids = tuple(int(i) for i in sites.ids[idx])
     if idx.size:
-        cap = float(np.sum(prob.caps[idx]))
-        t_lcoe = float(np.sum(prob.raw["lcoe"][idx]))
-        t_scen = float(np.sum(prob.raw["scenicness"][idx]))
-        t_len = float(np.sum(prob.raw["network_length"][idx]))
+        cap = float(np.sum(sites.caps[idx]))
+        t_lcoe = float(np.sum(sites.lcoe[idx]))
+        t_scen = float(np.sum(sites.scenicness[idx]))
+        t_len = float(np.sum(sites.network_length[idx]))
         obj = float(np.sum(weights_cost[idx]))
         n = idx.size
         means = Means(
             lcoe=t_lcoe / n,
             scenicness=t_scen / n,
             network_length_km=t_len / n,
-            lcoe_capacity_weighted=float(np.sum(prob.raw["lcoe"][idx] * prob.caps[idx])) / cap,
+            lcoe_capacity_weighted=float(np.sum(sites.lcoe[idx] * sites.caps[idx])) / cap,
         )
         totals = Totals(cap, t_lcoe, t_scen, t_len)
     else:
         obj = 0.0
         totals = Totals(0.0, 0.0, 0.0, 0.0)
         means = Means(0.0, 0.0, 0.0, 0.0)
-    if obj <= lower_bound:
-        gap = 0.0
-    elif lower_bound > 0:
-        gap = (obj - lower_bound) / lower_bound
-    else:
-        gap = float("inf")
     return Selection(site_ids=ids, objective_value=obj, totals=totals, means=means,
-                     lower_bound=lower_bound, gap=gap)
+                     lower_bound=lower_bound, gap=_gap(obj, lower_bound))
 
 
-def _clamped_floors(prob: _Problem, constraints: Constraints) -> dict[int, float]:
-    floors = {}
-    if constraints.equity_floors:
-        for j, f in constraints.equity_floors.items():
-            if f > 0:
-                floors[int(j)] = float(f)
-    return floors
+def _positive_floors(constraints: Constraints) -> dict[int, float]:
+    """The equity floors above zero; the others constrain nothing."""
+    return {int(j): float(f) for j, f in (constraints.equity_floors or {}).items()
+            if f > 0}
 
 
-def _cap_specs(prob: _Problem, constraints: Constraints) -> list[tuple[str, np.ndarray, float]]:
-    specs = []
-    for crit, fld in _CAP_FIELDS.items():
-        limit = getattr(constraints, fld)
-        if limit is not None:
-            specs.append((crit, prob.raw[crit], float(limit)))
-    return specs
+def _cap_specs(sites: SiteTable,
+               constraints: Constraints) -> list[tuple[str, np.ndarray, float]]:
+    return [(crit, getattr(sites, crit), float(getattr(constraints, fld)))
+            for crit, fld in _CAP_FIELDS.items() if getattr(constraints, fld) is not None]
 
 
-def _run_heuristic(prob: _Problem, cost: np.ndarray, cap_obj: float,
+def _run_heuristic(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                    floors: dict[int, float],
                    cap_specs: list[tuple[np.ndarray, float]],
                    deep: bool) -> _State:
-    state = _greedy(prob, cost, cap_obj, floors, cap_specs)
+    state = _greedy(sites, cost, cap_obj, floors, cap_specs)
     _polish(state, cap_obj)
     if deep:
         # covering greedy is weakest around the last site added; forcing
         # each site into the start escapes that trap on small pools
-        for i in range(prob.n):
-            st = _greedy(prob, cost, cap_obj, floors, cap_specs, preselect=(i,))
+        for i in range(sites.n):
+            st = _greedy(sites, cost, cap_obj, floors, cap_specs, preselect=(i,))
             _polish(st, cap_obj)
             if st.obj < state.obj - 1e-12:
                 state = st
@@ -527,13 +508,17 @@ def _run_heuristic(prob: _Problem, cost: np.ndarray, cap_obj: float,
     return state
 
 
-def _enumerate(prob: _Problem, cost: np.ndarray, cap_obj: float,
+def _mask_rows(mask: int, n: int) -> list[int]:
+    return [i for i in range(n) if mask >> i & 1]
+
+
+def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                floors: dict[int, float],
                cap_specs: list[tuple[np.ndarray, float]]) -> tuple[int, float] | None:
     """Exhaustive subset search; returns (best mask, objective) or None
     if no feasible subset exists. Ties go to the lexicographically
     smallest installed id-set."""
-    n = prob.n
+    n = sites.n
     best_obj = np.inf
     best_ids: tuple[int, ...] | None = None
     best_mask = 0
@@ -542,15 +527,16 @@ def _enumerate(prob: _Problem, cost: np.ndarray, cap_obj: float,
     for start in range(0, 1 << n, chunk):
         masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
         bits = ((masks[:, None] >> shifts) & 1).astype(float)
-        feas = bits @ prob.caps >= cap_obj - FEAS_TOL * max(1.0, cap_obj)
+        feas = bits @ sites.caps >= cap_obj - FEAS_TOL * max(1.0, cap_obj)
         for v, limit in cap_specs:
             feas &= bits @ v <= limit + FEAS_TOL * max(1.0, abs(limit))
         for j, floor in floors.items():
-            idxs = prob.mun_sites.get(j)
-            if idxs is None:
+            rows = sites.mun_rows.get(j)
+            if rows is None:
                 feas &= False
                 break
-            feas &= bits[:, idxs] @ prob.caps[idxs] >= floor - FEAS_TOL * max(1.0, floor)
+            idxs = sites.by_mun[slice(*rows)]
+            feas &= bits[:, idxs] @ sites.caps[idxs] >= floor - FEAS_TOL * max(1.0, floor)
         if not feas.any():
             continue
         obj = bits @ cost
@@ -559,7 +545,7 @@ def _enumerate(prob: _Problem, cost: np.ndarray, cap_obj: float,
         for pos in np.nonzero(obj <= cutoff)[0]:
             mask = int(masks[pos])
             o = float(obj[pos])
-            ids = tuple(int(prob.ids[i]) for i in range(n) if mask >> i & 1)
+            ids = tuple(int(sites.ids[i]) for i in _mask_rows(mask, n))
             if (o < best_obj - 1e-12
                     or (abs(o - best_obj) <= 1e-12 and (best_ids is None or ids < best_ids))):
                 best_obj, best_ids, best_mask = o, ids, mask
@@ -573,59 +559,46 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
     """Exact (small pools) or certified-heuristic solve; see module docstring."""
     if not instance.candidates:
         raise InfeasibleError("instance has no candidate sites")
-    cost = site_costs(instance.candidates, weights, scaled)
-    cands = sorted(instance.candidates, key=lambda c: c.site_id)
-    inst = instance if cands == instance.candidates else Instance(
-        candidates=cands, municipalities=instance.municipalities,
-        existing=instance.existing, transformers=instance.transformers,
-        metadata=instance.metadata)
-    if cands != instance.candidates:
-        order = np.argsort([c.site_id for c in instance.candidates], kind="stable")
-        cost = np.asarray(cost)[order]
-    prob = _Problem(inst, cost)
-
-    floors = _clamped_floors(prob, constraints)
-    named_specs = _cap_specs(prob, constraints)
+    sites = instance.sites
+    cost = site_costs(sites, weights, scaled)
+    floors = _positive_floors(constraints)
+    named_specs = _cap_specs(sites, constraints)
     cap_specs = [(v, limit) for _, v, limit in named_specs]
     cap_obj = float(constraints.cap_obj)
 
-    total_potential = float(prob.caps.sum())
+    total_potential = float(sites.caps.sum())
     if not _ge(total_potential, cap_obj):
         raise InfeasibleError(
             f"total potential {total_potential:.3f} MW below capacity target "
             f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
 
-    if prob.n <= BRUTE_FORCE_LIMIT:
+    if sites.n <= BRUTE_FORCE_LIMIT:
         # small pools are enumerated exactly; local search alone cannot
         # certify the multi-exchange optima these covering instances need
-        exact = _enumerate(prob, cost, cap_obj, floors, cap_specs)
+        exact = _enumerate(sites, cost, cap_obj, floors, cap_specs)
         if exact is None:
-            if floors and _enumerate(prob, cost, cap_obj, floors, []) is None:
-                missing = sorted(j for j in floors if j not in prob.mun_sites)
+            if floors and _enumerate(sites, cost, cap_obj, floors, []) is None:
+                missing = sorted(j for j in floors if j not in sites.mun_rows)
                 if missing:
                     raise InfeasibleError(
                         f"equity floors in municipalities without candidates: {missing}")
                 raise InfeasibleError("equity floors unattainable with this pool")
             for name, v, limit in named_specs:
-                vmin = _enumerate(prob, v.astype(float), cap_obj, floors, [])
+                vmin = _enumerate(sites, v.astype(float), cap_obj, floors, [])
                 if vmin is not None and not _le(vmin[1], limit):
                     raise InfeasibleError(
                         f"cap on total {name} ({limit}) below the minimum "
                         f"achievable {vmin[1]:.6f}")
             raise InfeasibleError(
                 f"caps {[name for name, _, _ in named_specs]} unattainable together")
-        mask, _ = exact
-        state = _State(prob, cost, floors, cap_specs)
-        for i in range(prob.n):
-            if mask >> i & 1:
-                state.add(i)
-        bound = _lower_bound(prob, cost, cap_obj, floors, cap_specs,
+        state = _State(sites, cost, floors, cap_specs, _mask_rows(exact[0], sites.n))
+        bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs,
                              [0.0] * len(cap_specs))
-        return _make_selection(prob, state, cost, min(bound, state.obj))
+        return _make_selection(sites, state, cost, min(bound, state.obj))
 
-    deep = prob.n <= 24
+    deep = sites.n <= 24
     lambdas = [0.0] * len(cap_specs)
-    state = _run_heuristic(prob, cost, cap_obj, floors, cap_specs, deep)
+    state = _run_heuristic(sites, cost, cap_obj, floors, cap_specs, deep)
 
     if cap_specs and not state.caps_ok():
         best: _State | None = state if _feasible(state, cap_obj) else None
@@ -633,7 +606,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             if _le(state.v_totals[k], limit):
                 continue
             # is the cap attainable at all? check the min-v solution
-            vmin_state = _run_heuristic(prob, v.astype(float), cap_obj, floors,
+            vmin_state = _run_heuristic(sites, v.astype(float), cap_obj, floors,
                                         cap_specs, deep)
             if not _le(float(np.sum(v[sorted(vmin_state.sel)])), limit):
                 raise InfeasibleError(
@@ -645,7 +618,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
                 for kk, (vv, _) in enumerate(cap_specs):
                     if lambdas[kk] > 0 and kk != k:
                         pen = pen + lambdas[kk] * vv
-                return _run_heuristic(prob, pen, cap_obj, floors, cap_specs, deep)
+                return _run_heuristic(sites, pen, cap_obj, floors, cap_specs, deep)
 
             lo, hi = 0.0, max(1.0, float(cost.max()) / max(float(v[v > 0].min()), 1e-12)
                               if np.any(v > 0) else 1.0)
@@ -671,10 +644,10 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
 
         if best is None:
             # repair: start from a selection minimizing each violated cap
-            repair_cost = np.zeros(prob.n)
+            repair_cost = np.zeros(sites.n)
             for (v, limit) in cap_specs:
                 repair_cost = repair_cost + v
-            state = _run_heuristic(prob, repair_cost, cap_obj, floors, cap_specs, deep)
+            state = _run_heuristic(sites, repair_cost, cap_obj, floors, cap_specs, deep)
             if not _feasible(state, cap_obj):
                 bad = [name for (name, v, limit), t in zip(named_specs, state.v_totals)
                        if not _le(t, limit)]
@@ -682,48 +655,35 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
         else:
             state = best
         # constrained polish on the true objective
-        final = _State(prob, cost, floors, cap_specs)
-        for i in sorted(state.sel):
-            final.add(i)
+        final = _State(sites, cost, floors, cap_specs, sorted(state.sel))
         _polish(final, cap_obj)
         if deep:
             _deep_polish(final, cap_obj)
         state = final
 
-    bound = _lower_bound(prob, cost, cap_obj, floors, cap_specs, lambdas)
-    return _make_selection(prob, state, cost, bound)
+    bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs, lambdas)
+    return _make_selection(sites, state, cost, bound)
 
 
 def brute_force(instance: Instance, weights: Weights, constraints: Constraints,
                 scaled: ScaledCriteria | None = None) -> Selection:
     """Exact optimum by exhaustive subset enumeration (oracle, N <= 22)."""
-    cands = sorted(instance.candidates, key=lambda c: c.site_id)
-    n = len(cands)
+    n = len(instance.candidates)
     if n > BRUTE_FORCE_LIMIT:
         raise PlanError(f"brute_force refused: N={n} > {BRUTE_FORCE_LIMIT}")
-    inst = Instance(candidates=cands, municipalities=instance.municipalities,
-                    existing=instance.existing, transformers=instance.transformers,
-                    metadata=instance.metadata)
-    cost = np.asarray(site_costs(instance.candidates, weights, scaled), dtype=float)
-    if cands != instance.candidates:
-        order = np.argsort([c.site_id for c in instance.candidates], kind="stable")
-        cost = cost[order]
-    prob = _Problem(inst, cost)
-    floors = _clamped_floors(prob, constraints)
-    specs = _cap_specs(prob, constraints)
+    sites = instance.sites
+    cost = site_costs(sites, weights, scaled)
+    floors = _positive_floors(constraints)
+    cap_specs = [(v, limit) for _, v, limit in _cap_specs(sites, constraints)]
     cap_obj = float(constraints.cap_obj)
 
-    exact = _enumerate(prob, cost, cap_obj, floors,
-                       [(v, limit) for _, v, limit in specs])
+    exact = _enumerate(sites, cost, cap_obj, floors, cap_specs)
     if exact is None:
         raise InfeasibleError("no feasible subset exists")
     best_mask, best_obj = exact
 
-    state = _State(prob, cost, floors, [(v, limit) for _, v, limit in specs])
-    for i in range(n):
-        if best_mask >> i & 1:
-            state.add(i)
-    sel = _make_selection(prob, state, cost, lower_bound=best_obj)
+    state = _State(sites, cost, floors, cap_specs, _mask_rows(best_mask, n))
+    sel = _make_selection(sites, state, cost, lower_bound=best_obj)
     sel.gap = 0.0
     return sel
 
@@ -754,6 +714,28 @@ def municipal_potentials(instance: Instance) -> dict[int, float]:
     return pots
 
 
+def target_constraints(instance: Instance, total_mw: float, equity: bool,
+                       potentials: dict[int, float] | None = None) -> Constraints:
+    """Constraints for a national total target (existing stock included).
+
+    The added capacity to cover is the total minus the existing stock;
+    with `equity` the population-share floors of that total apply
+    (`potentials` defaults to `municipal_potentials(instance)`).
+    """
+    existing_total = sum(m.existing_capacity for m in instance.municipalities)
+    added = total_mw - existing_total
+    if added <= 0:
+        raise ValidationError(
+            f"scaled total target {total_mw} MW does not exceed existing "
+            f"capacity {existing_total} MW")
+    floors = None
+    if equity:
+        if potentials is None:
+            potentials = municipal_potentials(instance)
+        floors = equity_floors(instance.municipalities, total_mw, potentials)
+    return Constraints(cap_obj=added, equity_floors=floors)
+
+
 def pareto_sweep(instance: Instance, optimize: str, sweep: str,
                  constraints: Constraints, steps: int,
                  step_factor: float = 0.9,
@@ -765,7 +747,8 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
     swept criterion anchors the caps T0 * factor^k. The sweep stops
     early (front flagged truncated) once a cap becomes infeasible. A
     backward pass propagates any strictly better tight-cap solution to
-    looser-cap points, so achieved minima are monotone by construction.
+    looser-cap points, so achieved minima are monotone by construction;
+    an adopted solution keeps the looser point's own lower bound.
     """
     if optimize == sweep:
         raise PlanError("optimize and sweep criteria must differ")
@@ -797,12 +780,17 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
             break
         front.points.append(ParetoPoint(k, cap_val, total_of(sel, optimize), sel.gap, sel))
     # tighter caps can only worsen the optimum; a better solution found at a
-    # tighter cap is feasible (and adopted) at every looser cap
+    # tighter cap is feasible (and adopted) at every looser cap. The tighter
+    # cap's bound does not bound the looser problem, so the adopted copy is
+    # gapped against the looser point's own bound.
     for i in range(len(front.points) - 1, 0, -1):
         cur, prev = front.points[i], front.points[i - 1]
         if cur.achieved_min < prev.achieved_min:
+            bound = prev.selection.lower_bound
+            sel = replace(cur.selection, lower_bound=bound,
+                          gap=_gap(cur.selection.objective_value, bound))
             front.points[i - 1] = ParetoPoint(prev.step, prev.cap, cur.achieved_min,
-                                              cur.gap, cur.selection)
+                                              sel.gap, sel)
     return front
 
 

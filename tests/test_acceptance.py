@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from windplan.domain import InfeasibleError
+from windplan.domain import SiteTable
 from windplan.geoprep import (
     exclusion_filter,
     haversine_km,
@@ -232,7 +232,7 @@ def test_acceptance_08_scaling_contract():
         scaled, _, _, degen = minmax_scale(raw)
         assert not degen
         assert scaled.min() == 0.0 and scaled.max() == 1.0
-    eq = scale_candidates(pool)
+    eq = scale_candidates(SiteTable.of(pool))
     for name, raw in raws.items():
         arr = eq.by_name(name)
         assert abs(float(arr.mean()) - 1.0) <= 1e-9

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -26,6 +27,17 @@ def _scenario_file(root, total_mw, equity=False):
     path.write_text(json.dumps({"name": "t", "w_c": 1.0, "w_s": 0.0, "w_l": 0.0,
                                 "equity": equity, "total_capacity_mw": total_mw}))
     return path
+
+
+def _assert_numeric_fields(path, text_columns=()):
+    """Every field outside `text_columns` parses as a plain float."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert rows
+    for row in rows:
+        for column, value in row.items():
+            if column not in text_columns:
+                float(value)
 
 
 def test_synth_and_prep_outputs(prepped):
@@ -74,6 +86,7 @@ def test_sweep_writes_front(prepped):
     lines = (out / "front.csv").read_text().splitlines()
     assert lines[0] == "step,cap,achieved_min,gap"
     assert 2 <= len(lines) <= 5
+    _assert_numeric_fields(out / "front.csv")
 
 
 def test_scenarios_grid(prepped):
@@ -91,6 +104,7 @@ def test_scenarios_grid(prepped):
                  "--out", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 3
+    _assert_numeric_fields(out / "results.csv", text_columns=("name", "error"))
     assert (out / "selection_a.geojson").exists()
     assert (out / "selection_b.geojson").exists()
     assert (out / "radar.csv").exists()

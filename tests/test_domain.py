@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import mk_instance, mk_mun, mk_site
 from windplan.domain import (
     ExistingTurbine,
+    SiteTable,
     Transformer,
     ValidationError,
     existing_capacity_totals,
@@ -133,3 +135,31 @@ def test_read_sorts_by_id(tmp_path):
     write_instance(inst, str(tmp_path))
     loaded = read_instance(str(tmp_path))
     assert [c.site_id for c in loaded.candidates] == [1, 2]
+
+
+def test_site_table_sorts_shuffled_candidates():
+    sites = [mk_site(7, mun=3, capacity=7.0, lcoe=7.5, scenicness=1.7, length=0.7),
+             mk_site(2, mun=5, capacity=2.0, lcoe=2.5, scenicness=1.2, length=None),
+             mk_site(9, mun=5, capacity=9.0, lcoe=9.5, scenicness=1.9, length=0.9),
+             mk_site(4, mun=3, capacity=4.0, lcoe=4.5, scenicness=1.4, length=0.4),
+             mk_site(5, mun=1, capacity=5.0, lcoe=5.5, scenicness=1.5, length=0.5)]
+    table = SiteTable.of(sites)
+    assert table.n == 5
+    assert table.ids.tolist() == [2, 4, 5, 7, 9]
+    assert table.mun.tolist() == [5, 3, 1, 3, 5]
+    assert table.caps.tolist() == [2.0, 4.0, 5.0, 7.0, 9.0]
+    assert table.lcoe.tolist() == [2.5, 4.5, 5.5, 7.5, 9.5]
+    assert table.scenicness.tolist() == [1.2, 1.4, 1.5, 1.7, 1.9]
+    assert np.isnan(table.network_length[0])
+    assert table.network_length[1:].tolist() == [0.4, 0.5, 0.7, 0.9]
+    # rows grouped by municipality, ascending within each group
+    assert table.by_mun.tolist() == [2, 1, 3, 0, 4]
+    assert table.mun_rows == {1: (0, 1), 3: (1, 3), 5: (3, 5)}
+    with pytest.raises(ValueError):
+        table.caps[0] = 1.0
+
+
+def test_instance_sites_built_once():
+    inst = mk_instance([mk_site(2), mk_site(1)])
+    assert inst.sites is inst.sites
+    assert inst.sites.ids.tolist() == [1, 2]

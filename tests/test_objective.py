@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import mk_site
-from windplan.domain import ValidationError
+from windplan.domain import SiteTable, ValidationError
 from windplan.objective import (
     Weights,
     minmax_scale,
     scale_candidates,
-    site_cost,
     site_costs,
 )
 
@@ -47,7 +46,7 @@ def test_minmax_degenerate():
 
 def test_scale_candidates_contract():
     pool = _pool()
-    scaled = scale_candidates(pool)
+    scaled = scale_candidates(SiteTable.of(pool))
     for name in ("lcoe", "scenicness", "network_length"):
         arr = scaled.by_name(name)
         # mean equalized to 1.0
@@ -63,43 +62,31 @@ def test_scale_candidates_constant_criterion_errors():
     pool = [mk_site(i + 1, scenicness=4.0, lcoe=float(i + 1),
                     length=float(i)) for i in range(5)]
     with pytest.raises(ValidationError, match="scenicness"):
-        scale_candidates(pool)
+        scale_candidates(SiteTable.of(pool))
 
 
 def test_single_criterion_costs_are_raw():
     pool = _pool(20)
-    costs = site_costs(pool, Weights(0.0, 1.0, 0.0))
+    costs = site_costs(SiteTable.of(pool), Weights(0.0, 1.0, 0.0))
     assert np.allclose(costs, [c.scenicness for c in pool])
-    costs = site_costs(pool, Weights(0.0, 0.0, 1.0))
+    costs = site_costs(SiteTable.of(pool), Weights(0.0, 0.0, 1.0))
     assert np.allclose(costs, [c.network_length for c in pool])
 
 
 def test_multi_criterion_costs_use_scaled_values():
-    pool = _pool(30)
-    scaled = scale_candidates(pool)
-    costs = site_costs(pool, Weights(1.0, 1.0, 1.0), scaled)
+    sites = SiteTable.of(_pool(30))
+    scaled = scale_candidates(sites)
+    costs = site_costs(sites, Weights(1.0, 1.0, 1.0), scaled)
     expected = scaled.lcoe + scaled.scenicness + scaled.network_length
     assert np.allclose(costs, expected)
     # pool mean of the combined cost is the sum of the target means
     assert abs(float(costs.mean()) - 3.0) <= 1e-9
 
 
-def test_site_cost_scalar_matches_vector():
-    pool = _pool(10)
-    w = Weights(1.0, 0.0, 0.0)
-    costs = site_costs(pool, w)
-    for c, expected in zip(pool, costs):
-        assert site_cost(c, w) == expected
-
-
-def test_site_cost_multi_needs_scaled_triple():
-    site = mk_site(1)
-    with pytest.raises(ValidationError):
-        site_cost(site, Weights(1.0, 1.0, 1.0))
-    assert site_cost(site, Weights(1.0, 1.0, 1.0), (0.5, 1.5, 2.0)) == 4.0
-
-
 def test_missing_network_length_errors():
-    pool = [mk_site(1, length=None)]
-    with pytest.raises(ValidationError):
-        site_costs(pool, Weights(0.0, 0.0, 1.0))
+    sites = SiteTable.of([mk_site(1, length=3.0), mk_site(2, length=None)])
+    for w in (Weights(1.0, 0.0, 0.0), Weights(0.0, 0.0, 1.0), Weights(1.0, 1.0, 1.0)):
+        with pytest.raises(ValidationError, match="site 2 has no network_length"):
+            site_costs(sites, w)
+    with pytest.raises(ValidationError, match="site 2 has no network_length"):
+        scale_candidates(sites)

@@ -1,13 +1,20 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import mk_instance, mk_mun, mk_site
+from windplan import solver
 from windplan.domain import InfeasibleError, Instance, PlanError
 from windplan.geoprep import prep_instance
 from windplan.objective import Weights
 from windplan.solver import (
     BRUTE_FORCE_LIMIT,
     Constraints,
+    Means,
+    Selection,
+    Totals,
     brute_force,
     equity_floors,
     municipal_potentials,
@@ -128,7 +135,6 @@ def test_scale_argmin_invariance():
     inst = rand_instance(13, 15)
     con = Constraints(cap_obj=12.0)
     sel = solve(inst, W_LCOE, con)
-    from dataclasses import replace
     scaled = Instance(
         candidates=[replace(c, lcoe=c.lcoe * 7.0) for c in inst.candidates],
         municipalities=inst.municipalities, existing=inst.existing,
@@ -216,3 +222,66 @@ def test_pareto_truncation_flag():
     # forty 10% cuts push the cap far below the feasibility limit
     assert front.truncated
     assert len(front.points) < 40
+
+
+def _shuffled(inst, seed):
+    cands = list(inst.candidates)
+    random.Random(seed).shuffle(cands)
+    assert cands != inst.candidates
+    return Instance(candidates=cands, municipalities=inst.municipalities,
+                    existing=inst.existing, transformers=inst.transformers)
+
+
+def _floored(inst, share):
+    pots = municipal_potentials(inst)
+    total = share * sum(pots.values())
+    existing = sum(m.existing_capacity for m in inst.municipalities)
+    return Constraints(cap_obj=max(total - existing, 1.0),
+                       equity_floors=equity_floors(inst.municipalities, total, pots))
+
+
+@pytest.mark.parametrize("weights", [W_LCOE, Weights(1.0, 1.0, 1.0)])
+def test_candidate_order_does_not_matter(weights):
+    small = rand_instance(61, 16, n_muns=3)
+    large = rand_instance(63, 140, n_muns=9)
+    cap = 0.3 * sum(c.capacity for c in large.candidates)
+    cases = [(small, _floored(small, 0.5), True),
+             (large, Constraints(cap_obj=cap), False),
+             (large, _floored(large, 0.4), False),
+             (large, Constraints(cap_obj=cap, m_s=solve(large, weights, Constraints(
+                 cap_obj=cap)).totals.scenicness * 0.9), False)]
+    for inst, con, exact in cases:
+        runs = [solve] + ([brute_force] if exact else [])
+        for run in runs:
+            a = run(inst, weights, con)
+            b = run(_shuffled(inst, 5), weights, con)
+            assert a.site_ids == b.site_ids
+            assert a.objective_value == b.objective_value
+            assert a.lower_bound == b.lower_bound
+            assert a.gap == b.gap
+
+
+def _canned(site_ids, objective, lower_bound, scenicness):
+    return Selection(site_ids=site_ids, objective_value=objective,
+                     totals=Totals(1.0, objective, scenicness, 0.0),
+                     means=Means(0.0, 0.0, 0.0, 0.0), lower_bound=lower_bound,
+                     gap=(objective - lower_bound) / lower_bound)
+
+
+def test_pareto_backward_pass_keeps_looser_bound(monkeypatch, abc_instance):
+    # the free solve misses an optimum that the capped solve finds
+    loose = _canned((3,), 10.0, 7.0, 9.0)
+    tight = _canned((1, 2), 8.0, 7.95, 8.0)
+    monkeypatch.setattr(solver, "solve",
+                        lambda inst, w, con, scaled=None: loose if con.m_s is None else tight)
+    front = pareto_sweep(abc_instance, "lcoe", "scenicness",
+                         Constraints(cap_obj=1.0), steps=2, step_factor=0.95)
+    p0, p1 = front.points
+    assert p0.achieved_min == 8.0
+    assert p0.selection.site_ids == (1, 2)
+    # the tight point's bound 7.95 does not hold at the loose cap
+    assert p0.selection.lower_bound == 7.0
+    assert p0.gap == p0.selection.gap == pytest.approx(1.0 / 7.0)
+    # the tight point still carries its own certificate
+    assert p1.selection is tight
+    assert tight.lower_bound == 7.95 and p1.gap == tight.gap
