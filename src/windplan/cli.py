@@ -26,7 +26,7 @@ from .domain import (
 )
 from .geoprep import DEFAULT_BUFFER_DIAMETER_M, prep_instance
 from .metrics import radar_values, regional_equity, regional_stats, south_quota
-from .objective import Weights, scale_candidates
+from .objective import scale_candidates
 from .runio import (
     instance_files,
     read_selection_csv,
@@ -38,7 +38,7 @@ from .runio import (
     write_selection_csv,
     write_summary_json,
 )
-from .scenarios import builtin_grid, grid_from_rows, run_grid
+from .scenarios import builtin_grid, grid_from_rows, row_field, row_weights, run_grid
 from .solver import Means, Selection, Totals, pareto_sweep, solve, target_constraints
 from .synth import generate, germany_like, spec_from_json, SynthSpec
 
@@ -142,9 +142,13 @@ def scale_cmd(instance_dir, out_path, bins):
     click.echo(f"wrote scaled histograms to {out_path}")
 
 
-def _scenario_from_file(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """Parsed JSON of a user file; malformed JSON is a ValidationError."""
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise ValidationError(f"{what} {path}: invalid JSON: {e}") from None
 
 
 @cli.command("solve")
@@ -158,10 +162,13 @@ def solve_cmd(instance_dir, scenario_path, scale, out_dir):
     """Solve one scenario; writes selection.csv/.geojson and summary.json."""
     t0 = time.perf_counter()
     instance = _load_validated(instance_dir)
-    sc = _scenario_from_file(scenario_path)
-    weights = Weights(float(sc["w_c"]), float(sc["w_s"]), float(sc["w_l"]))
-    constraints = target_constraints(instance, float(sc["total_capacity_mw"]) * scale,
-                                     bool(sc.get("equity")))
+    sc = _read_json(scenario_path, "scenario")
+    try:
+        weights = row_weights(sc)
+        total_mw = row_field(sc, "total_capacity_mw")
+    except ValidationError as e:
+        raise ValidationError(f"scenario {scenario_path}: {e}") from None
+    constraints = target_constraints(instance, total_mw * scale, bool(sc.get("equity")))
     sel = solve(instance, weights, constraints)
     os.makedirs(out_dir, exist_ok=True)
     write_selection_csv(sel, instance, os.path.join(out_dir, "selection.csv"))
@@ -220,8 +227,11 @@ def scenarios_cmd(instance_dir, grid_spec, scale, out_dir):
         grid = builtin_grid()
         inputs = instance_files(instance_dir)
     else:
-        with open(grid_spec, encoding="utf-8") as f:
-            grid = grid_from_rows(json.load(f))
+        rows = _read_json(grid_spec, "grid")
+        try:
+            grid = grid_from_rows(rows)
+        except PlanError as e:
+            raise type(e)(f"grid {grid_spec}: {e}") from None
         inputs = instance_files(instance_dir) + [grid_spec]
     results = run_grid(instance, grid, scale=scale)
     os.makedirs(out_dir, exist_ok=True)

@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .domain import InfeasibleError, Instance, PlanError
+from .domain import InfeasibleError, Instance, PlanError, ValidationError
 from .metrics import regional_equity, south_quota
 from .objective import Weights, scale_candidates
 from .solver import Constraints, Selection, municipal_potentials, solve, target_constraints
@@ -75,17 +75,38 @@ def builtin_grid() -> list[ScenarioConfig]:
     return grid
 
 
+def row_field(row: dict, key: str, convert=float):
+    """`convert(row[key])`; a missing or unconvertible field is a ValidationError."""
+    if not isinstance(row, dict):
+        raise ValidationError(f"expected a JSON object, got {type(row).__name__}")
+    if key not in row:
+        raise ValidationError(f"missing field {key!r}")
+    try:
+        return convert(row[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"field {key!r} is not a number: {row[key]!r}") from None
+
+
+def row_weights(row: dict) -> Weights:
+    return Weights(*(row_field(row, key) for key in ("w_c", "w_s", "w_l")))
+
+
 def grid_from_rows(rows: list[dict]) -> list[ScenarioConfig]:
     """Build a grid from JSON rows {name, w_c, w_s, w_l, equity, total_capacity_mw}."""
+    if not isinstance(rows, list):
+        raise ValidationError(f"expected a JSON list of scenarios, got {type(rows).__name__}")
     grid = []
     names = set()
-    for r in rows:
-        cfg = ScenarioConfig(
-            name=str(r["name"]),
-            weights=Weights(float(r["w_c"]), float(r["w_s"]), float(r["w_l"])),
-            equity=bool(r["equity"]),
-            total_capacity_2050=float(r["total_capacity_mw"]),
-        )
+    for k, r in enumerate(rows):
+        try:
+            cfg = ScenarioConfig(
+                name=row_field(r, "name", str),
+                weights=row_weights(r),
+                equity=row_field(r, "equity", bool),
+                total_capacity_2050=row_field(r, "total_capacity_mw"),
+            )
+        except ValidationError as e:
+            raise ValidationError(f"row {k}: {e}") from None
         if cfg.name in names:
             raise PlanError(f"duplicate scenario name {cfg.name!r}")
         names.add(cfg.name)

@@ -17,6 +17,11 @@ heuristic:
 The pool is read only through `Instance.sites`, the SiteTable built once
 per instance; a row index is a position in that table (site_id order).
 
+A heuristic run sorts only the prefix of the global ratio order that its
+greedy fill and polish rounds read (`_RatioOrder`), and polish tests all
+swap candidates of a site in one vectorised check, so its cost follows
+the selection size rather than the pool size.
+
 Everything is deterministic; ties break on the lowest site id.
 """
 
@@ -106,9 +111,50 @@ class ParetoFront:
     truncated: bool = False  # sweep hit the swept criterion's feasibility limit
 
 
-def _ratio_order(sites: SiteTable, cost: np.ndarray) -> np.ndarray:
-    """All rows by ascending cost/capacity ratio, ties on the lower site id."""
-    return np.lexsort((sites.ids, cost / sites.caps))
+class _RatioOrder:
+    """Rows by ascending cost/capacity ratio, ties on the lower site id.
+
+    Iterating yields the rows of `np.lexsort((ids, cost / caps))` but
+    sorts only the prefix read so far: the rows with a ratio at most the
+    m-th smallest form an exact prefix of that order, ties included.
+    m starts at _FIRST_BLOCK and grows 4x whenever a reader runs past the
+    sorted part; the full sort is the fallback once m reaches the pool
+    size or the m-th ratio is not finite. Any number of iterations may
+    run, interleaved, over one object.
+    """
+
+    _FIRST_BLOCK = 1024
+
+    def __init__(self, sites: SiteTable, cost: np.ndarray):
+        self._ids = sites.ids
+        self._ratio = cost / sites.caps
+        self._m = self._FIRST_BLOCK // 4
+        self._sorted = np.empty(0, dtype=np.intp)
+        self._complete = False
+
+    def _grow(self) -> None:
+        self._m *= 4
+        ratio, ids = self._ratio, self._ids
+        if self._m < ratio.size:
+            t = np.partition(ratio, self._m)[self._m]
+            if np.isfinite(t):
+                block = np.flatnonzero(ratio <= t)
+                self._sorted = block[np.lexsort((ids[block], ratio[block]))]
+                return
+        self._sorted = np.lexsort((ids, ratio))
+        self._complete = True
+
+    def __iter__(self):
+        done = 0
+        while True:
+            rows = self._sorted
+            if done < rows.size:
+                yield from rows[done:].tolist()
+                done = rows.size
+            elif self._complete:
+                return
+            else:
+                self._grow()
 
 
 def _mun_ratio_order(sites: SiteTable, cost: np.ndarray) -> np.ndarray:
@@ -126,7 +172,8 @@ def _le(a: float, b: float) -> bool:
 
 
 class _State:
-    """Incumbent selection with incrementally maintained totals."""
+    """Incumbent selection with incrementally maintained totals and the
+    ratio order of its cost, shared by greedy fill and every polish round."""
 
     def __init__(self, sites: SiteTable, cost: np.ndarray, floors: dict[int, float],
                  cap_specs: list[tuple[np.ndarray, float]],
@@ -140,6 +187,7 @@ class _State:
         self.obj = 0.0
         self.mun_totals: dict[int, float] = {j: 0.0 for j in floors}
         self.v_totals = [0.0] * len(cap_specs)
+        self.order = _RatioOrder(sites, cost)
         for i in rows:
             self.add(i)
 
@@ -170,21 +218,6 @@ class _State:
         floor = self.floors.get(j, 0.0)
         if floor > 0 and not _ge(self.mun_totals[j] - self.sites.caps[i], floor):
             return False
-        return True
-
-    def swap_feasible(self, out: int, inn: int, cap_obj: float) -> bool:
-        caps = self.sites.caps
-        if not _ge(self.cap_total - caps[out] + caps[inn], cap_obj):
-            return False
-        jo, ji = int(self.sites.mun[out]), int(self.sites.mun[inn])
-        fo = self.floors.get(jo, 0.0)
-        if fo > 0:
-            t = self.mun_totals[jo] - caps[out] + (caps[inn] if ji == jo else 0.0)
-            if not _ge(t, fo):
-                return False
-        for k, (v, limit) in enumerate(self.cap_specs):
-            if not _le(self.v_totals[k] - v[out] + v[inn], limit):
-                return False
         return True
 
     def caps_ok(self) -> bool:
@@ -231,7 +264,7 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
             state.add(i)
 
     if not _ge(state.cap_total, cap_obj):
-        for i in _ratio_order(sites, cost):
+        for i in state.order:
             if i in state.sel:
                 continue
             state.add(i)
@@ -251,11 +284,20 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
 
 def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
             neighborhood: int | None = None) -> None:
-    """Single-swap (and drop) local search; in-place, deterministic."""
+    """Single-swap (and drop) local search; in-place, deterministic.
+
+    Each round drops removable sites, then tries every selected site
+    `out` (costliest first) against the `neighborhood` cheapest-ratio
+    unselected sites and makes the first strictly improving feasible
+    swap it finds for that `out`.
+    """
     sites, cost, ids = state.sites, state.cost, state.sites.ids
+    caps, mun = sites.caps, sites.mun
     n = sites.n
     if neighborhood is None:
         neighborhood = n if n <= 400 else 120
+    cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
+    cap_max = [limit + FEAS_TOL * max(1.0, abs(limit)) for _, limit in state.cap_specs]
     for _ in range(max_rounds):
         improved = False
         for i in sorted(state.sel, key=lambda i: (-cost[i], ids[i])):
@@ -263,21 +305,29 @@ def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
                 state.remove(i)
                 improved = True
         outs = sorted(state.sel, key=lambda i: (-cost[i], ids[i]))[:neighborhood]
-        unsel = [i for i in _ratio_order(sites, cost) if i not in state.sel]
-        ins = unsel[:neighborhood]
+        ins = np.fromiter(itertools.islice((i for i in state.order if i not in state.sel),
+                                           neighborhood), dtype=np.intp)
+        # the swap rule of `_ge`/`_le`, evaluated for all `ins` at once
+        cost_in, caps_in, mun_in = cost[ins], caps[ins], mun[ins]
+        v_in = [v[ins] for v, _ in state.cap_specs]
+        taken = np.zeros(ins.size, dtype=bool)
         for out in outs:
-            if out not in state.sel:
-                continue
-            for inn in ins:
-                if inn in state.sel:
-                    continue
-                if cost[inn] - cost[out] >= -1e-12:
-                    continue
-                if state.swap_feasible(out, inn, cap_obj):
-                    state.remove(out)
-                    state.add(inn)
-                    improved = True
-                    break
+            ok = ~taken & ~(cost_in - cost[out] >= -1e-12)
+            ok &= state.cap_total - caps[out] + caps_in >= cover_min
+            jo = int(mun[out])
+            fo = state.floors.get(jo, 0.0)
+            if fo > 0:
+                t = state.mun_totals[jo] - caps[out] + np.where(mun_in == jo, caps_in, 0.0)
+                ok &= t >= fo - FEAS_TOL * max(1.0, abs(fo))
+            for k, (v, _) in enumerate(state.cap_specs):
+                ok &= state.v_totals[k] - v[out] + v_in[k] <= cap_max[k]
+            hit = np.flatnonzero(ok)
+            if hit.size:
+                p = int(hit[0])
+                state.remove(out)
+                state.add(int(ins[p]))
+                taken[p] = True
+                improved = True
         if not improved:
             return
 
@@ -367,7 +417,7 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
         floor_cap += floor
     residual = cap_obj - floor_cap
     if residual > 1e-15:
-        for i in _ratio_order(sites, cost):
+        for i in _RatioOrder(sites, cost):
             avail = caps[i] * (1.0 - used[i])
             if avail <= 0:
                 continue
@@ -608,10 +658,11 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             # is the cap attainable at all? check the min-v solution
             vmin_state = _run_heuristic(sites, v.astype(float), cap_obj, floors,
                                         cap_specs, deep)
-            if not _le(float(np.sum(v[sorted(vmin_state.sel)])), limit):
+            vmin = float(np.sum(v[sorted(vmin_state.sel)]))
+            if not _le(vmin, limit):
                 raise InfeasibleError(
                     f"cap on total {name} ({limit}) below the minimum achievable "
-                    f"{float(np.sum(v[sorted(vmin_state.sel)])):.6f}")
+                    f"{vmin:.6f}")
 
             def run(lam: float) -> _State:
                 pen = cost + lam * v

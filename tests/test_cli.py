@@ -162,3 +162,40 @@ def test_exit_code_io(prepped, tmp_path):
 
 def test_exit_code_usage():
     assert main(["solve", "--no-such-flag"]) == 1
+
+
+def _solve_exit(prep, tmp_path, scenario_text, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_text)
+    code = main(["solve", "--instance", str(prep), "--scenario", str(path),
+                 "--out", str(tmp_path / "out")])
+    return code, path, capsys.readouterr().err
+
+
+def test_scenario_missing_weight_is_validation_error(prepped, tmp_path, capsys):
+    root, prep = prepped
+    text = json.dumps({"name": "t", "w_c": 1.0, "w_l": 0.0, "equity": False,
+                       "total_capacity_mw": 120.0})
+    code, path, err = _solve_exit(prep, tmp_path, text, capsys)
+    assert code == 1
+    assert str(path) in err and "'w_s'" in err
+
+
+def test_scenario_invalid_json_is_validation_error(prepped, tmp_path, capsys):
+    root, prep = prepped
+    code, path, err = _solve_exit(prep, tmp_path, '{"name": "t", "w_c": 1.0,', capsys)
+    assert code == 1
+    assert str(path) in err and "invalid JSON" in err
+
+
+def test_grid_non_numeric_weight_is_validation_error(prepped, tmp_path, capsys):
+    root, prep = prepped
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([
+        {"name": "a", "w_c": "abc", "w_s": 0.0, "w_l": 0.0, "equity": False,
+         "total_capacity_mw": 120.0}]))
+    code = main(["scenarios", "--instance", str(prep), "--grid", str(grid_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(grid_path) in err and "'w_c'" in err and "'abc'" in err

@@ -1,14 +1,18 @@
+import copy
+import itertools
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_instance, mk_mun, mk_site
 from windplan import solver
-from windplan.domain import InfeasibleError, Instance, PlanError
+from windplan.domain import InfeasibleError, Instance, PlanError, SiteTable
 from windplan.geoprep import prep_instance
-from windplan.objective import Weights
+from windplan.objective import Weights, site_costs
 from windplan.solver import (
     BRUTE_FORCE_LIMIT,
     Constraints,
@@ -285,3 +289,113 @@ def test_pareto_backward_pass_keeps_looser_bound(monkeypatch, abc_instance):
     # the tight point still carries its own certificate
     assert p1.selection is tight
     assert tight.lower_bound == 7.95 and p1.gap == tight.gap
+
+
+def _ratio_pool(n, seed, zero_share, decimals):
+    """Ids, capacities and costs whose cost/capacity ratios tie heavily."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(10 * n)[:n]
+    caps = rng.choice([2.0, 3.0, 4.5], size=n)
+    cost = np.round(rng.uniform(0.0, 5.0, size=n), decimals)
+    cost[rng.random(n) < zero_share] = 0.0
+    empty = np.zeros(n)
+    sites = SiteTable(ids=ids, mun=np.zeros(n, dtype=np.int64), caps=caps, lcoe=empty,
+                      scenicness=empty, network_length=empty, by_mun=np.arange(n),
+                      mun_rows={0: (0, n)})
+    return sites, cost
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.05, 0.5]), decimals=st.integers(0, 2))
+def test_ratio_order_is_exact_full_lexsort(n, seed, zero_share, decimals):
+    sites, cost = _ratio_pool(n, seed, zero_share, decimals)
+    full = np.lexsort((sites.ids, cost / sites.caps)).tolist()
+    for rows in (1, 1024, 1025):
+        assert list(itertools.islice(solver._RatioOrder(sites, cost), rows)) == full[:rows]
+    order = solver._RatioOrder(sites, cost)
+    assert list(order) == full
+    assert list(order) == full  # a second iteration of the same object
+    # a reader paused while another one grows the sorted prefix
+    shared = solver._RatioOrder(sites, cost)
+    early = iter(shared)
+    head = list(itertools.islice(early, 1100))
+    assert list(shared) == full
+    assert head + list(early) == full
+
+
+def test_ratio_order_infinite_ratio_takes_full_sort():
+    sites, cost = _ratio_pool(3000, 7, 0.05, 1)
+    cost[:2500] = np.inf  # the 1024th-smallest ratio is inf
+    order = solver._RatioOrder(sites, cost)
+    assert next(iter(order)) == np.lexsort((sites.ids, cost / sites.caps))[0]
+    assert order._complete and order._sorted.size == 3000
+    assert list(order) == np.lexsort((sites.ids, cost / sites.caps)).tolist()
+
+
+def _scalar_polish(state, cap_obj, max_rounds=60):
+    """Reference swap polish: full ratio sort and one feasibility test per pair."""
+    sites, cost, ids = state.sites, state.cost, state.sites.ids
+    caps, mun = sites.caps, sites.mun
+    neighborhood = sites.n if sites.n <= 400 else 120
+
+    def swap_feasible(out, inn):
+        if not solver._ge(state.cap_total - caps[out] + caps[inn], cap_obj):
+            return False
+        jo, ji = int(mun[out]), int(mun[inn])
+        fo = state.floors.get(jo, 0.0)
+        if fo > 0:
+            t = state.mun_totals[jo] - caps[out] + (caps[inn] if ji == jo else 0.0)
+            if not solver._ge(t, fo):
+                return False
+        return all(solver._le(state.v_totals[k] - v[out] + v[inn], limit)
+                   for k, (v, limit) in enumerate(state.cap_specs))
+
+    for _ in range(max_rounds):
+        improved = False
+        for i in sorted(state.sel, key=lambda i: (-cost[i], ids[i])):
+            if cost[i] > 0 and state.removable(i, cap_obj):
+                state.remove(i)
+                improved = True
+        outs = sorted(state.sel, key=lambda i: (-cost[i], ids[i]))[:neighborhood]
+        unsel = [i for i in np.lexsort((ids, cost / caps)) if i not in state.sel]
+        ins = unsel[:neighborhood]
+        for out in outs:
+            for inn in ins:
+                if inn in state.sel or cost[inn] - cost[out] >= -1e-12:
+                    continue
+                if swap_feasible(out, inn):
+                    state.remove(out)
+                    state.add(inn)
+                    improved = True
+                    break
+        if not improved:
+            return
+
+
+@pytest.mark.parametrize("share", [0.4, 0.5])
+def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
+    # at 0.4 polish reads past the first sorted block; at 0.5 one round
+    # swaps several sites, so a swapped-in site must not be offered again
+    inst = rand_instance(71, 3000, n_muns=40)
+    sites = inst.sites
+    pots = municipal_potentials(inst)
+    potential = sum(pots.values())
+    floors = equity_floors(inst.municipalities, 0.1 * potential, pots)
+    cap_obj = share * potential
+    cost = site_costs(sites, W_LCOE)
+    pos_floors = {j: f for j, f in floors.items() if f > 0}
+    free = solver._greedy(sites, cost, cap_obj, pos_floors, [])
+    m_s = 1.002 * float(np.sum(sites.scenicness[sorted(free.sel)]))
+    start = solver._greedy(sites, cost, cap_obj, pos_floors, [(sites.scenicness, m_s)])
+    ours, ref = copy.deepcopy(start), copy.deepcopy(start)
+    solver._polish(ours, cap_obj)
+    _scalar_polish(ref, cap_obj)
+    assert ours.sel != start.sel  # the scan made swaps
+    assert ours.order._sorted.size > 1025  # and read past the first sorted block
+    assert ours.sel == ref.sel
+    assert ours.obj == ref.obj
+    con = Constraints(cap_obj=cap_obj, m_s=m_s, equity_floors=floors)
+    sel = solve(inst, W_LCOE, con)
+    assert verify_selection(sel, inst, con)
+    assert sel.lower_bound <= sel.objective_value
