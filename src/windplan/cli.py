@@ -2,7 +2,7 @@
 
 Subcommands: synth, prep, scale, solve, sweep, scenarios, metrics.
 Exit codes: 0 success, 1 validation/usage error, 2 infeasibility,
-3 I/O error. PLAN_THREADS caps worker parallelism for the grid runner.
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -25,7 +26,7 @@ from .domain import (
     write_instance,
 )
 from .geoprep import DEFAULT_BUFFER_DIAMETER_M, prep_instance
-from .metrics import radar_values, regional_equity, regional_stats, south_quota
+from .metrics import radar_values, regional_equity, regional_stats
 from .objective import scale_candidates
 from .runio import (
     instance_files,
@@ -39,7 +40,7 @@ from .runio import (
     write_summary_json,
 )
 from .scenarios import builtin_grid, grid_from_rows, row_field, row_weights, run_grid
-from .solver import Means, Selection, Totals, pareto_sweep, solve, target_constraints
+from .solver import pareto_sweep, solve, target_constraints
 from .synth import generate, germany_like, spec_from_json, SynthSpec
 
 EXIT_OK = 0
@@ -265,37 +266,16 @@ def scenarios_cmd(instance_dir, grid_spec, scale, out_dir):
 def metrics_cmd(selection_path, instance_dir, out_path):
     """Equity / south-quota / per-state statistics for a saved selection."""
     t0 = time.perf_counter()
-    if not os.path.isfile(selection_path):
-        raise OSError(f"selection file not found: {selection_path}")
-    instance = _load_validated(instance_dir)
     site_ids = read_selection_csv(selection_path)
-    by_id = {c.site_id: c for c in instance.candidates}
-    unknown = [s for s in site_ids if s not in by_id]
-    if unknown:
-        raise ValidationError(f"selection references unknown site ids {unknown[:5]}")
-    sites = [by_id[s] for s in site_ids]
-    cap = sum(s.capacity for s in sites)
-    sel = Selection(
-        site_ids=tuple(sorted(site_ids)),
-        objective_value=0.0,
-        totals=Totals(cap, sum(s.lcoe for s in sites),
-                      sum(s.scenicness for s in sites),
-                      sum(s.network_length or 0.0 for s in sites)),
-        means=Means(0.0, 0.0, 0.0, 0.0),
-        lower_bound=0.0, gap=0.0)
-    eq = regional_equity(sel, instance)
-    stats = regional_stats(sel, instance)
+    instance = _load_validated(instance_dir)
+    eq = regional_equity(site_ids, instance)
+    stats = regional_stats(site_ids, instance)
     doc = {
         "gini": eq.gini,
         "regional_equity_pct": eq.regional_equity_pct,
-        "south_quota_pct": south_quota(sel, instance),
+        "south_quota_pct": stats.south_quota_pct,
         "excluded_zero_population": eq.excluded_zero_population,
-        "per_state": [{
-            "state_id": s.state_id,
-            "turbines_per_1000_km2": s.turbines_per_1000_km2,
-            "capacity_share_pct": s.capacity_share_pct,
-            "mean_scenicness": s.mean_scenicness,
-        } for s in stats.per_state],
+        "per_state": [asdict(s) for s in stats.per_state],
     }
     with open(out_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)

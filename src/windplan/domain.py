@@ -6,8 +6,8 @@ Instances are treated as immutable after load; mutation happens only
 during assembly.
 
 `Instance.sites` is the columnar view of the candidate pool that the
-objective and the solver read: a SiteTable of numpy columns sorted by
-site_id, built on first use and kept with the instance.
+objective, the solver and the reports read: a SiteTable of numpy columns
+sorted by site_id, built on first use and kept with the instance.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class SiteTable:
     """
     ids: np.ndarray
     mun: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
     caps: np.ndarray
     lcoe: np.ndarray
     scenicness: np.ndarray
@@ -107,6 +109,8 @@ class SiteTable:
         cols = dict(
             ids=np.array([c.site_id for c in cands], dtype=np.int64),
             mun=mun,
+            lat=np.array([c.lat for c in cands], dtype=float),
+            lon=np.array([c.lon for c in cands], dtype=float),
             caps=np.array([c.capacity for c in cands], dtype=float),
             lcoe=np.array([c.lcoe for c in cands], dtype=float),
             scenicness=np.array([c.scenicness for c in cands], dtype=float),
@@ -122,6 +126,15 @@ class SiteTable:
     @property
     def n(self) -> int:
         return self.ids.size
+
+    def rows(self, site_ids) -> np.ndarray:
+        """Row of each site id, in the order given; an unknown id is a
+        ValidationError naming it."""
+        ids = np.asarray(site_ids, dtype=np.int64)
+        unknown = ids[~np.isin(ids, self.ids)]
+        if unknown.size:
+            raise ValidationError(f"unknown site ids {unknown[:5].tolist()}")
+        return np.searchsorted(self.ids, ids)
 
 
 @dataclass
@@ -221,9 +234,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
                        f"transformer {tr.transformer_id}: voltage {tr.voltage_kv} not in {{20, 110}}")
         _check_coords(report, tr.lat, tr.lon, "transformer", tr.transformer_id)
 
-    existing_sums: dict[int, float] = {}
-    for t in instance.existing:
-        existing_sums[t.municipality_id] = existing_sums.get(t.municipality_id, 0.0) + t.capacity
+    existing_sums = capacity_by_municipality(
+        (t.municipality_id, t.capacity) for t in instance.existing)
     for m in instance.municipalities:
         if m.population < 0:
             report.add("RangeViolation", m.municipality_id,
@@ -242,6 +254,15 @@ def validate_instance(instance: Instance) -> ValidationReport:
     return report
 
 
+def capacity_by_municipality(pairs) -> dict[int, float]:
+    """MW per municipality from (municipality_id, MW) pairs: running sums in
+    pair order, keyed in order of first appearance."""
+    total: dict[int, float] = {}
+    for j, cap in pairs:
+        total[j] = total.get(j, 0.0) + cap
+    return total
+
+
 def existing_capacity_totals(instance: Instance) -> tuple[dict[int, float], float]:
     """Per-municipality existing capacity (MW) and the national total.
 
@@ -249,13 +270,14 @@ def existing_capacity_totals(instance: Instance) -> tuple[dict[int, float], floa
     turbine mapped to an unknown municipality is a hard error.
     """
     mun_ids = {m.municipality_id for m in instance.municipalities}
-    table = {m.municipality_id: 0.0 for m in instance.municipalities}
     for t in instance.existing:
         if t.municipality_id not in mun_ids:
             raise ValidationError(
                 f"existing turbine {t.turbine_id} mapped to unknown municipality "
                 f"{t.municipality_id}")
-        table[t.municipality_id] += t.capacity
+    sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in instance.existing)
+    table = {m.municipality_id: sums.get(m.municipality_id, 0.0)
+             for m in instance.municipalities}
     return table, sum(table.values())
 
 
@@ -332,9 +354,7 @@ def read_instance(directory: str) -> Instance:
     ) for r in ex_rows]
     existing.sort(key=lambda t: t.turbine_id)
 
-    sums: dict[int, float] = {}
-    for t in existing:
-        sums[t.municipality_id] = sums.get(t.municipality_id, 0.0) + t.capacity
+    sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in existing)
 
     municipalities = [Municipality(
         municipality_id=int(r["municipality_id"]),

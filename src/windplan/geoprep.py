@@ -179,29 +179,22 @@ def nearest_transformer(candidates: list[CandidateSite],
     Returns (site_id -> length_km, site_id -> transformer_id). Ties go to
     the lowest transformer_id. Fails hard on an empty transformer set.
     """
-    if not transformers:
-        raise PlanError("no transformers available for network-length computation")
     lons = [t.lon for t in transformers] + [c.lon for c in candidates]
-    use_index = (max(lons) - min(lons)) <= 180.0 and len(transformers) > 1
+    # the grid index does not wrap at +-180 degrees; the scan handles 0 or 1 transformers
+    if len(transformers) <= 1 or (max(lons) - min(lons)) > 180.0:
+        return nearest_transformer_bruteforce(candidates, transformers)
+    # cell ~ expected nearest-neighbor spacing keeps ring walks short
+    lat_span = max(t.lat for t in transformers) - min(t.lat for t in transformers)
+    lon_span = max(t.lon for t in transformers) - min(t.lon for t in transformers)
+    extent = max(lat_span, lon_span, 1e-6)
+    cell_deg = max(extent / max(1.0, math.sqrt(len(transformers))), 1e-6)
+    index = SpatialIndex([(t.transformer_id, t.lat, t.lon) for t in transformers], cell_deg)
     lengths: dict[int, float] = {}
     nearest_ids: dict[int, int] = {}
-    if use_index:
-        # cell ~ expected nearest-neighbor spacing keeps ring walks short
-        lat_span = max(t.lat for t in transformers) - min(t.lat for t in transformers)
-        lon_span = max(t.lon for t in transformers) - min(t.lon for t in transformers)
-        extent = max(lat_span, lon_span, 1e-6)
-        cell_deg = max(extent / max(1.0, math.sqrt(len(transformers))), 1e-6)
-        index = SpatialIndex([(t.transformer_id, t.lat, t.lon) for t in transformers], cell_deg)
-        for c in candidates:
-            tid, d = index.nearest(c.lat, c.lon)
-            lengths[c.site_id] = d
-            nearest_ids[c.site_id] = tid
-    else:
-        for c in candidates:
-            best = min((haversine_km(c.lat, c.lon, t.lat, t.lon), t.transformer_id)
-                       for t in transformers)
-            lengths[c.site_id] = best[0]
-            nearest_ids[c.site_id] = best[1]
+    for c in candidates:
+        tid, d = index.nearest(c.lat, c.lon)
+        lengths[c.site_id] = d
+        nearest_ids[c.site_id] = tid
     return lengths, nearest_ids
 
 

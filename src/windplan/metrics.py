@@ -4,17 +4,18 @@ Regional equity is 1 minus the Gini index of installed capacity per
 inhabitant across municipalities, in percent. Every municipality in the
 instance counts toward the index; zero-population municipalities are
 excluded from the per-inhabitant vector (and disclosed), since capacity
-per inhabitant is undefined there.
+per inhabitant is undefined there. Selected sites are read through
+`Instance.sites` and summed in ascending site-id order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Instance, PlanError
-from .solver import Selection
+from .domain import Instance, PlanError, capacity_by_municipality
 
 RADAR_AXES = ("mean_lcoe", "mean_scenicness", "mean_network_length_km", "equity_pct")
 
@@ -70,22 +71,19 @@ def gini_pairwise(x: np.ndarray) -> float:
     return float(np.abs(x[:, None] - x[None, :]).sum()) / (2.0 * m * m * mean)
 
 
-def _added_capacity(selection: Selection, instance: Instance) -> dict[int, float]:
-    by_id = {c.site_id: c for c in instance.candidates}
-    added: dict[int, float] = {}
-    for sid in selection.site_ids:
-        c = by_id[sid]
-        added[c.municipality_id] = added.get(c.municipality_id, 0.0) + c.capacity
-    return added
+def _added_capacity(site_ids: Sequence[int], instance: Instance) -> dict[int, float]:
+    sites = instance.sites
+    rows = np.sort(sites.rows(site_ids))
+    return capacity_by_municipality(zip(sites.mun[rows].tolist(), sites.caps[rows].tolist()))
 
 
-def regional_equity(selection: Selection | None, instance: Instance,
+def regional_equity(site_ids: Sequence[int], instance: Instance,
                     include_existing: bool = True) -> EquityReport:
     """Equity of the (existing +) added capacity distribution.
 
-    Pass selection=None to score the existing stock alone.
+    Pass site_ids=() to score the existing stock alone.
     """
-    added = _added_capacity(selection, instance) if selection is not None else {}
+    added = _added_capacity(site_ids, instance)
     x: dict[int, float] = {}
     excluded = 0
     for m in instance.municipalities:
@@ -106,9 +104,9 @@ def regional_equity(selection: Selection | None, instance: Instance,
                         excluded_zero_population=excluded, all_zero=all_zero)
 
 
-def south_quota(selection: Selection, instance: Instance) -> float:
+def south_quota(site_ids: Sequence[int], instance: Instance) -> float:
     """Percent of ADDED capacity placed in municipalities tagged South."""
-    added = _added_capacity(selection, instance)
+    added = _added_capacity(site_ids, instance)
     if not added:
         return 0.0
     tags = {m.municipality_id: m.region_tag for m in instance.municipalities}
@@ -117,35 +115,34 @@ def south_quota(selection: Selection, instance: Instance) -> float:
     return 100.0 * south / total
 
 
-def regional_stats(selection: Selection, instance: Instance) -> RegionalStats:
+def regional_stats(site_ids: Sequence[int], instance: Instance) -> RegionalStats:
     """Per-state turbine density, capacity share and mean scenicness."""
-    by_id = {c.site_id: c for c in instance.candidates}
+    sites = instance.sites
+    rows = np.sort(sites.rows(site_ids))
     mun_state = {m.municipality_id: m.state_id for m in instance.municipalities}
     state_area: dict[int, float] = {}
     for m in instance.municipalities:
         state_area[m.state_id] = state_area.get(m.state_id, 0.0) + m.area
 
-    counts: dict[int, int] = {s: 0 for s in state_area}
     caps: dict[int, float] = {s: 0.0 for s in state_area}
     scenic: dict[int, list[float]] = {s: [] for s in state_area}
-    for sid in selection.site_ids:
-        c = by_id[sid]
-        s = mun_state[c.municipality_id]
-        counts[s] += 1
-        caps[s] += c.capacity
-        scenic[s].append(c.scenicness)
+    for j, cap, scen in zip(sites.mun[rows].tolist(), sites.caps[rows].tolist(),
+                            sites.scenicness[rows].tolist()):
+        s = mun_state[j]
+        caps[s] += cap
+        scenic[s].append(scen)
 
     total_cap = sum(caps.values())
     per_state = []
     for s in sorted(state_area):
         per_state.append(StateStats(
             state_id=s,
-            turbines_per_1000_km2=counts[s] / state_area[s] * 1000.0,
+            turbines_per_1000_km2=len(scenic[s]) / state_area[s] * 1000.0,
             capacity_share_pct=100.0 * caps[s] / total_cap if total_cap else 0.0,
             mean_scenicness=float(np.mean(scenic[s])) if scenic[s] else None,
         ))
     return RegionalStats(per_state=per_state,
-                         south_quota_pct=south_quota(selection, instance))
+                         south_quota_pct=south_quota(site_ids, instance))
 
 
 @dataclass

@@ -10,35 +10,38 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 
 from . import __version__
-from .domain import Instance
+from .domain import Instance, ValidationError
 from .metrics import RADAR_AXES, RadarValues
 from .scenarios import ScenarioResult
 from .solver import ParetoFront, Selection
 
 MANIFEST_FILE = "run_manifest.json"
+# one selection record: the selection CSV header and the GeoJSON properties
+_SELECTION_FIELDS = ("site_id", "municipality_id", "capacity_mw", "lcoe", "scenicness",
+                     "network_length_km")
+
+
+def _selected_sites(selection: Selection, instance: Instance):
+    """(lon, lat, record) per selected site in selection order; a record holds
+    the _SELECTION_FIELDS values, None for a missing network length."""
+    sites = instance.sites
+    rows = sites.rows(selection.site_ids)
+    lengths = [None if math.isnan(x) else x for x in sites.network_length[rows].tolist()]
+    records = zip(sites.ids[rows].tolist(), sites.mun[rows].tolist(), sites.caps[rows].tolist(),
+                  sites.lcoe[rows].tolist(), sites.scenicness[rows].tolist(), lengths)
+    return zip(sites.lon[rows].tolist(), sites.lat[rows].tolist(), records)
 
 
 def write_geojson(selection: Selection, instance: Instance, path: str) -> None:
     """Selection as a GeoJSON FeatureCollection of Point features."""
-    by_id = {c.site_id: c for c in instance.candidates}
-    features = []
-    for sid in selection.site_ids:
-        c = by_id[sid]
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [c.lon, c.lat]},
-            "properties": {
-                "site_id": c.site_id,
-                "municipality_id": c.municipality_id,
-                "capacity_mw": c.capacity,
-                "lcoe": c.lcoe,
-                "scenicness": c.scenicness,
-                "network_length_km": c.network_length,
-            },
-        })
+    features = [{"type": "Feature",
+                 "geometry": {"type": "Point", "coordinates": [lon, lat]},
+                 "properties": dict(zip(_SELECTION_FIELDS, record))}
+                for lon, lat, record in _selected_sites(selection, instance)]
     doc = {"type": "FeatureCollection", "features": features}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
@@ -46,21 +49,33 @@ def write_geojson(selection: Selection, instance: Instance, path: str) -> None:
 
 
 def write_selection_csv(selection: Selection, instance: Instance, path: str) -> None:
-    by_id = {c.site_id: c for c in instance.candidates}
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["site_id", "municipality_id", "capacity_mw", "lcoe",
-                    "scenicness", "network_length_km"])
-        for sid in selection.site_ids:
-            c = by_id[sid]
-            w.writerow([c.site_id, c.municipality_id, repr(c.capacity), repr(c.lcoe),
-                        repr(c.scenicness),
-                        "" if c.network_length is None else repr(c.network_length)])
+        w.writerow(_SELECTION_FIELDS)
+        for _, _, (sid, mun, cap, lcoe, scen, length) in _selected_sites(selection, instance):
+            w.writerow([sid, mun, repr(cap), repr(lcoe), repr(scen),
+                        "" if length is None else repr(length)])
 
 
 def read_selection_csv(path: str) -> list[int]:
+    """Site ids of a selection CSV in file order; a missing site_id column or
+    a non-integer or repeated id is a ValidationError naming the file and line."""
     with open(path, newline="", encoding="utf-8") as f:
-        return [int(r["site_id"]) for r in csv.DictReader(f)]
+        reader = csv.DictReader(f)
+        if "site_id" not in (reader.fieldnames or []):
+            raise ValidationError(f"selection {path}: missing column 'site_id'")
+        lines: dict[int, int] = {}  # site id -> line it is on
+        for r in reader:
+            try:
+                sid = int(r["site_id"])
+            except (TypeError, ValueError):
+                raise ValidationError(f"selection {path}, line {reader.line_num}: "
+                                      f"site_id {r['site_id']!r} is not an integer") from None
+            if sid in lines:
+                raise ValidationError(f"selection {path}, line {reader.line_num}: "
+                                      f"duplicate site_id {sid} (first on line {lines[sid]})")
+            lines[sid] = reader.line_num
+    return list(lines)
 
 
 def write_summary_json(selection: Selection, path: str) -> None:

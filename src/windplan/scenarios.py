@@ -10,9 +10,7 @@ synthetic instances.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .domain import InfeasibleError, Instance, PlanError, ValidationError
@@ -149,7 +147,7 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
         t_start = time.perf_counter()
         try:
             sel = solve(instance, cfg.weights, constraints, scaled)
-            eq = regional_equity(sel, instance)
+            eq = regional_equity(sel.site_ids, instance)
             return ScenarioResult(
                 name=cfg.name, weights=cfg.weights, equity=cfg.equity,
                 total_capacity_mw=total, added_target_mw=added,
@@ -158,7 +156,7 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
                 mean_scenicness=sel.means.scenicness,
                 mean_network_length_km=sel.means.network_length_km,
                 equity_pct=eq.regional_equity_pct,
-                south_quota_pct=south_quota(sel, instance),
+                south_quota_pct=south_quota(sel.site_ids, instance),
                 objective=sel.objective_value,
                 lower_bound=sel.lower_bound,
                 gap=sel.gap,
@@ -175,8 +173,4 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
                 runtime_s=time.perf_counter() - t_start,
                 selection=None, error=str(e))
 
-    workers = max(1, int(os.environ.get("PLAN_THREADS", os.cpu_count() or 1)))
-    if workers == 1 or len(jobs) == 1:
-        return [run_one(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, jobs))
+    return [run_one(j) for j in jobs]

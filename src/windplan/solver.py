@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import InfeasibleError, Instance, Municipality, PlanError, SiteTable, ValidationError
+from .domain import (InfeasibleError, Instance, Municipality, PlanError, SiteTable,
+                     ValidationError, capacity_by_municipality)
 from .objective import ScaledCriteria, Weights, site_costs
 
 FEAS_TOL = 1e-9
@@ -355,8 +356,6 @@ def _try_move(state: _State, cap_obj: float, outs: tuple[int, ...],
 def _deep_polish(state: _State, cap_obj: float) -> None:
     """Exchange moves up to 2-out / 2-in; only used on small pools."""
     n = state.sites.n
-    if n > 64:
-        return
     guard = 0
     changed = True
     while changed and guard < 80:
@@ -759,9 +758,11 @@ def equity_floors(municipalities: list[Municipality], total_target_2050: float,
 
 
 def municipal_potentials(instance: Instance) -> dict[int, float]:
+    """Candidate MW per municipality (zero where it has none), summed in
+    ascending site-id order."""
+    sites = instance.sites
     pots = {m.municipality_id: 0.0 for m in instance.municipalities}
-    for c in instance.candidates:
-        pots[c.municipality_id] = pots.get(c.municipality_id, 0.0) + c.capacity
+    pots.update(capacity_by_municipality(zip(sites.mun.tolist(), sites.caps.tolist())))
     return pots
 
 

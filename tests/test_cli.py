@@ -124,6 +124,26 @@ def test_metrics_command(prepped):
     assert "per_state" in doc
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["municipality_id", "1"], "missing column 'site_id'"),
+    (["site_id", "1", "x7"], "line 3: site_id 'x7' is not an integer"),
+    (["site_id", "1", "2", "1"], "line 4: duplicate site_id 1 (first on line 2)"),
+    (["site_id", "999999"], "unknown site ids [999999]"),
+])
+def test_metrics_malformed_selection_is_validation_error(prepped, tmp_path, capsys,
+                                                         rows, message):
+    root, prep = prepped
+    path = tmp_path / "selection.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["metrics", "--selection", str(path), "--instance", str(prep),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if "unknown" not in message:
+        assert str(path) in err
+
+
 def test_exit_code_infeasible(prepped):
     root, prep = prepped
     scenario = _scenario_file(root, 1e9)

@@ -163,3 +163,18 @@ def test_instance_sites_built_once():
     inst = mk_instance([mk_site(2), mk_site(1)])
     assert inst.sites is inst.sites
     assert inst.sites.ids.tolist() == [1, 2]
+
+
+def test_site_table_rows_keep_input_order():
+    table = SiteTable.of([mk_site(7, lat=47.0, lon=7.0), mk_site(2, lat=42.0, lon=2.0),
+                          mk_site(9, lat=49.0, lon=9.0)])
+    rows = table.rows([9, 2, 7])
+    assert rows.tolist() == [2, 0, 1]
+    assert table.lat[rows].tolist() == [49.0, 42.0, 47.0]
+    assert table.lon[rows].tolist() == [9.0, 2.0, 7.0]
+    empty = table.rows(())
+    assert empty.size == 0 and empty.dtype.kind == "i"
+    # unknown ids below, between and above the table's ids are all named
+    for unknown in (1, 8, 10):
+        with pytest.raises(ValidationError, match=rf"unknown site ids \[{unknown}\]"):
+            table.rows([2, unknown, 9])

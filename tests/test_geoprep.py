@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import mk_instance, mk_site
-from windplan.domain import ExistingTurbine, Transformer
+from windplan.domain import ExistingTurbine, PlanError, Transformer
 from windplan.geoprep import (
     KM_PER_DEG,
     SpatialIndex,
@@ -69,6 +69,25 @@ def test_nearest_tie_goes_to_lowest_id():
     cands = [mk_site(1, lat=50.0, lon=10.0)]
     _, ids = nearest_transformer(cands, transformers)
     assert ids[1] == 1
+
+
+def test_nearest_across_antimeridian():
+    # a lon span > 180 degrees takes the scan, which sees that -179.9 is 0.2 deg
+    # away; a lat/lon grid over this pool would stop at the transformer at lon 170
+    transformers = [Transformer(transformer_id=1, lat=0.0, lon=-179.9, voltage_kv=20)]
+    transformers += [Transformer(transformer_id=k + 2, lat=0.0, lon=float(lon), voltage_kv=20)
+                     for k, lon in enumerate(range(-170, 180, 10))]
+    cands = [mk_site(1, lat=0.0, lon=179.9)]
+    lengths, ids = nearest_transformer(cands, transformers)
+    assert ids == {1: 1}
+    assert lengths[1] == haversine_km(0.0, 179.9, 0.0, -179.9)
+    assert abs(lengths[1] - 0.2 * KM_PER_DEG) < 1e-6
+    assert (lengths, ids) == nearest_transformer_bruteforce(cands, transformers)
+
+
+def test_nearest_without_transformers_fails():
+    with pytest.raises(PlanError, match="no transformers"):
+        nearest_transformer([mk_site(1)], [])
 
 
 def test_exclusion_boundary_is_kept():

@@ -12,16 +12,6 @@ from windplan.metrics import (
     regional_stats,
     south_quota,
 )
-from windplan.solver import Means, Selection, Totals
-
-
-def _selection(site_ids, instance):
-    by_id = {c.site_id: c for c in instance.candidates}
-    sites = [by_id[s] for s in site_ids]
-    cap = sum(s.capacity for s in sites)
-    return Selection(site_ids=tuple(sorted(site_ids)), objective_value=0.0,
-                     totals=Totals(cap, 0.0, 0.0, 0.0),
-                     means=Means(0.0, 0.0, 0.0, 0.0), lower_bound=0.0, gap=0.0)
 
 
 def test_gini_uniform_is_zero():
@@ -57,7 +47,7 @@ def _equity_instance():
 
 def test_regional_equity_uniform_distribution():
     inst = _equity_instance()
-    rep = regional_equity(_selection([1, 2], inst), inst)
+    rep = regional_equity([1, 2], inst)
     assert rep.regional_equity_pct == 100.0
     assert rep.excluded_zero_population == 1
     assert rep.n_municipalities == 2
@@ -65,7 +55,7 @@ def test_regional_equity_uniform_distribution():
 
 def test_regional_equity_concentrated():
     inst = _equity_instance()
-    rep = regional_equity(_selection([1], inst), inst)
+    rep = regional_equity([1], inst)
     assert abs(rep.gini - 0.5) <= 1e-12
     assert abs(rep.regional_equity_pct - 50.0) <= 1e-12
 
@@ -75,8 +65,8 @@ def test_regional_equity_existing_toggle():
     muns = [mk_mun(1, population=10.0, existing=2.0),
             mk_mun(2, population=10.0)]
     inst = mk_instance(sites, municipalities=muns)
-    with_ex = regional_equity(_selection([], inst), inst, include_existing=True)
-    without = regional_equity(_selection([], inst), inst, include_existing=False)
+    with_ex = regional_equity((), inst, include_existing=True)
+    without = regional_equity((), inst, include_existing=False)
     assert with_ex.regional_equity_pct == 50.0
     assert without.all_zero
     assert without.regional_equity_pct == 100.0
@@ -86,8 +76,18 @@ def test_south_quota_counts_added_only():
     sites = [mk_site(1, mun=1, capacity=3.0), mk_site(2, mun=2, capacity=1.0)]
     muns = [mk_mun(1, region="South"), mk_mun(2)]
     inst = mk_instance(sites, municipalities=muns)
-    assert south_quota(_selection([1, 2], inst), inst) == 75.0
-    assert south_quota(_selection([], inst), inst) == 0.0
+    assert south_quota([1, 2], inst) == 75.0
+    assert south_quota((), inst) == 0.0
+
+
+def test_reports_sum_in_ascending_site_id_order():
+    # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in floating point
+    sites = [mk_site(1, capacity=0.1), mk_site(2, capacity=0.2), mk_site(3, capacity=0.3)]
+    inst = mk_instance(sites, municipalities=[mk_mun(1, population=1.0), mk_mun(2)])
+    ascending = (0.1 + 0.2) + 0.3
+    assert ascending != (0.3 + 0.2) + 0.1
+    assert regional_equity([3, 2, 1], inst).x[1] == ascending
+    assert regional_equity([2, 3, 1], inst).x == regional_equity([1, 2, 3], inst).x
 
 
 def test_regional_stats():
@@ -96,7 +96,7 @@ def test_regional_stats():
     muns = [mk_mun(1, state=1, area=100.0), mk_mun(2, state=1, area=100.0),
             mk_mun(3, state=2, area=50.0)]
     inst = mk_instance(sites, municipalities=muns)
-    stats = regional_stats(_selection([1, 2], inst), inst)
+    stats = regional_stats([1, 2], inst)
     s1, s2 = stats.per_state
     assert s1.state_id == 1
     assert s1.turbines_per_1000_km2 == 2 / 200.0 * 1000.0

@@ -60,21 +60,6 @@ def test_run_grid_results_ordered_and_feasible():
         assert r.gap >= 0.0
 
 
-def test_run_grid_sequential_matches_threaded(monkeypatch):
-    inst = small_instance(n_sites=150)
-    existing = sum(m.existing_capacity for m in inst.municipalities)
-    potential = sum(c.capacity for c in inst.candidates)
-    scale = (existing + 0.3 * potential) / BASE_TOTAL_MW
-    grid = [c for c in builtin_grid() if c.name.startswith("Base")]
-    threaded = run_grid(inst, grid, scale=scale)
-    monkeypatch.setenv("PLAN_THREADS", "1")
-    sequential = run_grid(inst, grid, scale=scale)
-    for a, b in zip(threaded, sequential):
-        assert a.name == b.name
-        assert a.selection.site_ids == b.selection.site_ids
-        assert a.objective == b.objective
-
-
 def test_run_grid_target_below_existing_errors():
     inst = small_instance(n_sites=120)
     with pytest.raises(PlanError, match="existing"):

@@ -167,8 +167,8 @@ def test_equity_floor_dominance():
     plain = solve(inst, W_LCOE, Constraints(cap_obj=added))
     floors = equity_floors(inst.municipalities, total, pots)
     floored = solve(inst, W_LCOE, Constraints(cap_obj=added, equity_floors=floors))
-    eq_plain = regional_equity(plain, inst).regional_equity_pct
-    eq_floored = regional_equity(floored, inst).regional_equity_pct
+    eq_plain = regional_equity(plain.site_ids, inst).regional_equity_pct
+    eq_floored = regional_equity(floored.site_ids, inst).regional_equity_pct
     assert eq_floored >= eq_plain
 
 
@@ -299,9 +299,9 @@ def _ratio_pool(n, seed, zero_share, decimals):
     cost = np.round(rng.uniform(0.0, 5.0, size=n), decimals)
     cost[rng.random(n) < zero_share] = 0.0
     empty = np.zeros(n)
-    sites = SiteTable(ids=ids, mun=np.zeros(n, dtype=np.int64), caps=caps, lcoe=empty,
-                      scenicness=empty, network_length=empty, by_mun=np.arange(n),
-                      mun_rows={0: (0, n)})
+    sites = SiteTable(ids=ids, mun=np.zeros(n, dtype=np.int64), lat=empty, lon=empty,
+                      caps=caps, lcoe=empty, scenicness=empty, network_length=empty,
+                      by_mun=np.arange(n), mun_rows={0: (0, n)})
     return sites, cost
 
 
