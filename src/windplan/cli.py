@@ -128,6 +128,8 @@ def scale_cmd(instance_dir, out_path, bins):
               "network_length": scaled.network_length}
     hi = max(float(a.max()) for a in arrays.values())
     edges = np.linspace(0.0, hi, bins + 1)
+    out_dir = os.path.dirname(os.path.abspath(out_path))
+    os.makedirs(out_dir, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["criterion", "bin_left", "bin_right", "count", "mean"])
@@ -136,7 +138,6 @@ def scale_cmd(instance_dir, out_path, bins):
             for b in range(bins):
                 w.writerow([name, repr(float(edges[b])), repr(float(edges[b + 1])),
                             int(counts[b]), repr(float(arr.mean()))])
-    out_dir = os.path.dirname(os.path.abspath(out_path))
     write_manifest(out_dir, instance_files(instance_dir),
                    {"command": "scale", "bins": bins},
                    {"scale": time.perf_counter() - t0})
@@ -277,10 +278,11 @@ def metrics_cmd(selection_path, instance_dir, out_path):
         "excluded_zero_population": eq.excluded_zero_population,
         "per_state": [asdict(s) for s in stats.per_state],
     }
+    out_dir = os.path.dirname(os.path.abspath(out_path))
+    os.makedirs(out_dir, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    out_dir = os.path.dirname(os.path.abspath(out_path))
     write_manifest(out_dir, instance_files(instance_dir) + [selection_path],
                    {"command": "metrics"},
                    {"metrics": time.perf_counter() - t0})

@@ -2,22 +2,37 @@
 
 Exclusion of candidates that conflict with the existing turbine stock
 (no-build buffers) and straight-line (great-circle) network length to
-the nearest transformer. A uniform lat/lon grid index keeps both
-operations near-linear while staying exactly equal to the exhaustive
-scan; exactness is enforced by the oracle tests.
+the nearest transformer.
+
+Both queries scan every target, a block of candidate rows at a time:
+points become unit vectors and one matrix product gives the dot
+products of a block with all targets. A larger dot means a shorter
+arc, and unit vectors wrap at +-180 degrees and at the poles, so the
+dot products only mark the targets that might answer the query;
+`haversine_km` decides among them. A target is marked when its dot
+reaches the cut minus `_DOT_SLACK` (1e-12). The computed dots are off
+by about 1e-16 and the rounding of `haversine_km` moves a distance by
+less than 1e-14 in dot terms, so the slack never drops a target that
+the exhaustive scan could choose, whatever the BLAS rounding or
+threading; the result equals the scan, which the oracle tests check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .domain import CandidateSite, Instance, PlanError, Transformer, with_network_lengths
+import numpy as np
+
+from .domain import (CandidateSite, Instance, PlanError, Transformer, ValidationError,
+                     with_network_lengths)
 
 EARTH_RADIUS_KM = 6371.0088
-KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180.0  # meridian km per degree
 
 DEFAULT_BUFFER_DIAMETER_M = 1088.0
+
+_DOT_SLACK = 1e-12
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -29,94 +44,27 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
-class SpatialIndex:
-    """Uniform lat/lon grid over a point set.
+def _unit(lat, lon) -> np.ndarray:
+    """(n, 3) unit vectors of points given in degrees."""
+    phi, lam = np.radians(lat), np.radians(lon)
+    return np.stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)], 1)
 
-    Cell size is chosen by the caller; for fixed-radius queries it must
-    span at least the query radius at the highest indexed latitude so
-    that inspecting a cell and its 8 neighbors is sufficient. Nearest
-    queries expand rings outward until the ring's conservative distance
-    lower bound exceeds the best hit, so they are exact for any cell
-    size.
+
+def _marked(points, targets, cut: Callable[[np.ndarray], np.ndarray | float],
+            ) -> Iterator[tuple[int, int]]:
+    """(point index, target index) pairs whose dot product reaches cut(dots).
+
+    `dots` is a block of point-by-target dot products, about 2**16 of
+    them (512 KB) so that a block stays in cache; pairs come in
+    ascending point order.
     """
-
-    def __init__(self, points: list[tuple[int, float, float]], cell_deg: float):
-        if cell_deg <= 0:
-            raise ValueError("cell_deg must be positive")
-        self.cell_deg = cell_deg
-        self.cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-        max_abs_lat = 0.0
-        for pid, lat, lon in points:
-            key = (int(math.floor(lat / cell_deg)), int(math.floor(lon / cell_deg)))
-            self.cells.setdefault(key, []).append((pid, lat, lon))
-            max_abs_lat = max(max_abs_lat, abs(lat))
-        for bucket in self.cells.values():
-            bucket.sort()
-        self.max_abs_lat = max_abs_lat
-        self.n_points = len(points)
-        if self.cells:
-            keys = list(self.cells)
-            self._i_bounds = (min(k[0] for k in keys), max(k[0] for k in keys))
-            self._j_bounds = (min(k[1] for k in keys), max(k[1] for k in keys))
-        else:
-            self._i_bounds = self._j_bounds = (0, 0)
-
-    def _cos_floor(self, query_lat: float) -> float:
-        # conservative cos(lat) over indexed points and the query point
-        lat = min(89.9, max(abs(query_lat), self.max_abs_lat))
-        return math.cos(math.radians(lat))
-
-    def query_radius(self, lat: float, lon: float, radius_km: float) -> list[tuple[int, float]]:
-        """All (id, distance) with distance < radius_km, id-sorted.
-
-        Requires one cell to span at least radius_km in both axes at the
-        relevant latitude (checked).
-        """
-        span_km = self.cell_deg * KM_PER_DEG * self._cos_floor(lat)
-        if span_km < radius_km - 1e-12:
-            raise ValueError(
-                f"cell size {self.cell_deg} deg spans {span_km:.3f} km < radius {radius_km} km")
-        ci = int(math.floor(lat / self.cell_deg))
-        cj = int(math.floor(lon / self.cell_deg))
-        hits = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for pid, plat, plon in self.cells.get((ci + di, cj + dj), ()):
-                    d = haversine_km(lat, lon, plat, plon)
-                    if d < radius_km:
-                        hits.append((pid, d))
-        hits.sort()
-        return hits
-
-    def nearest(self, lat: float, lon: float) -> tuple[int, float]:
-        """(id, distance_km) of the nearest indexed point; ties to lowest id."""
-        if not self.cells:
-            raise PlanError("spatial index is empty")
-        ci = int(math.floor(lat / self.cell_deg))
-        cj = int(math.floor(lon / self.cell_deg))
-        cosf = self._cos_floor(lat)
-        best_d = math.inf
-        best_id = -1
-        # rings past the occupied cell extent cannot contain points
-        max_ring = max(abs(ci - self._i_bounds[0]), abs(ci - self._i_bounds[1]),
-                       abs(cj - self._j_bounds[0]), abs(cj - self._j_bounds[1]))
-        ring = 0
-        while ring <= max_ring:
-            lower = max(0, ring - 1) * self.cell_deg * KM_PER_DEG * cosf
-            if best_id >= 0 and lower > best_d:
-                break
-            for di in range(-ring, ring + 1):
-                djs = (-ring, ring) if abs(di) != ring else range(-ring, ring + 1)
-                for dj in djs:
-                    bucket = self.cells.get((ci + di, cj + dj))
-                    if not bucket:
-                        continue
-                    for pid, plat, plon in bucket:
-                        d = haversine_km(lat, lon, plat, plon)
-                        if d < best_d or (d == best_d and pid < best_id):
-                            best_d, best_id = d, pid
-            ring += 1
-        return best_id, best_d
+    p = _unit([q.lat for q in points], [q.lon for q in points])
+    t = _unit([q.lat for q in targets], [q.lon for q in targets])
+    height = max(1, 2**16 // len(t))
+    for start in range(0, len(p), height):
+        dots = p[start:start + height] @ t.T
+        rows, cols = np.divmod(np.flatnonzero(dots >= cut(dots)), len(t))
+        yield from zip((rows + start).tolist(), cols.tolist())
 
 
 @dataclass
@@ -127,11 +75,6 @@ class ExclusionReport:
     excluded_share_capacity: float
 
 
-def _pick_cell_deg(radius_km: float, max_abs_lat: float) -> float:
-    cosf = math.cos(math.radians(min(89.9, max_abs_lat)))
-    return radius_km / (KM_PER_DEG * cosf) * 1.001
-
-
 def exclusion_filter(candidates: list[CandidateSite], existing,
                      buffer_diameter_m: float = DEFAULT_BUFFER_DIAMETER_M,
                      ) -> tuple[list[CandidateSite], ExclusionReport]:
@@ -140,23 +83,26 @@ def exclusion_filter(candidates: list[CandidateSite], existing,
     Distance exactly equal to the radius keeps the candidate (interior
     exclusion). Output order follows the input candidate order.
     """
-    if buffer_diameter_m <= 0:
-        raise ValueError("buffer_diameter_m must be positive")
+    if not (math.isfinite(buffer_diameter_m) and buffer_diameter_m > 0):
+        raise ValidationError(
+            f"buffer diameter must be a positive finite number of meters, got {buffer_diameter_m}")
     radius_km = buffer_diameter_m / 2000.0
     total_cap = sum(c.capacity for c in candidates)
     if not existing:
         return list(candidates), ExclusionReport(0, 0.0, 0.0, 0.0)
 
-    max_abs_lat = max(max(abs(c.lat) for c in candidates),
-                      max(abs(t.lat) for t in existing))
-    cell_deg = _pick_cell_deg(radius_km, max_abs_lat)
-    index = SpatialIndex([(t.turbine_id, t.lat, t.lon) for t in existing], cell_deg)
-
+    # a radius past half the circumference reaches every point
+    cut = math.cos(min(radius_km / EARTH_RADIUS_KM, math.pi)) - _DOT_SLACK
+    inside: set[int] = set()
+    for i, j in _marked(candidates, existing, lambda dots: cut):
+        c, t = candidates[i], existing[j]
+        if i not in inside and haversine_km(c.lat, c.lon, t.lat, t.lon) < radius_km:
+            inside.add(i)
     kept: list[CandidateSite] = []
     excluded_count = 0
     excluded_cap = 0.0
-    for c in candidates:
-        if index.query_radius(c.lat, c.lon, radius_km):
+    for i, c in enumerate(candidates):
+        if i in inside:
             excluded_count += 1
             excluded_cap += c.capacity
         else:
@@ -179,27 +125,22 @@ def nearest_transformer(candidates: list[CandidateSite],
     Returns (site_id -> length_km, site_id -> transformer_id). Ties go to
     the lowest transformer_id. Fails hard on an empty transformer set.
     """
-    lons = [t.lon for t in transformers] + [c.lon for c in candidates]
-    # the grid index does not wrap at +-180 degrees; the scan handles 0 or 1 transformers
-    if len(transformers) <= 1 or (max(lons) - min(lons)) > 180.0:
-        return nearest_transformer_bruteforce(candidates, transformers)
-    # cell ~ expected nearest-neighbor spacing keeps ring walks short
-    lat_span = max(t.lat for t in transformers) - min(t.lat for t in transformers)
-    lon_span = max(t.lon for t in transformers) - min(t.lon for t in transformers)
-    extent = max(lat_span, lon_span, 1e-6)
-    cell_deg = max(extent / max(1.0, math.sqrt(len(transformers))), 1e-6)
-    index = SpatialIndex([(t.transformer_id, t.lat, t.lon) for t in transformers], cell_deg)
-    lengths: dict[int, float] = {}
-    nearest_ids: dict[int, int] = {}
-    for c in candidates:
-        tid, d = index.nearest(c.lat, c.lon)
-        lengths[c.site_id] = d
-        nearest_ids[c.site_id] = tid
+    if not transformers:
+        raise PlanError("no transformers available for network-length computation")
+    best: dict[int, tuple[float, int]] = {}
+    for i, j in _marked(candidates, transformers,
+                        lambda dots: dots.max(axis=1, keepdims=True) - _DOT_SLACK):
+        c, t = candidates[i], transformers[j]
+        hit = (haversine_km(c.lat, c.lon, t.lat, t.lon), t.transformer_id)
+        if i not in best or hit < best[i]:
+            best[i] = hit
+    lengths = {candidates[i].site_id: d for i, (d, _) in best.items()}
+    nearest_ids = {candidates[i].site_id: tid for i, (_, tid) in best.items()}
     return lengths, nearest_ids
 
 
 def nearest_transformer_bruteforce(candidates, transformers) -> tuple[dict[int, float], dict[int, int]]:
-    """Exhaustive O(n*m) reference scan; oracle for the indexed path."""
+    """Exhaustive O(n*m) reference scan; oracle for `nearest_transformer`."""
     if not transformers:
         raise PlanError("no transformers available for network-length computation")
     lengths, nearest_ids = {}, {}

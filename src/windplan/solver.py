@@ -384,6 +384,26 @@ def _feasible(state: _State, cap_obj: float) -> bool:
     return state.caps_ok()
 
 
+def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: float,
+                total: float, used: np.ndarray | None = None) -> float:
+    """`total` plus the cost of covering `floor` fractionally along `rows`.
+
+    np.inf when the rows cannot cover the floor. `used`, if given,
+    accumulates the fraction taken of each site.
+    """
+    need = floor
+    for i in rows:
+        take = min(caps[i], need)
+        frac = take / caps[i]
+        if used is not None:
+            used[i] += frac
+        total += frac * cost[i]
+        need -= take
+        if need <= 1e-15:
+            break
+    return np.inf if need > 1e-9 else total
+
+
 def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
                cap_obj: float, floors: dict[int, float]) -> float:
     """Exact optimum of the fractional relaxation (floors + covering).
@@ -402,16 +422,8 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
         rows = sites.mun_rows.get(j)
         if rows is None:
             return np.inf
-        need = floor
-        for i in order[slice(*rows)]:
-            take = min(caps[i], need)
-            frac = take / caps[i]
-            used[i] += frac
-            total_cost += frac * cost[i]
-            need -= take
-            if need <= 1e-15:
-                break
-        if need > 1e-9:
+        total_cost = _fill_floor(caps, cost, order[slice(*rows)], floor, total_cost, used)
+        if total_cost == np.inf:
             return np.inf
         floor_cap += floor
     residual = cap_obj - floor_cap
@@ -436,8 +448,8 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
 
     Exact when a floor fits a single site or the municipality is small
     enough to enumerate; otherwise the municipal fractional fill along
-    `order` (as in `_lp_nested`) is used. Ignores the global constraint,
-    which only relaxes further.
+    `order` (`_fill_floor`, as in `_lp_nested`) is used. Ignores the
+    global constraint, which only relaxes further.
     """
     caps = sites.caps
     total = 0.0
@@ -458,14 +470,8 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
                 return np.inf
             total += float((bits @ cost[idxs])[feas].min())
         else:
-            need = floor
-            for i in order[slice(*rows)]:
-                take = min(caps[i], need)
-                total += take / caps[i] * cost[i]
-                need -= take
-                if need <= 1e-15:
-                    break
-            if need > 1e-9:
+            total = _fill_floor(caps, cost, order[slice(*rows)], floor, total)
+            if total == np.inf:
                 return np.inf
     return total
 

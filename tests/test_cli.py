@@ -49,6 +49,24 @@ def test_synth_and_prep_outputs(prepped):
     assert report["excluded_count"] >= 0
 
 
+@pytest.mark.parametrize("buffer_m", ["0", "-5", "nan", "inf"])
+def test_prep_bad_buffer_is_validation_error(prepped, tmp_path, capsys, buffer_m):
+    root, _ = prepped
+    code = main(["prep", "--instance", str(root / "raw"), f"--buffer-m={buffer_m}",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "buffer diameter must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scale_writes_into_new_directory(prepped, tmp_path):
+    root, prep = prepped
+    out = tmp_path / "new_dir" / "h.csv"
+    assert main(["scale", "--instance", str(prep), "--out", str(out), "--bins", "4"]) == 0
+    assert out.read_text().startswith("criterion,bin_left,bin_right,count,mean")
+    assert (out.parent / "run_manifest.json").exists()
+
+
 def test_solve_writes_outputs(prepped):
     root, prep = prepped
     scenario = _scenario_file(root, 120.0)
@@ -122,6 +140,17 @@ def test_metrics_command(prepped):
     doc = json.loads(out_path.read_text())
     assert 0.0 <= doc["regional_equity_pct"] <= 100.0
     assert "per_state" in doc
+
+
+def test_metrics_writes_into_new_directory(prepped, tmp_path):
+    root, prep = prepped
+    selection = tmp_path / "selection.csv"
+    selection.write_text("site_id\n")
+    out = tmp_path / "new_dir" / "m.json"
+    assert main(["metrics", "--selection", str(selection), "--instance", str(prep),
+                 "--out", str(out)]) == 0
+    assert "regional_equity_pct" in json.loads(out.read_text())
+    assert (out.parent / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -6,8 +6,7 @@ import pytest
 from conftest import mk_instance, mk_site
 from windplan.domain import ExistingTurbine, PlanError, Transformer
 from windplan.geoprep import (
-    KM_PER_DEG,
-    SpatialIndex,
+    EARTH_RADIUS_KM,
     exclusion_filter,
     haversine_km,
     nearest_transformer,
@@ -23,25 +22,6 @@ def test_haversine_one_degree_equator():
 def test_haversine_zero_and_symmetry():
     assert haversine_km(48.1, 11.5, 48.1, 11.5) == 0.0
     assert haversine_km(48.0, 11.0, 52.0, 13.0) == haversine_km(52.0, 13.0, 48.0, 11.0)
-
-
-def test_index_radius_query_matches_scan():
-    rng = random.Random(7)
-    pts = [(i, rng.uniform(47, 55), rng.uniform(6, 15)) for i in range(300)]
-    radius = 30.0
-    idx = SpatialIndex(pts, cell_deg=radius / (KM_PER_DEG * math.cos(math.radians(55))) * 1.01)
-    for _ in range(50):
-        lat, lon = rng.uniform(47, 55), rng.uniform(6, 15)
-        expected = sorted((pid, haversine_km(lat, lon, plat, plon))
-                          for pid, plat, plon in pts
-                          if haversine_km(lat, lon, plat, plon) < radius)
-        assert idx.query_radius(lat, lon, radius) == expected
-
-
-def test_index_rejects_undersized_cells():
-    idx = SpatialIndex([(1, 50.0, 10.0)], cell_deg=0.01)
-    with pytest.raises(ValueError):
-        idx.query_radius(50.0, 10.0, 500.0)
 
 
 def test_nearest_matches_scan_random():
@@ -72,8 +52,8 @@ def test_nearest_tie_goes_to_lowest_id():
 
 
 def test_nearest_across_antimeridian():
-    # a lon span > 180 degrees takes the scan, which sees that -179.9 is 0.2 deg
-    # away; a lat/lon grid over this pool would stop at the transformer at lon 170
+    # unit vectors wrap at +-180 degrees, so -179.9 is 0.2 deg away; a lat/lon
+    # grid over this pool would stop at the transformer at lon 170
     transformers = [Transformer(transformer_id=1, lat=0.0, lon=-179.9, voltage_kv=20)]
     transformers += [Transformer(transformer_id=k + 2, lat=0.0, lon=float(lon), voltage_kv=20)
                      for k, lon in enumerate(range(-170, 180, 10))]
@@ -81,8 +61,100 @@ def test_nearest_across_antimeridian():
     lengths, ids = nearest_transformer(cands, transformers)
     assert ids == {1: 1}
     assert lengths[1] == haversine_km(0.0, 179.9, 0.0, -179.9)
-    assert abs(lengths[1] - 0.2 * KM_PER_DEG) < 1e-6
+    assert abs(lengths[1] - 0.2 * math.pi * EARTH_RADIUS_KM / 180.0) < 1e-6
     assert (lengths, ids) == nearest_transformer_bruteforce(cands, transformers)
+
+
+def _transformer(tid, lat, lon):
+    return Transformer(transformer_id=tid, lat=lat, lon=lon, voltage_kv=20)
+
+
+def _global_point(rng):
+    return rng.choice([
+        lambda: (rng.uniform(-90, 90), rng.uniform(-180, 180)),
+        lambda: (rng.choice([-90.0, 90.0]), rng.uniform(-180, 180)),  # a pole
+        lambda: (rng.uniform(85, 90), rng.uniform(-180, 180)),
+        lambda: (rng.uniform(-10, 10), rng.choice([-1, 1]) * rng.uniform(179, 180)),
+    ])()
+
+
+def test_nearest_matches_scan_global():
+    rng = random.Random(23)
+    for trial in range(40):
+        m = rng.randint(1, 60)
+        transformers = [_transformer(t + 1, *_global_point(rng)) for t in range(m)]
+        # coincident transformers with different ids
+        transformers += [_transformer(m + 1 + k, t.lat, t.lon)
+                         for k, t in enumerate(rng.sample(transformers, min(m, 3)))]
+        rng.shuffle(transformers)
+        cands = [mk_site(i + 1, *_global_point(rng)) for i in range(60)]
+        # candidates on a transformer
+        cands += [mk_site(61 + k, lat=t.lat, lon=t.lon)
+                  for k, t in enumerate(rng.sample(transformers, 3))]
+        # candidates halfway between two transformers: equal arcs whose
+        # dot products and haversine distances differ in the last bits
+        for k in range(20):
+            lat, lon, d = rng.uniform(-80, 80), rng.uniform(-170, 170), rng.uniform(0, 0.1)
+            cands.append(mk_site(64 + k, lat=lat, lon=lon))
+            transformers += [_transformer(1000 + 2 * k, lat, lon + d),
+                             _transformer(1001 + 2 * k, lat, lon - d)]
+        assert (nearest_transformer(cands, transformers)
+                == nearest_transformer_bruteforce(cands, transformers))
+
+
+def _exclusion_scan(cands, existing, diameter):
+    """Test-local exhaustive reference for exclusion_filter."""
+    radius = diameter / 2000.0
+    kept, excluded_cap = [], 0.0
+    for c in cands:
+        if any(haversine_km(c.lat, c.lon, t.lat, t.lon) < radius for t in existing):
+            excluded_cap += c.capacity
+        else:
+            kept.append(c)
+    return kept, len(cands) - len(kept), excluded_cap
+
+
+def test_exclusion_matches_scan():
+    rng = random.Random(31)
+    on_radius = 0
+    for trial in range(30):
+        if trial % 2:
+            point = lambda: (rng.uniform(49, 51), rng.uniform(9, 11))
+        else:
+            point = lambda: _global_point(rng)
+        existing = [ExistingTurbine(turbine_id=t + 1, municipality_id=1,
+                                    lat=lat, lon=lon, capacity=2.0)
+                    for t, (lat, lon) in enumerate(point() for _ in range(rng.randint(1, 30)))]
+        cands = [mk_site(i + 1, *point(), capacity=rng.uniform(1, 5)) for i in range(80)]
+        # buffers that put a candidate exactly on the radius of its nearest
+        # turbine, or one ulp inside it, closer than the dot products resolve
+        diameters = [1088.0, 50_000.0, 2e6, 4.1e7]
+        for c in rng.sample(cands, 4):
+            d = min(haversine_km(c.lat, c.lon, t.lat, t.lon) for t in existing)
+            above = 2000.0 * d
+            while above / 2000.0 <= d:
+                above = math.nextafter(above, math.inf)
+            diameters += [2000.0 * d, above]
+        for diameter in diameters:
+            kept, report = exclusion_filter(cands, existing, buffer_diameter_m=diameter)
+            want_kept, want_count, want_cap = _exclusion_scan(cands, existing, diameter)
+            assert kept == want_kept
+            assert report.excluded_count == want_count
+            assert report.excluded_capacity_mw == want_cap
+            radius = diameter / 2000.0
+            on_radius += sum(haversine_km(c.lat, c.lon, t.lat, t.lon) == radius
+                             for c in cands for t in existing)
+    assert on_radius >= 100
+
+
+def test_exclusion_buffer_wider_than_the_earth():
+    # a radius past half the circumference reaches even the antipode
+    ex = ExistingTurbine(turbine_id=1, municipality_id=1, lat=50.0, lon=10.0,
+                         capacity=2.0)
+    cands = [mk_site(1, lat=-50.0, lon=-170.0), mk_site(2, lat=-49.0, lon=-170.0)]
+    kept, report = exclusion_filter(cands, [ex], buffer_diameter_m=4.1e7)
+    assert kept == []
+    assert report.excluded_count == 2
 
 
 def test_nearest_without_transformers_fails():
