@@ -14,6 +14,7 @@ from .domain import (
     InfeasibleError,
     Municipality,
     PlanError,
+    SiteTable,
     Transformer,
     ValidationError,
     read_instance,
@@ -30,6 +31,7 @@ __all__ = [
     "InfeasibleError",
     "Municipality",
     "PlanError",
+    "SiteTable",
     "Transformer",
     "ValidationError",
     "Weights",

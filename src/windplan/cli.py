@@ -21,6 +21,7 @@ from .domain import (
     InfeasibleError,
     PlanError,
     ValidationError,
+    instance_files,
     read_instance,
     validate_instance,
     write_instance,
@@ -29,7 +30,6 @@ from .geoprep import DEFAULT_BUFFER_DIAMETER_M, prep_instance
 from .metrics import radar_values, regional_equity, regional_stats
 from .objective import scale_candidates
 from .runio import (
-    instance_files,
     read_selection_csv,
     write_front_csv,
     write_geojson,
@@ -83,7 +83,7 @@ def synth_cmd(spec_path, seed, out_dir):
     write_manifest(out_dir, [spec_path] if spec_path and os.path.isfile(spec_path) else [],
                    {"command": "synth", "seed": spec.seed, "n_sites": spec.n_sites},
                    {"synth": time.perf_counter() - t0})
-    click.echo(f"wrote instance with {len(instance.candidates)} candidates to {out_dir}")
+    click.echo(f"wrote instance with {len(instance.sites)} candidates to {out_dir}")
 
 
 @cli.command("prep")

@@ -2,20 +2,21 @@
 
 An Instance bundles the candidate turbine pool, the municipality table
 (the equity unit), the existing turbine stock and the transformer set.
-Instances are treated as immutable after load; mutation happens only
-during assembly.
+Instances are immutable.
 
-`Instance.sites` is the columnar view of the candidate pool that the
-objective, the solver and the reports read: a SiteTable of numpy columns
-sorted by site_id, built on first use and kept with the instance.
+The candidate pool is `Instance.sites`, a SiteTable of read-only numpy
+columns sorted by site_id, and it has no other form: it is read, made,
+filtered, validated and written as columns. `CandidateSite` records only
+feed hand-built pools (`SiteTable.of`).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,11 @@ class Municipality:
     existing_capacity: float = 0.0  # MW, derived from existing turbines
 
 
+# SiteTable columns in constructor order
+_SITE_COLUMNS = ("ids", "mun", "lat", "lon", "caps", "lcoe", "scenicness",
+                 "full_load_hours", "network_length")
+
+
 @dataclass(frozen=True, eq=False)
 class SiteTable:
     """Numpy columns of a candidate pool, one row per site, sorted by site_id.
@@ -95,36 +101,48 @@ class SiteTable:
     caps: np.ndarray
     lcoe: np.ndarray
     scenicness: np.ndarray
+    full_load_hours: np.ndarray
     network_length: np.ndarray
     by_mun: np.ndarray
     mun_rows: dict[int, tuple[int, int]]
 
     @classmethod
-    def of(cls, candidates: list[CandidateSite]) -> SiteTable:
-        cands = sorted(candidates, key=lambda c: c.site_id)
-        mun = np.array([c.municipality_id for c in cands], dtype=np.int64)
-        by_mun = np.argsort(mun, kind="stable")
-        keys, starts, counts = np.unique(mun[by_mun], return_index=True,
+    def from_columns(cls, ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours,
+                     network_length=None) -> SiteTable:
+        """The one constructor: rows in stable site_id order, grouped by
+        municipality, every column a read-only copy. network_length
+        defaults to all NaN (no lengths yet)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if network_length is None:
+            network_length = np.full(ids.size, np.nan)
+        order = np.argsort(ids, kind="stable")
+        values = (ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours, network_length)
+        cols = {name: np.asarray(v, dtype=np.int64 if name in ("ids", "mun") else float)[order]
+                for name, v in zip(_SITE_COLUMNS, values)}
+        by_mun = np.argsort(cols["mun"], kind="stable")
+        keys, starts, counts = np.unique(cols["mun"][by_mun], return_index=True,
                                          return_counts=True)
-        cols = dict(
-            ids=np.array([c.site_id for c in cands], dtype=np.int64),
-            mun=mun,
-            lat=np.array([c.lat for c in cands], dtype=float),
-            lon=np.array([c.lon for c in cands], dtype=float),
-            caps=np.array([c.capacity for c in cands], dtype=float),
-            lcoe=np.array([c.lcoe for c in cands], dtype=float),
-            scenicness=np.array([c.scenicness for c in cands], dtype=float),
-            network_length=np.array([np.nan if c.network_length is None
-                                     else c.network_length for c in cands], dtype=float),
-            by_mun=by_mun,
-        )
-        for arr in cols.values():
+        for arr in (*cols.values(), by_mun):
             arr.flags.writeable = False
-        return cls(**cols, mun_rows={int(j): (int(a), int(a + k))
-                                     for j, a, k in zip(keys, starts, counts)})
+        return cls(**cols, by_mun=by_mun,
+                   mun_rows={j: (a, a + k) for j, a, k in zip(keys.tolist(), starts.tolist(),
+                                                              counts.tolist())})
 
-    @property
-    def n(self) -> int:
+    @classmethod
+    def of(cls, candidates: list[CandidateSite]) -> SiteTable:
+        """Table of hand-built site records, in any order."""
+        fields = ("site_id", "municipality_id", "lat", "lon", "capacity", "lcoe",
+                  "scenicness", "full_load_hours")
+        return cls.from_columns(
+            *([getattr(c, f) for c in candidates] for f in fields),
+            network_length=[np.nan if c.network_length is None else c.network_length
+                            for c in candidates])
+
+    def take(self, rows) -> SiteTable:
+        """Table of the given rows."""
+        return SiteTable.from_columns(*(getattr(self, name)[rows] for name in _SITE_COLUMNS))
+
+    def __len__(self) -> int:
         return self.ids.size
 
     def rows(self, site_ids) -> np.ndarray:
@@ -137,18 +155,14 @@ class SiteTable:
         return np.searchsorted(self.ids, ids)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
-    candidates: list[CandidateSite]
+    """The candidate pool as one SiteTable, plus the municipality table,
+    the existing stock and the transformer set."""
+    sites: SiteTable
     municipalities: list[Municipality]
     existing: list[ExistingTurbine] = field(default_factory=list)
     transformers: list[Transformer] = field(default_factory=list)
-    metadata: str = ""
-
-    @cached_property
-    def sites(self) -> SiteTable:
-        """The candidate pool as a SiteTable, built on first use."""
-        return SiteTable.of(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -184,41 +198,67 @@ def _check_coords(report: ValidationReport, lat: float, lon: float, label: str, 
         report.add("RangeViolation", oid, f"{label} {oid}: lon {lon} outside [-180, 180]")
 
 
+def _check_number(report: ValidationReport, label: str, oid: int, name: str, value: float,
+                  out_of_range: bool, rule: str) -> None:
+    """A RangeViolation for a value outside its range (message `rule`) or,
+    failing that, for a non-finite one."""
+    if out_of_range or not math.isfinite(value):
+        report.add("RangeViolation", oid,
+                   f"{label} {oid}: {name} {value} {rule if out_of_range else 'is not finite'}")
+
+
+def _outside(column: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return ~((column >= lo) & (column <= hi))
+
+
+def _check_sites(report: ValidationReport, sites: SiteTable, mun_ids: set[int]) -> None:
+    """The per-site checks as column masks; a failing site's messages come
+    in the order of a per-site loop, sites in table order."""
+    known = np.isin(sites.mun, list(mun_ids))
+    # a NaN network length means "no length yet"
+    length = np.where(np.isnan(sites.network_length), 0.0, sites.network_length)
+    rules = [  # (name, column, out of range, range rule)
+        ("scenicness", sites.scenicness,
+         _outside(sites.scenicness, SCENICNESS_MIN, SCENICNESS_MAX), "outside [1, 9]"),
+        ("capacity", sites.caps, sites.caps <= 0, "<= 0"),
+        ("lcoe", sites.lcoe, sites.lcoe <= 0, "<= 0"),
+        ("full_load_hours", sites.full_load_hours, sites.full_load_hours < 0, "< 0"),
+        ("network_length", length, length < 0, "< 0"),
+        ("lat", sites.lat, _outside(sites.lat, -90.0, 90.0), "outside [-90, 90]"),
+        ("lon", sites.lon, _outside(sites.lon, -180.0, 180.0), "outside [-180, 180]"),
+    ]
+    failing = ~known
+    for _, column, out, _ in rules:
+        failing |= out | ~np.isfinite(column)
+    for k in np.flatnonzero(failing).tolist():
+        sid = sites.ids[k].tolist()
+        if not known[k]:
+            report.add("MissingReference", sid, f"site {sid} references unknown "
+                                                f"municipality {sites.mun[k].tolist()}")
+        for name, column, out, rule in rules:
+            _check_number(report, "site", sid, name, column[k].tolist(), out[k], rule)
+
+
 def validate_instance(instance: Instance) -> ValidationReport:
     """Check every instance invariant; violations become report entries.
 
     Never raises: a malformed instance yields a non-empty report, a
-    well-formed one an empty report. Side-effect free and idempotent.
+    well-formed one an empty report. Every number must be finite (a
+    missing network length, NaN, excepted). Side-effect free and
+    idempotent.
     """
     report = ValidationReport()
     mun_ids = {m.municipality_id for m in instance.municipalities}
 
-    if not instance.candidates:
+    if not len(instance.sites):
         report.add("EmptyCandidates", None, "instance has no candidate sites")
 
-    _check_duplicates(report, (c.site_id for c in instance.candidates), "site_id")
+    _check_duplicates(report, instance.sites.ids.tolist(), "site_id")
     _check_duplicates(report, (m.municipality_id for m in instance.municipalities), "municipality_id")
     _check_duplicates(report, (t.turbine_id for t in instance.existing), "turbine_id")
     _check_duplicates(report, (t.transformer_id for t in instance.transformers), "transformer_id")
 
-    for c in instance.candidates:
-        if c.municipality_id not in mun_ids:
-            report.add("MissingReference", c.site_id,
-                       f"site {c.site_id} references unknown municipality {c.municipality_id}")
-        if not (SCENICNESS_MIN <= c.scenicness <= SCENICNESS_MAX):
-            report.add("RangeViolation", c.site_id,
-                       f"site {c.site_id}: scenicness {c.scenicness} outside [1, 9]")
-        if c.capacity <= 0:
-            report.add("RangeViolation", c.site_id, f"site {c.site_id}: capacity {c.capacity} <= 0")
-        if c.lcoe <= 0:
-            report.add("RangeViolation", c.site_id, f"site {c.site_id}: lcoe {c.lcoe} <= 0")
-        if c.full_load_hours < 0:
-            report.add("RangeViolation", c.site_id,
-                       f"site {c.site_id}: full_load_hours {c.full_load_hours} < 0")
-        if c.network_length is not None and c.network_length < 0:
-            report.add("RangeViolation", c.site_id,
-                       f"site {c.site_id}: network_length {c.network_length} < 0")
-        _check_coords(report, c.lat, c.lon, "site", c.site_id)
+    _check_sites(report, instance.sites, mun_ids)
 
     for t in instance.existing:
         if t.municipality_id not in mun_ids:
@@ -226,6 +266,9 @@ def validate_instance(instance: Instance) -> ValidationReport:
                        f"turbine {t.turbine_id} references unknown municipality {t.municipality_id}")
         if t.capacity <= 0:
             report.add("RangeViolation", t.turbine_id, f"turbine {t.turbine_id}: capacity <= 0")
+        elif not math.isfinite(t.capacity):
+            report.add("RangeViolation", t.turbine_id,
+                       f"turbine {t.turbine_id}: capacity {t.capacity} is not finite")
         _check_coords(report, t.lat, t.lon, "turbine", t.turbine_id)
 
     for tr in instance.transformers:
@@ -237,19 +280,16 @@ def validate_instance(instance: Instance) -> ValidationReport:
     existing_sums = capacity_by_municipality(
         (t.municipality_id, t.capacity) for t in instance.existing)
     for m in instance.municipalities:
-        if m.population < 0:
-            report.add("RangeViolation", m.municipality_id,
-                       f"municipality {m.municipality_id}: population {m.population} < 0")
-        if m.area <= 0:
-            report.add("RangeViolation", m.municipality_id,
-                       f"municipality {m.municipality_id}: area {m.area} <= 0")
+        j = m.municipality_id
+        _check_number(report, "municipality", j, "population", m.population,
+                      m.population < 0, "< 0")
+        _check_number(report, "municipality", j, "area", m.area, m.area <= 0, "<= 0")
         if m.region_tag not in REGION_TAGS:
-            report.add("RangeViolation", m.municipality_id,
-                       f"municipality {m.municipality_id}: region_tag {m.region_tag!r}")
-        expected = existing_sums.get(m.municipality_id, 0.0)
+            report.add("RangeViolation", j, f"municipality {j}: region_tag {m.region_tag!r}")
+        expected = existing_sums.get(j, 0.0)
         if abs(m.existing_capacity - expected) > 1e-9:
-            report.add("InconsistentDerived", m.municipality_id,
-                       f"municipality {m.municipality_id}: existing_capacity "
+            report.add("InconsistentDerived", j,
+                       f"municipality {j}: existing_capacity "
                        f"{m.existing_capacity} != turbine sum {expected}")
     return report
 
@@ -291,6 +331,7 @@ CANDIDATES_FILE = "candidates.csv"
 MUNICIPALITIES_FILE = "municipalities.csv"
 EXISTING_FILE = "existing.csv"
 TRANSFORMERS_FILE = "transformers.csv"
+INSTANCE_FILES = (CANDIDATES_FILE, MUNICIPALITIES_FILE, EXISTING_FILE, TRANSFORMERS_FILE)
 
 _CAND_HEADER = ["site_id", "municipality_id", "lat", "lon", "capacity_mw",
                 "lcoe_ct_kwh", "scenicness", "full_load_hours"]
@@ -299,21 +340,77 @@ _EXISTING_HEADER = ["turbine_id", "municipality_id", "lat", "lon", "capacity_mw"
 _TRANSFORMER_HEADER = ["transformer_id", "lat", "lon", "voltage_kv"]
 
 
+def instance_files(directory: str) -> list[str]:
+    """Paths of the four instance CSVs in a directory."""
+    return [os.path.join(directory, name) for name in INSTANCE_FILES]
+
+
 def _fnum(x: float) -> str:
     return repr(float(x))
 
 
-def _read_rows(path: str, required: list[str]) -> list[dict[str, str]]:
+def _read_columns(path: str, required: list[str]) -> dict[str, list[str]]:
+    """The columns of a CSV file by header name; blank lines are skipped, and
+    a row whose field count differs from the header's is a ValidationError."""
+
+    def rows(reader, width):
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ValidationError(f"{path}, line {reader.line_num}: {len(row)} "
+                                      f"fields, the header has {width}")
+            yield row
+
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            header = reader.fieldnames or []
+            reader = csv.reader(f)
+            header = next(reader, [])
             missing = [c for c in required if c not in header]
             if missing:
                 raise ValidationError(f"{path}: missing columns {missing}")
-            return list(reader)
+            # one flat list of fields, row after row, sliced into columns
+            fields = list(itertools.chain.from_iterable(rows(reader, len(header))))
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
+    return {name: fields[k::len(header)] for k, name in enumerate(header)}
+
+
+def _parse(path: str, columns: dict[str, list[str]], name: str, convert=float) -> list:
+    try:
+        return list(map(convert, columns[name]))
+    except ValueError as e:
+        raise ValidationError(f"{path}: column {name}: {e}") from None
+
+
+def _read_sites(path: str) -> SiteTable:
+    """candidates.csv as a SiteTable. An empty network_length_km field (or a
+    missing column) is NaN, so a literal non-finite length is rejected: the
+    table could not tell it from a missing one."""
+    cols = _read_columns(path, _CAND_HEADER)
+    ids = _parse(path, cols, "site_id", int)
+    lengths = None
+    if "network_length_km" in cols:
+        lengths = np.array(_parse(path, cols, "network_length_km",
+                                  lambda x: float(x) if x else math.nan))
+        for k in np.flatnonzero(~np.isfinite(lengths)).tolist():
+            if cols["network_length_km"][k]:
+                raise ValidationError(f"{path}: site {ids[k]}: network_length_km "
+                                      f"{cols['network_length_km'][k]!r} is not finite")
+    return SiteTable.from_columns(
+        ids, _parse(path, cols, "municipality_id", int),
+        *(_parse(path, cols, name) for name in _CAND_HEADER[2:]), network_length=lengths)
+
+
+def _records(path: str, header: list[str], types: tuple, optional: bool = False) -> list:
+    """The rows of a small CSV as tuples of Python values in header order,
+    stably sorted by the id in the first column; an optional file that does
+    not exist has none."""
+    if optional and not os.path.exists(path):
+        return []
+    cols = _read_columns(path, header)
+    return sorted(zip(*(_parse(path, cols, name, t) for name, t in zip(header, types))),
+                  key=lambda r: r[0])
 
 
 def read_instance(directory: str) -> Instance:
@@ -321,103 +418,58 @@ def read_instance(directory: str) -> Instance:
 
     The optional network_length_km column in candidates.csv is honored;
     existing_capacity on municipalities is derived from existing.csv.
+    Municipalities, turbines and transformers come sorted by id.
     """
-    cand_rows = _read_rows(os.path.join(directory, CANDIDATES_FILE), _CAND_HEADER)
-    mun_rows = _read_rows(os.path.join(directory, MUNICIPALITIES_FILE), _MUN_HEADER)
-    ex_path = os.path.join(directory, EXISTING_FILE)
-    tr_path = os.path.join(directory, TRANSFORMERS_FILE)
-    ex_rows = _read_rows(ex_path, _EXISTING_HEADER) if os.path.exists(ex_path) else []
-    tr_rows = _read_rows(tr_path, _TRANSFORMER_HEADER) if os.path.exists(tr_path) else []
-
-    candidates = []
-    for r in cand_rows:
-        nl = r.get("network_length_km")
-        candidates.append(CandidateSite(
-            site_id=int(r["site_id"]),
-            municipality_id=int(r["municipality_id"]),
-            lat=float(r["lat"]),
-            lon=float(r["lon"]),
-            capacity=float(r["capacity_mw"]),
-            lcoe=float(r["lcoe_ct_kwh"]),
-            scenicness=float(r["scenicness"]),
-            full_load_hours=float(r["full_load_hours"]),
-            network_length=float(nl) if nl not in (None, "") else None,
-        ))
-    candidates.sort(key=lambda c: c.site_id)
-
-    existing = [ExistingTurbine(
-        turbine_id=int(r["turbine_id"]),
-        municipality_id=int(r["municipality_id"]),
-        lat=float(r["lat"]),
-        lon=float(r["lon"]),
-        capacity=float(r["capacity_mw"]),
-    ) for r in ex_rows]
-    existing.sort(key=lambda t: t.turbine_id)
-
+    cand_path, mun_path, ex_path, tr_path = instance_files(directory)
+    sites = _read_sites(cand_path)
+    existing = [ExistingTurbine(*r) for r in _records(
+        ex_path, _EXISTING_HEADER, (int, int, float, float, float), optional=True)]
     sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in existing)
+    municipalities = [Municipality(*r, existing_capacity=sums.get(r[0], 0.0)) for r in _records(
+        mun_path, _MUN_HEADER, (int, str, float, str, int, float))]
+    transformers = [Transformer(*r) for r in _records(
+        tr_path, _TRANSFORMER_HEADER, (int, float, float, int), optional=True)]
+    return Instance(sites=sites, municipalities=municipalities, existing=existing,
+                    transformers=transformers)
 
-    municipalities = [Municipality(
-        municipality_id=int(r["municipality_id"]),
-        name=r["name"],
-        population=float(r["population"]),
-        region_tag=r["region_tag"],
-        state_id=int(r["state_id"]),
-        area=float(r["area_km2"]),
-        existing_capacity=sums.get(int(r["municipality_id"]), 0.0),
-    ) for r in mun_rows]
-    municipalities.sort(key=lambda m: m.municipality_id)
 
-    transformers = [Transformer(
-        transformer_id=int(r["transformer_id"]),
-        lat=float(r["lat"]),
-        lon=float(r["lon"]),
-        voltage_kv=int(r["voltage_kv"]),
-    ) for r in tr_rows]
-    transformers.sort(key=lambda t: t.transformer_id)
-
-    return Instance(candidates=candidates, municipalities=municipalities,
-                    existing=existing, transformers=transformers,
-                    metadata=f"loaded from {directory}")
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_instance(instance: Instance, directory: str) -> None:
-    """Write the four instance CSVs; network_length_km only when present."""
+    """Write the four instance CSVs in table and list order; the
+    network_length_km column only when some site has a length."""
     os.makedirs(directory, exist_ok=True)
-    with_length = any(c.network_length is not None for c in instance.candidates)
-    header = _CAND_HEADER + (["network_length_km"] if with_length else [])
-    with open(os.path.join(directory, CANDIDATES_FILE), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for c in instance.candidates:
-            row = [c.site_id, c.municipality_id, _fnum(c.lat), _fnum(c.lon),
-                   _fnum(c.capacity), _fnum(c.lcoe), _fnum(c.scenicness),
-                   _fnum(c.full_load_hours)]
-            if with_length:
-                row.append("" if c.network_length is None else _fnum(c.network_length))
-            w.writerow(row)
-    with open(os.path.join(directory, MUNICIPALITIES_FILE), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_MUN_HEADER)
-        for m in instance.municipalities:
-            w.writerow([m.municipality_id, m.name, _fnum(m.population), m.region_tag,
-                        m.state_id, _fnum(m.area)])
-    with open(os.path.join(directory, EXISTING_FILE), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_EXISTING_HEADER)
-        for t in instance.existing:
-            w.writerow([t.turbine_id, t.municipality_id, _fnum(t.lat), _fnum(t.lon),
-                        _fnum(t.capacity)])
-    with open(os.path.join(directory, TRANSFORMERS_FILE), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_TRANSFORMER_HEADER)
-        for t in instance.transformers:
-            w.writerow([t.transformer_id, _fnum(t.lat), _fnum(t.lon), t.voltage_kv])
+    cand_path, mun_path, ex_path, tr_path = instance_files(directory)
+    sites = instance.sites
+    columns = [sites.ids.tolist(), sites.mun.tolist()]
+    columns += [[repr(x) for x in col.tolist()]
+                for col in (sites.lat, sites.lon, sites.caps, sites.lcoe, sites.scenicness,
+                            sites.full_load_hours)]
+    header = list(_CAND_HEADER)
+    if not np.isnan(sites.network_length).all():
+        header.append("network_length_km")
+        columns.append(["" if math.isnan(x) else repr(x)
+                        for x in sites.network_length.tolist()])
+    _write_csv(cand_path, header, zip(*columns))
+    _write_csv(mun_path, _MUN_HEADER,
+               ([m.municipality_id, m.name, _fnum(m.population), m.region_tag, m.state_id,
+                 _fnum(m.area)] for m in instance.municipalities))
+    _write_csv(ex_path, _EXISTING_HEADER,
+               ([t.turbine_id, t.municipality_id, _fnum(t.lat), _fnum(t.lon),
+                 _fnum(t.capacity)] for t in instance.existing))
+    _write_csv(tr_path, _TRANSFORMER_HEADER,
+               ([t.transformer_id, _fnum(t.lat), _fnum(t.lon), t.voltage_kv]
+                for t in instance.transformers))
 
 
-def with_network_lengths(instance: Instance, lengths: dict[int, float]) -> Instance:
-    """New Instance whose candidates carry the given network lengths (km)."""
-    cands = [replace(c, network_length=lengths[c.site_id]) if c.site_id in lengths else c
-             for c in instance.candidates]
-    return Instance(candidates=cands, municipalities=instance.municipalities,
-                    existing=instance.existing, transformers=instance.transformers,
-                    metadata=instance.metadata)
+def with_network_lengths(instance: Instance, lengths) -> Instance:
+    """New Instance whose sites carry the given network lengths (km), one
+    per table row; NaN means no length."""
+    lengths = np.array(lengths, dtype=float)
+    lengths.flags.writeable = False
+    return replace(instance, sites=replace(instance.sites, network_length=lengths))

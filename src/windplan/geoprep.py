@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import (CandidateSite, Instance, PlanError, Transformer, ValidationError,
-                     with_network_lengths)
+from .domain import (ExistingTurbine, Instance, PlanError, SiteTable, Transformer,
+                     ValidationError, with_network_lengths)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -50,16 +50,17 @@ def _unit(lat, lon) -> np.ndarray:
     return np.stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)], 1)
 
 
-def _marked(points, targets, cut: Callable[[np.ndarray], np.ndarray | float],
+def _marked(lat, lon, t_lat, t_lon, cut: Callable[[np.ndarray], np.ndarray | float],
             ) -> Iterator[tuple[int, int]]:
-    """(point index, target index) pairs whose dot product reaches cut(dots).
+    """(point index, target index) pairs whose dot product reaches cut(dots),
+    for points and targets given as lat/lon arrays in degrees.
 
     `dots` is a block of point-by-target dot products, about 2**16 of
     them (512 KB) so that a block stays in cache; pairs come in
     ascending point order.
     """
-    p = _unit([q.lat for q in points], [q.lon for q in points])
-    t = _unit([q.lat for q in targets], [q.lon for q in targets])
+    p = _unit(lat, lon)
+    t = _unit(t_lat, t_lon)
     height = max(1, 2**16 // len(t))
     for start in range(0, len(p), height):
         dots = p[start:start + height] @ t.T
@@ -75,38 +76,33 @@ class ExclusionReport:
     excluded_share_capacity: float
 
 
-def exclusion_filter(candidates: list[CandidateSite], existing,
+def exclusion_filter(candidates: SiteTable, existing: list[ExistingTurbine],
                      buffer_diameter_m: float = DEFAULT_BUFFER_DIAMETER_M,
-                     ) -> tuple[list[CandidateSite], ExclusionReport]:
+                     ) -> tuple[SiteTable, ExclusionReport]:
     """Drop candidates closer than buffer_diameter_m / 2 to any existing turbine.
 
     Distance exactly equal to the radius keeps the candidate (interior
-    exclusion). Output order follows the input candidate order.
+    exclusion). Returns the table of kept rows and the report, whose
+    capacity sums run in site-id order.
     """
     if not (math.isfinite(buffer_diameter_m) and buffer_diameter_m > 0):
         raise ValidationError(
             f"buffer diameter must be a positive finite number of meters, got {buffer_diameter_m}")
     radius_km = buffer_diameter_m / 2000.0
-    total_cap = sum(c.capacity for c in candidates)
     if not existing:
-        return list(candidates), ExclusionReport(0, 0.0, 0.0, 0.0)
+        return candidates, ExclusionReport(0, 0.0, 0.0, 0.0)
 
     # a radius past half the circumference reaches every point
     cut = math.cos(min(radius_km / EARTH_RADIUS_KM, math.pi)) - _DOT_SLACK
-    inside: set[int] = set()
-    for i, j in _marked(candidates, existing, lambda dots: cut):
-        c, t = candidates[i], existing[j]
-        if i not in inside and haversine_km(c.lat, c.lon, t.lat, t.lon) < radius_km:
-            inside.add(i)
-    kept: list[CandidateSite] = []
-    excluded_count = 0
-    excluded_cap = 0.0
-    for i, c in enumerate(candidates):
-        if i in inside:
-            excluded_count += 1
-            excluded_cap += c.capacity
-        else:
-            kept.append(c)
+    lat, lon = candidates.lat.tolist(), candidates.lon.tolist()
+    t_lat, t_lon = [t.lat for t in existing], [t.lon for t in existing]
+    inside = np.zeros(len(candidates), dtype=bool)
+    for i, j in _marked(lat, lon, t_lat, t_lon, lambda dots: cut):
+        if not inside[i] and haversine_km(lat[i], lon[i], t_lat[j], t_lon[j]) < radius_km:
+            inside[i] = True
+    excluded_count = int(inside.sum())
+    excluded_cap = sum(candidates.caps[inside].tolist())
+    total_cap = sum(candidates.caps.tolist())
     n = len(candidates)
     report = ExclusionReport(
         excluded_count=excluded_count,
@@ -114,51 +110,49 @@ def exclusion_filter(candidates: list[CandidateSite], existing,
         excluded_share_count=excluded_count / n if n else 0.0,
         excluded_share_capacity=excluded_cap / total_cap if total_cap else 0.0,
     )
-    return kept, report
+    return candidates.take(np.flatnonzero(~inside)), report
 
 
-def nearest_transformer(candidates: list[CandidateSite],
-                        transformers: list[Transformer],
-                        ) -> tuple[dict[int, float], dict[int, int]]:
+def nearest_transformer(candidates: SiteTable, transformers: list[Transformer],
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Straight-line km to the nearest transformer for every candidate.
 
-    Returns (site_id -> length_km, site_id -> transformer_id). Ties go to
-    the lowest transformer_id. Fails hard on an empty transformer set.
+    Returns per-row arrays (length_km, transformer_id). Ties go to the
+    lowest transformer_id. Fails hard on an empty transformer set.
     """
     if not transformers:
         raise PlanError("no transformers available for network-length computation")
-    best: dict[int, tuple[float, int]] = {}
-    for i, j in _marked(candidates, transformers,
+    lat, lon = candidates.lat.tolist(), candidates.lon.tolist()
+    t_lat, t_lon = [t.lat for t in transformers], [t.lon for t in transformers]
+    t_ids = [t.transformer_id for t in transformers]
+    best = [(math.inf, 0)] * len(candidates)
+    for i, j in _marked(lat, lon, t_lat, t_lon,
                         lambda dots: dots.max(axis=1, keepdims=True) - _DOT_SLACK):
-        c, t = candidates[i], transformers[j]
-        hit = (haversine_km(c.lat, c.lon, t.lat, t.lon), t.transformer_id)
-        if i not in best or hit < best[i]:
+        hit = (haversine_km(lat[i], lon[i], t_lat[j], t_lon[j]), t_ids[j])
+        if hit < best[i]:
             best[i] = hit
-    lengths = {candidates[i].site_id: d for i, (d, _) in best.items()}
-    nearest_ids = {candidates[i].site_id: tid for i, (_, tid) in best.items()}
-    return lengths, nearest_ids
+    return (np.array([d for d, _ in best], dtype=float),
+            np.array([tid for _, tid in best], dtype=np.int64))
 
 
-def nearest_transformer_bruteforce(candidates, transformers) -> tuple[dict[int, float], dict[int, int]]:
+def nearest_transformer_bruteforce(candidates: SiteTable, transformers: list[Transformer],
+                                   ) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive O(n*m) reference scan; oracle for `nearest_transformer`."""
     if not transformers:
         raise PlanError("no transformers available for network-length computation")
-    lengths, nearest_ids = {}, {}
-    for c in candidates:
-        best = min((haversine_km(c.lat, c.lon, t.lat, t.lon), t.transformer_id)
+    lengths, nearest_ids = [], []
+    for lat, lon in zip(candidates.lat.tolist(), candidates.lon.tolist()):
+        best = min((haversine_km(lat, lon, t.lat, t.lon), t.transformer_id)
                    for t in transformers)
-        lengths[c.site_id] = best[0]
-        nearest_ids[c.site_id] = best[1]
-    return lengths, nearest_ids
+        lengths.append(best[0])
+        nearest_ids.append(best[1])
+    return np.array(lengths, dtype=float), np.array(nearest_ids, dtype=np.int64)
 
 
 def prep_instance(instance: Instance,
                   buffer_diameter_m: float = DEFAULT_BUFFER_DIAMETER_M,
                   ) -> tuple[Instance, ExclusionReport]:
     """Exclusion filter + nearest-transformer lengths, as a new Instance."""
-    kept, report = exclusion_filter(instance.candidates, instance.existing, buffer_diameter_m)
-    filtered = Instance(candidates=kept, municipalities=instance.municipalities,
-                        existing=instance.existing, transformers=instance.transformers,
-                        metadata=instance.metadata)
+    kept, report = exclusion_filter(instance.sites, instance.existing, buffer_diameter_m)
     lengths, _ = nearest_transformer(kept, instance.transformers)
-    return with_network_lengths(filtered, lengths), report
+    return with_network_lengths(replace(instance, sites=kept), lengths), report

@@ -36,16 +36,36 @@ def _selected_sites(selection: Selection, instance: Instance):
     return zip(sites.lon[rows].tolist(), sites.lat[rows].tolist(), records)
 
 
+# one Point feature in the layout of json.dump(..., indent=1); the %s slots
+# take lon, lat and the _SELECTION_FIELDS values as JSON literals
+_FEATURE = """  {
+   "type": "Feature",
+   "geometry": {
+    "type": "Point",
+    "coordinates": [
+     %s,
+     %s
+    ]
+   },
+   "properties": {
+""" + ",\n".join(f'    "{name}": %s' for name in _SELECTION_FIELDS) + """
+   }
+  }"""
+
+
 def write_geojson(selection: Selection, instance: Instance, path: str) -> None:
-    """Selection as a GeoJSON FeatureCollection of Point features."""
-    features = [{"type": "Feature",
-                 "geometry": {"type": "Point", "coordinates": [lon, lat]},
-                 "properties": dict(zip(_SELECTION_FIELDS, record))}
-                for lon, lat, record in _selected_sites(selection, instance)]
-    doc = {"type": "FeatureCollection", "features": features}
+    """Selection as a GeoJSON FeatureCollection of Point features.
+
+    The text is what json.dump(doc, f, indent=1) writes for the document,
+    built from a per-feature template; repr() of a finite float is its
+    JSON literal, and a missing network length is null.
+    """
+    features = ",\n".join(
+        _FEATURE % tuple("null" if v is None else repr(v) for v in (lon, lat, *record))
+        for lon, lat, record in _selected_sites(selection, instance))
+    body = f"[\n{features}\n ]" if features else "[]"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+        f.write(f'{{\n "type": "FeatureCollection",\n "features": {body}\n}}\n')
 
 
 def write_selection_csv(selection: Selection, instance: Instance, path: str) -> None:
@@ -156,8 +176,3 @@ def write_manifest(out_dir: str, inputs: list[str], config: dict,
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-
-
-def instance_files(directory: str) -> list[str]:
-    return [os.path.join(directory, n) for n in
-            ("candidates.csv", "municipalities.csv", "existing.csv", "transformers.csv")]

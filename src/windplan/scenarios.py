@@ -120,7 +120,7 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
     instance-wide infeasibility (capacity target above total potential)
     aborts with the offending scenario named.
     """
-    potential_total = sum(c.capacity for c in instance.candidates)
+    potential_total = sum(instance.sites.caps.tolist())
     pots = municipal_potentials(instance)
     needs_scaling = any(len(cfg.weights.active()) > 1 for cfg in grid)
     scaled = scale_candidates(instance.sites) if needs_scaling else None

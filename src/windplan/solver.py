@@ -14,8 +14,8 @@ heuristic:
      until the cap is met with minimal slack,
   e) certify with an LP-relaxation lower bound and report the gap.
 
-The pool is read only through `Instance.sites`, the SiteTable built once
-per instance; a row index is a position in that table (site_id order).
+The pool is the instance's SiteTable, `Instance.sites`; a row index is a
+position in that table (site_id order).
 
 A heuristic run sorts only the prefix of the global ratio order that its
 greedy fill and polish rounds read (`_RatioOrder`), and polish tests all
@@ -28,6 +28,7 @@ Everything is deterministic; ties break on the lowest site id.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -294,7 +295,7 @@ def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
     """
     sites, cost, ids = state.sites, state.cost, state.sites.ids
     caps, mun = sites.caps, sites.mun
-    n = sites.n
+    n = len(sites)
     if neighborhood is None:
         neighborhood = n if n <= 400 else 120
     cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
@@ -355,7 +356,7 @@ def _try_move(state: _State, cap_obj: float, outs: tuple[int, ...],
 
 def _deep_polish(state: _State, cap_obj: float) -> None:
     """Exchange moves up to 2-out / 2-in; only used on small pools."""
-    n = state.sites.n
+    n = len(state.sites)
     guard = 0
     changed = True
     while changed and guard < 80:
@@ -415,7 +416,7 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
     (None without floors).
     """
     caps = sites.caps
-    used = np.zeros(sites.n)  # fraction of each site already committed
+    used = np.zeros(len(sites))  # fraction of each site already committed
     total_cost = 0.0
     floor_cap = 0.0
     for j, floor in floors.items():
@@ -554,7 +555,7 @@ def _run_heuristic(sites: SiteTable, cost: np.ndarray, cap_obj: float,
     if deep:
         # covering greedy is weakest around the last site added; forcing
         # each site into the start escapes that trap on small pools
-        for i in range(sites.n):
+        for i in range(len(sites)):
             st = _greedy(sites, cost, cap_obj, floors, cap_specs, preselect=(i,))
             _polish(st, cap_obj)
             if st.obj < state.obj - 1e-12:
@@ -573,7 +574,7 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
     """Exhaustive subset search; returns (best mask, objective) or None
     if no feasible subset exists. Ties go to the lexicographically
     smallest installed id-set."""
-    n = sites.n
+    n = len(sites)
     best_obj = np.inf
     best_ids: tuple[int, ...] | None = None
     best_mask = 0
@@ -612,7 +613,7 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
 def solve(instance: Instance, weights: Weights, constraints: Constraints,
           scaled: ScaledCriteria | None = None) -> Selection:
     """Exact (small pools) or certified-heuristic solve; see module docstring."""
-    if not instance.candidates:
+    if not len(instance.sites):
         raise InfeasibleError("instance has no candidate sites")
     sites = instance.sites
     cost = site_costs(sites, weights, scaled)
@@ -627,7 +628,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             f"total potential {total_potential:.3f} MW below capacity target "
             f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
 
-    if sites.n <= BRUTE_FORCE_LIMIT:
+    if len(sites) <= BRUTE_FORCE_LIMIT:
         # small pools are enumerated exactly; local search alone cannot
         # certify the multi-exchange optima these covering instances need
         exact = _enumerate(sites, cost, cap_obj, floors, cap_specs)
@@ -646,12 +647,12 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
                         f"achievable {vmin[1]:.6f}")
             raise InfeasibleError(
                 f"caps {[name for name, _, _ in named_specs]} unattainable together")
-        state = _State(sites, cost, floors, cap_specs, _mask_rows(exact[0], sites.n))
+        state = _State(sites, cost, floors, cap_specs, _mask_rows(exact[0], len(sites)))
         bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs,
                              [0.0] * len(cap_specs))
         return _make_selection(sites, state, cost, min(bound, state.obj))
 
-    deep = sites.n <= 24
+    deep = len(sites) <= 24
     lambdas = [0.0] * len(cap_specs)
     state = _run_heuristic(sites, cost, cap_obj, floors, cap_specs, deep)
 
@@ -700,7 +701,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
 
         if best is None:
             # repair: start from a selection minimizing each violated cap
-            repair_cost = np.zeros(sites.n)
+            repair_cost = np.zeros(len(sites))
             for (v, limit) in cap_specs:
                 repair_cost = repair_cost + v
             state = _run_heuristic(sites, repair_cost, cap_obj, floors, cap_specs, deep)
@@ -724,7 +725,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
 def brute_force(instance: Instance, weights: Weights, constraints: Constraints,
                 scaled: ScaledCriteria | None = None) -> Selection:
     """Exact optimum by exhaustive subset enumeration (oracle, N <= 22)."""
-    n = len(instance.candidates)
+    n = len(instance.sites)
     if n > BRUTE_FORCE_LIMIT:
         raise PlanError(f"brute_force refused: N={n} > {BRUTE_FORCE_LIMIT}")
     sites = instance.sites
@@ -854,16 +855,19 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
 
 def verify_selection(selection: Selection, instance: Instance,
                      constraints: Constraints) -> bool:
-    """Recompute feasibility of a Selection from raw instance data."""
-    by_id = {c.site_id: c for c in instance.candidates}
-    sites = [by_id[s] for s in selection.site_ids]
-    cap_total = sum(s.capacity for s in sites)
-    if not _ge(cap_total, constraints.cap_obj):
+    """Recompute feasibility of a Selection from the raw instance columns,
+    in a plain loop with its own id map."""
+    sites = instance.sites
+    row_of = {sid: k for k, sid in enumerate(sites.ids.tolist())}
+    rows = [row_of[s] for s in selection.site_ids]
+    caps, mun, lcoe, scenic, length = (col.tolist() for col in (
+        sites.caps, sites.mun, sites.lcoe, sites.scenicness, sites.network_length))
+    if not _ge(sum(caps[k] for k in rows), constraints.cap_obj):
         return False
     crit_totals = {
-        "lcoe": sum(s.lcoe for s in sites),
-        "scenicness": sum(s.scenicness for s in sites),
-        "network_length": sum(s.network_length or 0.0 for s in sites),
+        "lcoe": sum(lcoe[k] for k in rows),
+        "scenicness": sum(scenic[k] for k in rows),
+        "network_length": sum(0.0 if math.isnan(length[k]) else length[k] for k in rows),
     }
     for crit, fld in _CAP_FIELDS.items():
         limit = getattr(constraints, fld)
@@ -871,8 +875,8 @@ def verify_selection(selection: Selection, instance: Instance,
             return False
     if constraints.equity_floors:
         mun_caps: dict[int, float] = {}
-        for s in sites:
-            mun_caps[s.municipality_id] = mun_caps.get(s.municipality_id, 0.0) + s.capacity
+        for k in rows:
+            mun_caps[mun[k]] = mun_caps.get(mun[k], 0.0) + caps[k]
         for j, floor in constraints.equity_floors.items():
             if floor > 0 and not _ge(mun_caps.get(j, 0.0), floor):
                 return False

@@ -17,11 +17,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .domain import (
-    CandidateSite,
     ExistingTurbine,
     Instance,
     Municipality,
     PlanError,
+    SiteTable,
     Transformer,
 )
 
@@ -204,13 +204,9 @@ def generate(spec: SynthSpec) -> Instance:
     tr_lon = rng.uniform(spec.lon_min, spec.lon_max, spec.n_transformers)
     tr_voltage = rng.choice([20, 110], size=spec.n_transformers, p=[0.45, 0.55])
 
-    candidates = [CandidateSite(
-        site_id=i + 1,
-        municipality_id=int(mun_idx[i]) + 1,
-        lat=float(site_lat[i]), lon=float(site_lon[i]),
-        capacity=float(capacity[i]), lcoe=float(lcoe[i]),
-        scenicness=float(scenic[i]), full_load_hours=float(flh[i]),
-    ) for i in range(spec.n_sites)]
+    sites = SiteTable.from_columns(
+        ids=np.arange(1, spec.n_sites + 1), mun=mun_idx + 1, lat=site_lat, lon=site_lon,
+        caps=capacity, lcoe=lcoe, scenicness=scenic, full_load_hours=flh)
 
     ex_sums: dict[int, float] = {}
     existing = []
@@ -236,6 +232,5 @@ def generate(spec: SynthSpec) -> Instance:
         voltage_kv=int(tr_voltage[t]),
     ) for t in range(spec.n_transformers)]
 
-    return Instance(candidates=candidates, municipalities=municipalities,
-                    existing=existing, transformers=transformers,
-                    metadata=f"synthetic seed={spec.seed} n_sites={spec.n_sites}")
+    return Instance(sites=sites, municipalities=municipalities,
+                    existing=existing, transformers=transformers)

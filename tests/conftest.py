@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from windplan.domain import (
@@ -5,6 +6,7 @@ from windplan.domain import (
     ExistingTurbine,
     Instance,
     Municipality,
+    SiteTable,
     Transformer,
 )
 
@@ -23,11 +25,21 @@ def mk_mun(mun_id, population=1000.0, region="NonSouth", state=1, area=50.0,
                         area=area, existing_capacity=existing)
 
 
+SITE_COLUMNS = ("ids", "mun", "lat", "lon", "caps", "lcoe", "scenicness",
+                "full_load_hours", "network_length")
+
+
+def same_sites(a, b):
+    """Two SiteTables hold the same rows; NaN lengths compare equal."""
+    return all(np.array_equal(getattr(a, c), getattr(b, c), equal_nan=True)
+               for c in SITE_COLUMNS)
+
+
 def mk_instance(candidates, municipalities=None, existing=None, transformers=None):
     if municipalities is None:
         mun_ids = sorted({c.municipality_id for c in candidates})
         municipalities = [mk_mun(j) for j in mun_ids]
-    return Instance(candidates=candidates, municipalities=municipalities,
+    return Instance(sites=SiteTable.of(candidates), municipalities=municipalities,
                     existing=existing or [], transformers=transformers or [])
 
 
@@ -46,5 +58,5 @@ def abc_instance():
     return mk_instance(sites)
 
 
-__all__ = ["mk_site", "mk_mun", "mk_instance", "CandidateSite", "ExistingTurbine",
-           "Municipality", "Transformer", "Instance"]
+__all__ = ["mk_site", "mk_mun", "mk_instance", "same_sites", "SITE_COLUMNS",
+           "CandidateSite", "ExistingTurbine", "Municipality", "Transformer", "Instance"]

@@ -72,7 +72,7 @@ def test_acceptance_01_oracle_equivalence():
     for trial in range(200):
         n = int(rng.integers(6, 19))
         inst = _rand_instance(rng, n, int(rng.integers(2, 5)))
-        total_cap = sum(c.capacity for c in inst.candidates)
+        total_cap = sum(inst.sites.caps.tolist())
         cap_obj = float(rng.uniform(0.2, 0.75)) * total_cap
         weights = WEIGHT_CHOICES[int(rng.integers(0, 4))]
         mode = int(rng.integers(0, 4))
@@ -149,10 +149,9 @@ def test_acceptance_05_pareto_fronts():
     checked_points = 0
     for trial in range(8):
         inst = _rand_instance(rng, int(rng.integers(8, 16)), 3)
-        if len(inst.candidates) > 15:
+        if len(inst.sites) > 15:
             continue
-        cap_obj = float(rng.uniform(0.25, 0.6)) * sum(c.capacity
-                                                      for c in inst.candidates)
+        cap_obj = float(rng.uniform(0.25, 0.6)) * sum(inst.sites.caps.tolist())
         optimize, sweep = pairs[trial % len(pairs)]
         front = pareto_sweep(inst, optimize, sweep, Constraints(cap_obj=cap_obj),
                              steps=6)
@@ -201,12 +200,13 @@ def test_acceptance_07_geoprep_exactness():
                                     lon=rnd.uniform(6, 15),
                                     voltage_kv=rnd.choice([20, 110]))
                         for t in range(rnd.randint(1, 40))]
-        cands = [mk_site(i + 1, lat=rnd.uniform(47, 55), lon=rnd.uniform(6, 15))
-                 for i in range(60)]
-        assert (nearest_transformer(cands, transformers)
-                == nearest_transformer_bruteforce(cands, transformers))
-    cands = [mk_site(i + 1, lat=rnd.uniform(49, 51), lon=rnd.uniform(9, 11))
-             for i in range(150)]
+        cands = SiteTable.of([mk_site(i + 1, lat=rnd.uniform(47, 55),
+                                      lon=rnd.uniform(6, 15)) for i in range(60)])
+        fast = nearest_transformer(cands, transformers)
+        slow = nearest_transformer_bruteforce(cands, transformers)
+        assert all(a.tolist() == b.tolist() for a, b in zip(fast, slow))
+    cands = SiteTable.of([mk_site(i + 1, lat=rnd.uniform(49, 51), lon=rnd.uniform(9, 11))
+                          for i in range(150)])
     existing = [ExistingTurbine(turbine_id=t + 1, municipality_id=1,
                                 lat=rnd.uniform(49, 51), lon=rnd.uniform(9, 11),
                                 capacity=1.0) for t in range(15)]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -202,6 +203,41 @@ def test_exit_code_validation(prepped, tmp_path):
     assert code == 1
 
 
+def _corrupted_copy(src, dst, column, value):
+    """Copy of an instance directory with one candidate field replaced; the
+    site id of the changed row."""
+    dst.mkdir()
+    for name in os.listdir(src):
+        if name.endswith(".csv"):
+            (dst / name).write_bytes((src / name).read_bytes())
+    path = dst / "candidates.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[3].split(",")
+    parts[lines[0].split(",").index(column)] = value
+    lines[3] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    return int(parts[0])
+
+
+def test_prep_infinite_capacity_is_validation_error(prepped, tmp_path, capsys):
+    root, _ = prepped
+    site = _corrupted_copy(root / "raw", tmp_path / "raw", "capacity_mw", "inf")
+    code = main(["prep", "--instance", str(tmp_path / "raw"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"site {site}: capacity inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_nan_lcoe_is_validation_error(prepped, tmp_path, capsys):
+    root, prep = prepped
+    site = _corrupted_copy(prep, tmp_path / "prep", "lcoe_ct_kwh", "nan")
+    code = main(["solve", "--instance", str(tmp_path / "prep"),
+                 "--scenario", str(_scenario_file(root, 120.0)), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"site {site}: lcoe nan is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_io(prepped, tmp_path):
     root, prep = prepped
     code = main(["metrics", "--selection", str(tmp_path / "nope.csv"),
@@ -248,3 +284,86 @@ def test_grid_non_numeric_weight_is_validation_error(prepped, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert str(grid_path) in err and "'w_c'" in err and "'abc'" in err
+
+
+# sha256 of every file the pipeline below writes, except run_manifest.json
+# (timings); a change to any result byte shows here
+GOLDEN = {
+    "raw/candidates.csv":
+        "7f9288aaad0df1d1b9b7c9f5f63cfb69c6bd90f40b1fac9f0206f1f06fd02e96",
+    "raw/existing.csv":
+        "f52d853137e690794a5239cabf2dd27a5de3b01802d04544f65f9d2ef86c598f",
+    "raw/municipalities.csv":
+        "101920d5588ad6bb1fdd7f8ba03f401f2057ac005073346ef132ea30df414400",
+    "raw/transformers.csv":
+        "73fb536b3616362335f84e645d6c5b09ae31928a0194eaf6b22a346d5b17ac08",
+    "prep/candidates.csv":
+        "64366616bbb596403e77f24170a49d8408c0e49699f88c231466b524a2e79c11",
+    "prep/exclusion_report.json":
+        "02b8ff39fc304a1127194d3de04090cadc968bc9eceb9b8ed3c7ed700f026eb0",
+    "prep/existing.csv":
+        "f52d853137e690794a5239cabf2dd27a5de3b01802d04544f65f9d2ef86c598f",
+    "prep/municipalities.csv":
+        "101920d5588ad6bb1fdd7f8ba03f401f2057ac005073346ef132ea30df414400",
+    "prep/transformers.csv":
+        "73fb536b3616362335f84e645d6c5b09ae31928a0194eaf6b22a346d5b17ac08",
+    "grid/radar.csv":
+        "16de00e903186ff8d6f38b6703692e016dd88da42e8584ab585d4efd1acbea06",
+    "grid/results.csv":
+        "88cf66fe2c863484b5ec659844307ab403a123b9565f3ef52bfb230a8d738cb2",
+    "grid/selection_Base_LCOE.geojson":
+        "4ab715b50f9cfb9d7acc06b01e3e57149a8cf6ad7adbaeff119a018cfe872471",
+    "grid/selection_Base_LCOE_E.geojson":
+        "8e4087b1fa8224a7e2eff024b4ee5a0ac11bf4037fbc43ff2d781f3a33dead80",
+    "grid/selection_Base_Network.geojson":
+        "b0ad5df88f7b5c2cc7c55540993f2ded97cae723f1e38c13d56d5bf24b0e60ee",
+    "grid/selection_Base_Network_E.geojson":
+        "4b059231d952f15e2eee361a30c4ef193c9971d83ab3187f9dcb717082cda77e",
+    "grid/selection_Base_Scenic.geojson":
+        "94d0533fe9cc3b866e9a5e6cab7a2595463bee236716937683774273d22dd397",
+    "grid/selection_Base_Scenic_E.geojson":
+        "903e0fd1fb827ebf587ac6c4c1d5257114336a860321ff7538fb5bfc9bb4a70a",
+    "grid/selection_Base_all.geojson":
+        "676d96e3d19ea00e0b56faa00adeea04b677a3e33119239473d9adc1f03538bf",
+    "grid/selection_Base_all_E.geojson":
+        "36757e780ce6d969dbf8beb29ef1b90344e73364f00ec220fdaa20e8a3955e77",
+    "grid/selection_High_LCOE.geojson":
+        "125c00d8d15ef3df908644dab125eceb332315b0dda5fb13d3c987eff089d509",
+    "grid/selection_High_LCOE_E.geojson":
+        "79c7d46eba49d132d40fcacface8fe0ad85126c5ff1551a9a60277de4f570c45",
+    "grid/selection_High_Network.geojson":
+        "970c110c9b6839457dd81b5d5267c7fcfeb334aba4b1222fe4f6f0c742d9e062",
+    "grid/selection_High_Network_E.geojson":
+        "53ffb54c4a714b1140a74473a293fecba8a987435bfb85e9e1146a17db15cc6b",
+    "grid/selection_High_Scenic.geojson":
+        "72ad41856cab2ebe31b99ad1257e8da35b9934c016e18363c0d47e0e5dfefcf0",
+    "grid/selection_High_Scenic_E.geojson":
+        "b7ba062e44590326706425a558851e8f67d9979c37884a4585f2e95ceb128235",
+    "solve/selection.csv":
+        "5be89d940cb73d67ff98adcea04c548bf082452616fca57b8306e4869dde7310",
+    "solve/selection.geojson":
+        "93cdc5976c4120c6be4f4b7964a08c97c3cd5cc343a9232ac19ef7114ac05912",
+    "solve/summary.json":
+        "ff744011e3dd34c1e670036ecfd67ce151202ae00da8449f1209e4fb248453ac",
+}
+
+
+def test_pipeline_bytes_match_golden_digests(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"name": "t", "w_c": 1.0, "w_s": 1.0, "w_l": 1.0,
+                                    "equity": True, "total_capacity_mw": 130.0}))
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(raw)]) == 0
+    assert main(["prep", "--instance", str(raw), "--out", str(prep)]) == 0
+    assert main(["scenarios", "--instance", str(prep), "--grid", "builtin",
+                 "--scale", "0.003", "--out", str(tmp_path / "grid")]) == 0
+    assert main(["solve", "--instance", str(prep), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "solve")]) == 0
+    digests = {f"{step}/{name}": hashlib.sha256((tmp_path / step / name).read_bytes())
+               .hexdigest()
+               for step in ("raw", "prep", "grid", "solve")
+               for name in sorted(os.listdir(tmp_path / step))
+               if name != "run_manifest.json"}
+    assert digests == GOLDEN

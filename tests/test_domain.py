@@ -1,9 +1,11 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 
-from conftest import mk_instance, mk_mun, mk_site
+from conftest import mk_instance, mk_mun, mk_site, same_sites
 from windplan.domain import (
     ExistingTurbine,
     SiteTable,
@@ -32,7 +34,7 @@ def test_round_trip_bit_exact(tmp_path):
     inst = _full_instance()
     write_instance(inst, str(tmp_path))
     loaded = read_instance(str(tmp_path))
-    assert loaded.candidates == inst.candidates
+    assert same_sites(loaded.sites, inst.sites)
     assert loaded.municipalities == inst.municipalities
     assert loaded.existing == inst.existing
     assert loaded.transformers == inst.transformers
@@ -79,6 +81,105 @@ def test_validate_site_range_violations(site):
     rep = validate_instance(mk_instance([site]))
     assert any(v.kind == "RangeViolation" and v.offending_id == 1
                for v in rep.violations)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("capacity", math.inf, "site 1: capacity inf is not finite"),
+    ("capacity", math.nan, "site 1: capacity nan is not finite"),
+    ("lcoe", math.nan, "site 1: lcoe nan is not finite"),
+    ("lcoe", math.inf, "site 1: lcoe inf is not finite"),
+    ("flh", math.nan, "site 1: full_load_hours nan is not finite"),
+    ("flh", math.inf, "site 1: full_load_hours inf is not finite"),
+    ("length", math.inf, "site 1: network_length inf is not finite"),
+])
+def test_validate_non_finite_site_values(field, value, message):
+    rep = validate_instance(mk_instance([mk_site(1, **{field: value}), mk_site(2)]))
+    assert [(v.kind, v.offending_id, v.message) for v in rep.violations] == [
+        ("RangeViolation", 1, message)]
+
+
+def _site_violations_loop(sites, mun_ids):
+    """Test-local per-site reference: the record loop validate_instance ran
+    before the pool became columns, plus the non-finite rule."""
+    out = []
+
+    def check(sid, name, value, bad, rule):
+        if bad:
+            out.append(("RangeViolation", sid, f"site {sid}: {name} {value} {rule}"))
+        elif not math.isfinite(value):
+            out.append(("RangeViolation", sid, f"site {sid}: {name} {value} is not finite"))
+
+    for c in sites:
+        if c.municipality_id not in mun_ids:
+            out.append(("MissingReference", c.site_id, f"site {c.site_id} references "
+                                                       f"unknown municipality {c.municipality_id}"))
+        check(c.site_id, "scenicness", c.scenicness, not (1.0 <= c.scenicness <= 9.0),
+              "outside [1, 9]")
+        check(c.site_id, "capacity", c.capacity, c.capacity <= 0, "<= 0")
+        check(c.site_id, "lcoe", c.lcoe, c.lcoe <= 0, "<= 0")
+        check(c.site_id, "full_load_hours", c.full_load_hours, c.full_load_hours < 0, "< 0")
+        if c.network_length is not None and not math.isnan(c.network_length):  # NaN: none
+            check(c.site_id, "network_length", c.network_length, c.network_length < 0, "< 0")
+        check(c.site_id, "lat", c.lat, not (-90.0 <= c.lat <= 90.0), "outside [-90, 90]")
+        check(c.site_id, "lon", c.lon, not (-180.0 <= c.lon <= 180.0), "outside [-180, 180]")
+    return out
+
+
+def test_validate_matches_per_site_loop():
+    rng = random.Random(5)
+    odd = [0.0, -1.0, 0.5, 9.5, 91.0, -181.0, math.nan, math.inf, -math.inf]
+
+    def value(good):
+        return rng.choice(odd) if rng.random() < 0.08 else good
+
+    for _ in range(20):
+        sites = [mk_site(sid, mun=rng.choice([1, 2, 9]), lat=value(50.0), lon=value(10.0),
+                         capacity=value(2.0), lcoe=value(5.0), scenicness=value(4.0),
+                         flh=value(2000.0), length=rng.choice([None, value(1.0)]))
+                 for sid in rng.sample(range(1, 200), 60)]
+        inst = mk_instance(sites, municipalities=[mk_mun(1), mk_mun(2)])
+        got = [(v.kind, v.offending_id, v.message) for v in validate_instance(inst).violations]
+        want = _site_violations_loop(sorted(sites, key=lambda c: c.site_id), {1, 2})
+        assert got == want
+        assert want
+
+
+def test_validate_missing_length_is_not_a_violation():
+    assert validate_instance(mk_instance([mk_site(1, length=None)])).ok()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("population", math.nan, "municipality 1: population nan is not finite"),
+    ("population", math.inf, "municipality 1: population inf is not finite"),
+    ("area", math.nan, "municipality 1: area nan is not finite"),
+    ("area", math.inf, "municipality 1: area inf is not finite"),
+])
+def test_validate_non_finite_municipality_values(field, value, message):
+    rep = validate_instance(mk_instance([mk_site(1)],
+                                        municipalities=[mk_mun(1, **{field: value})]))
+    assert [(v.kind, v.offending_id, v.message) for v in rep.violations] == [
+        ("RangeViolation", 1, message)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_non_finite_turbine_capacity(value):
+    inst = mk_instance([mk_site(1)], municipalities=[mk_mun(1, existing=value)], existing=[
+        ExistingTurbine(turbine_id=4, municipality_id=1, lat=50.0, lon=10.0, capacity=value)])
+    rep = validate_instance(inst)
+    assert [(v.kind, v.offending_id, v.message) for v in rep.violations] == [
+        ("RangeViolation", 4, f"turbine 4: capacity {value} is not finite")]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_read_rejects_literal_non_finite_length(tmp_path, text):
+    write_instance(_full_instance(), str(tmp_path))
+    path = tmp_path / "candidates.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",network_length_km") and lines[2].endswith(",")
+    lines[2] += text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"site 2: network_length_km '{text}' is not finite"):
+        read_instance(str(tmp_path))
 
 
 def test_validate_municipality_ranges():
@@ -130,26 +231,46 @@ def test_read_missing_column(tmp_path):
         read_instance(str(tmp_path))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row + ",7", "line 2: 10 fields, the header has 9"),
+    (lambda row: row.rsplit(",", 1)[0], "line 2: 8 fields, the header has 9"),
+    (lambda row: row.replace(",2.347,", ",abc,"), "column capacity_mw: could not convert"),
+    (lambda row: "\n" + row, None),  # a blank line is skipped
+])
+def test_read_malformed_candidate_rows(tmp_path, edit, message):
+    write_instance(_full_instance(), str(tmp_path))
+    path = tmp_path / "candidates.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = edit(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    if message is None:
+        assert read_instance(str(tmp_path)).sites.ids.tolist() == [1, 2]
+    else:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_instance(str(tmp_path))
+
+
 def test_read_sorts_by_id(tmp_path):
     inst = mk_instance([mk_site(2), mk_site(1)])
     write_instance(inst, str(tmp_path))
     loaded = read_instance(str(tmp_path))
-    assert [c.site_id for c in loaded.candidates] == [1, 2]
+    assert loaded.sites.ids.tolist() == [1, 2]
 
 
 def test_site_table_sorts_shuffled_candidates():
-    sites = [mk_site(7, mun=3, capacity=7.0, lcoe=7.5, scenicness=1.7, length=0.7),
-             mk_site(2, mun=5, capacity=2.0, lcoe=2.5, scenicness=1.2, length=None),
-             mk_site(9, mun=5, capacity=9.0, lcoe=9.5, scenicness=1.9, length=0.9),
-             mk_site(4, mun=3, capacity=4.0, lcoe=4.5, scenicness=1.4, length=0.4),
-             mk_site(5, mun=1, capacity=5.0, lcoe=5.5, scenicness=1.5, length=0.5)]
+    sites = [mk_site(7, mun=3, capacity=7.0, lcoe=7.5, scenicness=1.7, flh=70.0, length=0.7),
+             mk_site(2, mun=5, capacity=2.0, lcoe=2.5, scenicness=1.2, flh=20.0, length=None),
+             mk_site(9, mun=5, capacity=9.0, lcoe=9.5, scenicness=1.9, flh=90.0, length=0.9),
+             mk_site(4, mun=3, capacity=4.0, lcoe=4.5, scenicness=1.4, flh=40.0, length=0.4),
+             mk_site(5, mun=1, capacity=5.0, lcoe=5.5, scenicness=1.5, flh=50.0, length=0.5)]
     table = SiteTable.of(sites)
-    assert table.n == 5
+    assert len(table) == 5
     assert table.ids.tolist() == [2, 4, 5, 7, 9]
     assert table.mun.tolist() == [5, 3, 1, 3, 5]
     assert table.caps.tolist() == [2.0, 4.0, 5.0, 7.0, 9.0]
     assert table.lcoe.tolist() == [2.5, 4.5, 5.5, 7.5, 9.5]
     assert table.scenicness.tolist() == [1.2, 1.4, 1.5, 1.7, 1.9]
+    assert table.full_load_hours.tolist() == [20.0, 40.0, 50.0, 70.0, 90.0]
     assert np.isnan(table.network_length[0])
     assert table.network_length[1:].tolist() == [0.4, 0.5, 0.7, 0.9]
     # rows grouped by municipality, ascending within each group
@@ -157,12 +278,6 @@ def test_site_table_sorts_shuffled_candidates():
     assert table.mun_rows == {1: (0, 1), 3: (1, 3), 5: (3, 5)}
     with pytest.raises(ValueError):
         table.caps[0] = 1.0
-
-
-def test_instance_sites_built_once():
-    inst = mk_instance([mk_site(2), mk_site(1)])
-    assert inst.sites is inst.sites
-    assert inst.sites.ids.tolist() == [1, 2]
 
 
 def test_site_table_rows_keep_input_order():

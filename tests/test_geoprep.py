@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import mk_instance, mk_site
-from windplan.domain import ExistingTurbine, PlanError, Transformer
+from windplan.domain import ExistingTurbine, PlanError, SiteTable, Transformer
 from windplan.geoprep import (
     EARTH_RADIUS_KM,
     exclusion_filter,
@@ -33,12 +33,12 @@ def test_nearest_matches_scan_random():
                                     lon=rng.uniform(6, 15),
                                     voltage_kv=rng.choice([20, 110]))
                         for t in range(m)]
-        candidates = [mk_site(i + 1, lat=rng.uniform(47, 55), lon=rng.uniform(6, 15))
-                      for i in range(100)]
+        candidates = SiteTable.of([mk_site(i + 1, lat=rng.uniform(47, 55),
+                                           lon=rng.uniform(6, 15)) for i in range(100)])
         lengths, ids = nearest_transformer(candidates, transformers)
         b_lengths, b_ids = nearest_transformer_bruteforce(candidates, transformers)
-        assert ids == b_ids
-        assert lengths == b_lengths
+        assert ids.tolist() == b_ids.tolist()
+        assert lengths.tolist() == b_lengths.tolist()
 
 
 def test_nearest_tie_goes_to_lowest_id():
@@ -46,9 +46,8 @@ def test_nearest_tie_goes_to_lowest_id():
         Transformer(transformer_id=2, lat=50.0, lon=10.1, voltage_kv=20),
         Transformer(transformer_id=1, lat=50.0, lon=9.9, voltage_kv=20),
     ]
-    cands = [mk_site(1, lat=50.0, lon=10.0)]
-    _, ids = nearest_transformer(cands, transformers)
-    assert ids[1] == 1
+    _, ids = nearest_transformer(SiteTable.of([mk_site(1, lat=50.0, lon=10.0)]), transformers)
+    assert ids.tolist() == [1]
 
 
 def test_nearest_across_antimeridian():
@@ -57,12 +56,19 @@ def test_nearest_across_antimeridian():
     transformers = [Transformer(transformer_id=1, lat=0.0, lon=-179.9, voltage_kv=20)]
     transformers += [Transformer(transformer_id=k + 2, lat=0.0, lon=float(lon), voltage_kv=20)
                      for k, lon in enumerate(range(-170, 180, 10))]
-    cands = [mk_site(1, lat=0.0, lon=179.9)]
+    cands = SiteTable.of([mk_site(1, lat=0.0, lon=179.9)])
     lengths, ids = nearest_transformer(cands, transformers)
-    assert ids == {1: 1}
-    assert lengths[1] == haversine_km(0.0, 179.9, 0.0, -179.9)
-    assert abs(lengths[1] - 0.2 * math.pi * EARTH_RADIUS_KM / 180.0) < 1e-6
-    assert (lengths, ids) == nearest_transformer_bruteforce(cands, transformers)
+    assert ids.tolist() == [1]
+    assert lengths.tolist() == [haversine_km(0.0, 179.9, 0.0, -179.9)]
+    assert abs(lengths[0] - 0.2 * math.pi * EARTH_RADIUS_KM / 180.0) < 1e-6
+    assert _same_nearest(cands, transformers)
+
+
+def _same_nearest(cands, transformers):
+    """nearest_transformer equals the plain-loop scan, bit for bit."""
+    fast = nearest_transformer(cands, transformers)
+    slow = nearest_transformer_bruteforce(cands, transformers)
+    return all(a.tolist() == b.tolist() for a, b in zip(fast, slow))
 
 
 def _transformer(tid, lat, lon):
@@ -98,8 +104,7 @@ def test_nearest_matches_scan_global():
             cands.append(mk_site(64 + k, lat=lat, lon=lon))
             transformers += [_transformer(1000 + 2 * k, lat, lon + d),
                              _transformer(1001 + 2 * k, lat, lon - d)]
-        assert (nearest_transformer(cands, transformers)
-                == nearest_transformer_bruteforce(cands, transformers))
+        assert _same_nearest(SiteTable.of(cands), transformers)
 
 
 def _exclusion_scan(cands, existing, diameter):
@@ -136,9 +141,10 @@ def test_exclusion_matches_scan():
                 above = math.nextafter(above, math.inf)
             diameters += [2000.0 * d, above]
         for diameter in diameters:
-            kept, report = exclusion_filter(cands, existing, buffer_diameter_m=diameter)
+            kept, report = exclusion_filter(SiteTable.of(cands), existing,
+                                            buffer_diameter_m=diameter)
             want_kept, want_count, want_cap = _exclusion_scan(cands, existing, diameter)
-            assert kept == want_kept
+            assert kept.ids.tolist() == [c.site_id for c in want_kept]
             assert report.excluded_count == want_count
             assert report.excluded_capacity_mw == want_cap
             radius = diameter / 2000.0
@@ -151,15 +157,15 @@ def test_exclusion_buffer_wider_than_the_earth():
     # a radius past half the circumference reaches even the antipode
     ex = ExistingTurbine(turbine_id=1, municipality_id=1, lat=50.0, lon=10.0,
                          capacity=2.0)
-    cands = [mk_site(1, lat=-50.0, lon=-170.0), mk_site(2, lat=-49.0, lon=-170.0)]
+    cands = SiteTable.of([mk_site(1, lat=-50.0, lon=-170.0), mk_site(2, lat=-49.0, lon=-170.0)])
     kept, report = exclusion_filter(cands, [ex], buffer_diameter_m=4.1e7)
-    assert kept == []
+    assert len(kept) == 0
     assert report.excluded_count == 2
 
 
 def test_nearest_without_transformers_fails():
     with pytest.raises(PlanError, match="no transformers"):
-        nearest_transformer([mk_site(1)], [])
+        nearest_transformer(SiteTable.of([mk_site(1)]), [])
 
 
 def test_exclusion_boundary_is_kept():
@@ -168,21 +174,21 @@ def test_exclusion_boundary_is_kept():
                          capacity=2.0)
     cand = mk_site(1, lat=50.0, lon=10.004)
     d_km = haversine_km(cand.lat, cand.lon, ex.lat, ex.lon)
-    kept, report = exclusion_filter([cand], [ex], buffer_diameter_m=2000.0 * d_km)
-    assert kept == [cand]
+    kept, report = exclusion_filter(SiteTable.of([cand]), [ex], buffer_diameter_m=2000.0 * d_km)
+    assert kept.ids.tolist() == [1]
     assert report.excluded_count == 0
     # any wider buffer excludes it
-    kept, report = exclusion_filter([cand], [ex],
+    kept, report = exclusion_filter(SiteTable.of([cand]), [ex],
                                     buffer_diameter_m=2000.0 * d_km * 1.0001)
-    assert kept == []
+    assert len(kept) == 0
     assert report.excluded_count == 1
     assert report.excluded_capacity_mw == cand.capacity
 
 
 def test_exclusion_monotone_in_diameter():
     rng = random.Random(3)
-    cands = [mk_site(i + 1, lat=rng.uniform(49, 51), lon=rng.uniform(9, 11))
-             for i in range(200)]
+    cands = SiteTable.of([mk_site(i + 1, lat=rng.uniform(49, 51), lon=rng.uniform(9, 11))
+                          for i in range(200)])
     ex = [ExistingTurbine(turbine_id=t + 1, municipality_id=1,
                           lat=rng.uniform(49, 51), lon=rng.uniform(9, 11),
                           capacity=1.0) for t in range(20)]
@@ -194,9 +200,8 @@ def test_exclusion_monotone_in_diameter():
 
 
 def test_exclusion_no_existing_keeps_all():
-    cands = [mk_site(1), mk_site(2)]
-    kept, report = exclusion_filter(cands, [])
-    assert kept == cands
+    kept, report = exclusion_filter(SiteTable.of([mk_site(1), mk_site(2)]), [])
+    assert kept.ids.tolist() == [1, 2]
     assert report.excluded_count == 0
     assert report.excluded_share_capacity == 0.0
 
@@ -208,6 +213,6 @@ def test_prep_instance_fills_lengths():
     inst = mk_instance(cands, transformers=tr)
     prepped, report = prep_instance(inst)
     assert report.excluded_count == 0
-    assert prepped.candidates[0].network_length == 0.0
+    assert prepped.sites.network_length[0] == 0.0
     expected = haversine_km(50.0, 10.5, 50.0, 10.0)
-    assert abs(prepped.candidates[1].network_length - expected) < 1e-12
+    assert abs(prepped.sites.network_length[1] - expected) < 1e-12

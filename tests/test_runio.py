@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from conftest import mk_instance, mk_site
 from windplan.runio import read_selection_csv, write_geojson, write_selection_csv
@@ -26,3 +29,40 @@ def test_selection_writers_keep_order_and_missing_length(tmp_path):
         "2,1,3.0,5.0,4.0,2.5",
         "1,1,2.0,5.0,4.0,"]
     assert read_selection_csv(str(table)) == [2, 1]
+
+
+def _json_dump_reference(sel, inst, path):
+    """The document json.dump(..., indent=1) writes, built from the table."""
+    sites = inst.sites
+    features = []
+    for k in sites.rows(sel.site_ids).tolist():
+        length = sites.network_length[k].item()
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "Point",
+                         "coordinates": [sites.lon[k].item(), sites.lat[k].item()]},
+            "properties": {"site_id": sites.ids[k].item(),
+                           "municipality_id": sites.mun[k].item(),
+                           "capacity_mw": sites.caps[k].item(),
+                           "lcoe": sites.lcoe[k].item(),
+                           "scenicness": sites.scenicness[k].item(),
+                           "network_length_km": None if math.isnan(length) else length}})
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"type": "FeatureCollection", "features": features}, f, indent=1)
+        f.write("\n")
+
+
+@pytest.mark.parametrize("site_ids", [(), (2,), (3, 1, 2)])
+def test_geojson_template_matches_json_dump(tmp_path, site_ids):
+    inst = mk_instance([mk_site(1, lat=-0.0, lon=1e-7, capacity=2.1, lcoe=5.123456789012345,
+                                length=1e22),
+                        mk_site(2, lat=51.0, lon=-10.5, capacity=3.0, length=None),
+                        mk_site(3, mun=7, lat=47.1, lon=179.99999999, scenicness=8.5,
+                                length=0.0)])
+    sel = Selection(site_ids=site_ids, objective_value=0.0,
+                    totals=Totals(0.0, 0.0, 0.0, 0.0), means=Means(0.0, 0.0, 0.0, 0.0),
+                    lower_bound=0.0, gap=0.0)
+    write_geojson(sel, inst, str(tmp_path / "template.geojson"))
+    _json_dump_reference(sel, inst, str(tmp_path / "reference.geojson"))
+    assert ((tmp_path / "template.geojson").read_bytes()
+            == (tmp_path / "reference.geojson").read_bytes())

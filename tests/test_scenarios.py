@@ -47,7 +47,7 @@ def test_grid_from_rows():
 
 def test_run_grid_results_ordered_and_feasible():
     inst = small_instance()
-    potential = sum(c.capacity for c in inst.candidates)
+    potential = sum(inst.sites.caps.tolist())
     existing = sum(m.existing_capacity for m in inst.municipalities)
     scale = (existing + 0.4 * potential) / BASE_TOTAL_MW
     results = run_grid(inst, builtin_grid(), scale=scale)

@@ -1,6 +1,5 @@
 import copy
 import itertools
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_instance, mk_mun, mk_site
+from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site
 from windplan import solver
-from windplan.domain import InfeasibleError, Instance, PlanError, SiteTable
+from windplan.domain import InfeasibleError, PlanError, SiteTable
 from windplan.geoprep import prep_instance
 from windplan.objective import Weights, site_costs
 from windplan.solver import (
@@ -59,10 +58,10 @@ def test_target_above_potential_infeasible(abc_instance):
 
 def test_selection_invariants(abc_instance):
     sel = solve(abc_instance, W_LCOE, Constraints(cap_obj=5.0))
-    by_id = {c.site_id: c for c in abc_instance.candidates}
-    sites = [by_id[s] for s in sel.site_ids]
-    assert sel.totals.capacity_mw == sum(s.capacity for s in sites)
-    assert sel.totals.lcoe == sum(s.lcoe for s in sites)
+    sites = abc_instance.sites
+    rows = sites.rows(sel.site_ids)
+    assert sel.totals.capacity_mw == sum(sites.caps[rows].tolist())
+    assert sel.totals.lcoe == sum(sites.lcoe[rows].tolist())
     assert sel.objective_value >= sel.lower_bound
     assert sel.gap >= 0.0
     assert verify_selection(sel, abc_instance, Constraints(cap_obj=5.0))
@@ -139,10 +138,7 @@ def test_scale_argmin_invariance():
     inst = rand_instance(13, 15)
     con = Constraints(cap_obj=12.0)
     sel = solve(inst, W_LCOE, con)
-    scaled = Instance(
-        candidates=[replace(c, lcoe=c.lcoe * 7.0) for c in inst.candidates],
-        municipalities=inst.municipalities, existing=inst.existing,
-        transformers=inst.transformers)
+    scaled = replace(inst, sites=replace(inst.sites, lcoe=inst.sites.lcoe * 7.0))
     sel7 = solve(scaled, W_LCOE, con)
     assert sel7.site_ids == sel.site_ids
     assert abs(sel7.objective_value - 7.0 * sel.objective_value) < 1e-9
@@ -175,7 +171,7 @@ def test_equity_floor_dominance():
 def test_heuristic_path_feasible_and_bounded():
     # above the enumeration limit: heuristic + LP bound path
     inst = rand_instance(41, 120, n_muns=10)
-    con = Constraints(cap_obj=0.4 * sum(c.capacity for c in inst.candidates))
+    con = Constraints(cap_obj=0.4 * sum(inst.sites.caps.tolist()))
     sel = solve(inst, Weights(1.0, 1.0, 1.0), con)
     assert verify_selection(sel, inst, con)
     assert sel.objective_value >= sel.lower_bound
@@ -184,7 +180,7 @@ def test_heuristic_path_feasible_and_bounded():
 
 def test_heuristic_lagrangian_cap_path():
     inst = rand_instance(43, 150, n_muns=10)
-    cap_obj = 0.35 * sum(c.capacity for c in inst.candidates)
+    cap_obj = 0.35 * sum(inst.sites.caps.tolist())
     base = solve(inst, W_LCOE, Constraints(cap_obj=cap_obj))
     cap = base.totals.network_length_km * 0.8
     con = Constraints(cap_obj=cap_obj, m_l=cap)
@@ -196,7 +192,7 @@ def test_heuristic_lagrangian_cap_path():
 
 def test_pareto_front_shape_and_feasibility():
     inst = rand_instance(55, 14)
-    cap_obj = 0.4 * sum(c.capacity for c in inst.candidates)
+    cap_obj = 0.4 * sum(inst.sites.caps.tolist())
     front = pareto_sweep(inst, "lcoe", "scenicness",
                          Constraints(cap_obj=cap_obj), steps=6)
     assert front.points[0].step == 0
@@ -220,7 +216,7 @@ def test_pareto_sweep_rejects_bad_args():
 
 def test_pareto_truncation_flag():
     inst = rand_instance(57, 10)
-    cap_obj = 0.7 * sum(c.capacity for c in inst.candidates)
+    cap_obj = 0.7 * sum(inst.sites.caps.tolist())
     front = pareto_sweep(inst, "lcoe", "scenicness",
                          Constraints(cap_obj=cap_obj), steps=40)
     # forty 10% cuts push the cap far below the feasibility limit
@@ -229,11 +225,11 @@ def test_pareto_truncation_flag():
 
 
 def _shuffled(inst, seed):
-    cands = list(inst.candidates)
-    random.Random(seed).shuffle(cands)
-    assert cands != inst.candidates
-    return Instance(candidates=cands, municipalities=inst.municipalities,
-                    existing=inst.existing, transformers=inst.transformers)
+    """The instance with its table rebuilt from columns in shuffled row order."""
+    order = np.random.default_rng(seed).permutation(len(inst.sites))
+    assert (order != np.arange(order.size)).any()
+    return replace(inst, sites=SiteTable.from_columns(
+        *(getattr(inst.sites, c)[order] for c in SITE_COLUMNS)))
 
 
 def _floored(inst, share):
@@ -248,7 +244,7 @@ def _floored(inst, share):
 def test_candidate_order_does_not_matter(weights):
     small = rand_instance(61, 16, n_muns=3)
     large = rand_instance(63, 140, n_muns=9)
-    cap = 0.3 * sum(c.capacity for c in large.candidates)
+    cap = 0.3 * sum(large.sites.caps.tolist())
     cases = [(small, _floored(small, 0.5), True),
              (large, Constraints(cap_obj=cap), False),
              (large, _floored(large, 0.4), False),
@@ -300,8 +296,8 @@ def _ratio_pool(n, seed, zero_share, decimals):
     cost[rng.random(n) < zero_share] = 0.0
     empty = np.zeros(n)
     sites = SiteTable(ids=ids, mun=np.zeros(n, dtype=np.int64), lat=empty, lon=empty,
-                      caps=caps, lcoe=empty, scenicness=empty, network_length=empty,
-                      by_mun=np.arange(n), mun_rows={0: (0, n)})
+                      caps=caps, lcoe=empty, scenicness=empty, full_load_hours=empty,
+                      network_length=empty, by_mun=np.arange(n), mun_rows={0: (0, n)})
     return sites, cost
 
 
@@ -337,7 +333,7 @@ def _scalar_polish(state, cap_obj, max_rounds=60):
     """Reference swap polish: full ratio sort and one feasibility test per pair."""
     sites, cost, ids = state.sites, state.cost, state.sites.ids
     caps, mun = sites.caps, sites.mun
-    neighborhood = sites.n if sites.n <= 400 else 120
+    neighborhood = len(sites) if len(sites) <= 400 else 120
 
     def swap_feasible(out, inn):
         if not solver._ge(state.cap_total - caps[out] + caps[inn], cap_obj):

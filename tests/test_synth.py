@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import same_sites
 from windplan.domain import PlanError, validate_instance
 from windplan.geoprep import prep_instance
 from windplan.synth import SynthSpec, generate, germany_like, spec_from_json
@@ -12,7 +13,7 @@ def test_generate_is_deterministic():
     spec = SynthSpec(seed=77, n_sites=400, n_municipalities=20)
     a = generate(spec)
     b = generate(spec)
-    assert a.candidates == b.candidates
+    assert same_sites(a.sites, b.sites)
     assert a.municipalities == b.municipalities
     assert a.existing == b.existing
     assert a.transformers == b.transformers
@@ -21,7 +22,7 @@ def test_generate_is_deterministic():
 def test_different_seeds_differ():
     a = generate(SynthSpec(seed=1, n_sites=100))
     b = generate(SynthSpec(seed=2, n_sites=100))
-    assert a.candidates != b.candidates
+    assert not same_sites(a.sites, b.sites)
 
 
 def test_generated_instance_validates():
@@ -31,7 +32,7 @@ def test_generated_instance_validates():
 
 def test_scenicness_range_and_mean():
     inst = generate(SynthSpec(seed=3, n_sites=10_000, n_municipalities=200))
-    scenic = np.array([c.scenicness for c in inst.candidates])
+    scenic = inst.sites.scenicness
     assert scenic.min() >= 1.0 and scenic.max() <= 9.0
     assert abs(scenic.mean() - 4.5) < 0.1
 
@@ -40,24 +41,20 @@ def test_rho_zero_uncorrelated():
     spec = SynthSpec(seed=11, n_sites=10_000, n_municipalities=200,
                      rho_lcoe_scenicness=0.0)
     inst = generate(spec)
-    lcoe = np.array([c.lcoe for c in inst.candidates])
-    scenic = np.array([c.scenicness for c in inst.candidates])
-    assert abs(np.corrcoef(lcoe, scenic)[0, 1]) < 0.05
+    assert abs(np.corrcoef(inst.sites.lcoe, inst.sites.scenicness)[0, 1]) < 0.05
 
 
 def test_rho_target_is_reached():
     spec = SynthSpec(seed=11, n_sites=10_000, n_municipalities=200,
                      rho_lcoe_scenicness=0.4)
     inst = generate(spec)
-    lcoe = np.array([c.lcoe for c in inst.candidates])
-    scenic = np.array([c.scenicness for c in inst.candidates])
-    assert abs(np.corrcoef(lcoe, scenic)[0, 1] - 0.4) < 0.05
+    assert abs(np.corrcoef(inst.sites.lcoe, inst.sites.scenicness)[0, 1] - 0.4) < 0.05
 
 
 def test_sites_partitioned_into_municipalities():
     inst = generate(SynthSpec(seed=7, n_sites=300, n_municipalities=15))
     mun_ids = {m.municipality_id for m in inst.municipalities}
-    assert all(c.municipality_id in mun_ids for c in inst.candidates)
+    assert all(j in mun_ids for j in inst.sites.mun.tolist())
     assert all(t.municipality_id in mun_ids for t in inst.existing)
 
 
