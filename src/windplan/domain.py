@@ -303,24 +303,6 @@ def capacity_by_municipality(pairs) -> dict[int, float]:
     return total
 
 
-def existing_capacity_totals(instance: Instance) -> tuple[dict[int, float], float]:
-    """Per-municipality existing capacity (MW) and the national total.
-
-    Every municipality appears in the table, zero included. An existing
-    turbine mapped to an unknown municipality is a hard error.
-    """
-    mun_ids = {m.municipality_id for m in instance.municipalities}
-    for t in instance.existing:
-        if t.municipality_id not in mun_ids:
-            raise ValidationError(
-                f"existing turbine {t.turbine_id} mapped to unknown municipality "
-                f"{t.municipality_id}")
-    sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in instance.existing)
-    table = {m.municipality_id: sums.get(m.municipality_id, 0.0)
-             for m in instance.municipalities}
-    return table, sum(table.values())
-
-
 # ---------------------------------------------------------------------------
 # CSV I/O
 #

@@ -2,9 +2,11 @@
 
 Minimizes the weighted site-cost sum subject to a national capacity
 covering target, optional per-criterion epsilon caps and optional
-per-municipality equity floors. Pools of up to BRUTE_FORCE_LIMIT sites
-are solved exactly by enumeration; larger pools use a certified
-heuristic:
+per-municipality equity floors. Pools of up to BRUTE_FORCE_LIMIT (24)
+sites are solved exactly: a meet-in-the-middle enumeration (Horowitz &
+Sahni, J. ACM 1974) adds two tables of at most 2^12 half-subset sums to
+scan every subset, and the optimum it finds is reported as its own lower
+bound (gap 0). Larger pools use a certified heuristic:
 
   a) satisfy each equity floor by per-municipality greedy on the
      cost/capacity ratio (a single cheapest site is used when cheaper),
@@ -38,7 +40,7 @@ from .domain import (InfeasibleError, Instance, Municipality, PlanError, SiteTab
 from .objective import ScaledCriteria, Weights, site_costs
 
 FEAS_TOL = 1e-9
-BRUTE_FORCE_LIMIT = 22
+BRUTE_FORCE_LIMIT = 24
 _BISECT_ITERS = 48
 
 _CAP_FIELDS = {"lcoe": "m_c", "scenicness": "m_s", "network_length": "m_l"}
@@ -227,10 +229,13 @@ class _State:
 
 
 def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-            floors: dict[int, float], cap_specs: list[tuple[np.ndarray, float]],
-            preselect: tuple[int, ...] = ()) -> _State:
-    """Floor-first then global ratio greedy, followed by a trim pass."""
-    state = _State(sites, cost, floors, cap_specs, preselect)
+            floors: dict[int, float],
+            cap_specs: list[tuple[np.ndarray, float]]) -> _State:
+    """Floor-first then global ratio greedy, followed by a trim pass.
+
+    A floor only takes sites of its own municipality, so none of them is
+    selected before that floor's turn."""
+    state = _State(sites, cost, floors, cap_specs)
     caps, ids = sites.caps, sites.ids
 
     order = _mun_ratio_order(sites, cost) if floors else None
@@ -240,14 +245,11 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
         if rows is None:
             raise InfeasibleError(
                 f"equity floor {floor} MW in municipality {j} with no candidates")
-        start_cum = state.mun_totals.get(j, 0.0)
-        if _ge(start_cum, floor):
+        if _ge(0.0, floor):
             continue
         local = order[slice(*rows)]
-        chosen, cum, cost_a = [], start_cum, 0.0
+        chosen, cum, cost_a = [], 0.0, 0.0
         for i in local:
-            if i in state.sel:
-                continue
             chosen.append(i)
             cum += caps[i]
             cost_a += cost[i]
@@ -256,12 +258,12 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
         if not _ge(cum, floor):
             raise InfeasibleError(
                 f"equity floor {floor} MW exceeds potential {cum} MW in municipality {j}")
-        if start_cum == 0.0:
-            single = min(((cost[i], ids[i], i) for i in local
-                          if i not in state.sel and _ge(caps[i], floor)),
-                         default=None)
-            if single is not None and single[0] < cost_a:
-                chosen = [single[2]]
+        # the cheapest single site that covers the floor, ties on the lower id
+        fits = local[caps[local] >= floor - FEAS_TOL * max(1.0, abs(floor))]
+        if fits.size:
+            single = fits[np.lexsort((ids[fits], cost[fits]))[0]]
+            if cost[single] < cost_a:
+                chosen = [single]
         for i in chosen:
             state.add(i)
 
@@ -332,48 +334,6 @@ def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
                 improved = True
         if not improved:
             return
-
-
-def _try_move(state: _State, cap_obj: float, outs: tuple[int, ...],
-              ins: tuple[int, ...]) -> bool:
-    """Apply an exchange if it strictly improves and stays feasible."""
-    cost = state.cost
-    delta = sum(cost[i] for i in ins) - sum(cost[i] for i in outs)
-    if delta >= -1e-12:
-        return False
-    for i in outs:
-        state.remove(i)
-    for i in ins:
-        state.add(i)
-    if _feasible(state, cap_obj):
-        return True
-    for i in ins:
-        state.remove(i)
-    for i in outs:
-        state.add(i)
-    return False
-
-
-def _deep_polish(state: _State, cap_obj: float) -> None:
-    """Exchange moves up to 2-out / 2-in; only used on small pools."""
-    n = len(state.sites)
-    guard = 0
-    changed = True
-    while changed and guard < 80:
-        changed = False
-        guard += 1
-        _polish(state, cap_obj, max_rounds=60)
-        sel = sorted(state.sel)
-        unsel = [i for i in range(n) if i not in state.sel]
-        sel_pairs = list(itertools.combinations(sel, 2))
-        unsel_pairs = list(itertools.combinations(unsel, 2))
-        for outs, ins in itertools.chain(
-                ((p, (i,)) for p in sel_pairs for i in unsel),
-                (((o,), p) for o in sel for p in unsel_pairs),
-                ((po, pi) for po in sel_pairs for pi in unsel_pairs)):
-            if _try_move(state, cap_obj, outs, ins):
-                changed = True
-                break
 
 
 def _feasible(state: _State, cap_obj: float) -> bool:
@@ -463,9 +423,7 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
         if floor <= min_cap + 1e-15:
             total += cost[idxs].min()
         elif len(idxs) <= 12:
-            m = len(idxs)
-            masks = np.arange(1, 1 << m, dtype=np.uint32)
-            bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(float)
+            bits = _subset_rows(len(idxs))[1:]
             feas = bits @ caps[idxs] >= floor - FEAS_TOL * max(1.0, floor)
             if not feas.any():
                 return np.inf
@@ -507,10 +465,11 @@ def _gap(objective: float, lower_bound: float) -> float:
     return float("inf")
 
 
-def _make_selection(sites: SiteTable, state: _State, weights_cost: np.ndarray,
-                    lower_bound: float) -> Selection:
-    lower_bound = float(lower_bound)
-    idx = np.array(sorted(state.sel), dtype=np.int64)
+def _make_selection(sites: SiteTable, rows, weights_cost: np.ndarray,
+                    lower_bound: float | None) -> Selection:
+    """The selection of `rows`; a `lower_bound` of None marks it optimal,
+    so that its objective is its own bound."""
+    idx = np.array(sorted(rows), dtype=np.int64)
     ids = tuple(int(i) for i in sites.ids[idx])
     if idx.size:
         cap = float(np.sum(sites.caps[idx]))
@@ -530,6 +489,7 @@ def _make_selection(sites: SiteTable, state: _State, weights_cost: np.ndarray,
         obj = 0.0
         totals = Totals(0.0, 0.0, 0.0, 0.0)
         means = Means(0.0, 0.0, 0.0, 0.0)
+    lower_bound = obj if lower_bound is None else float(lower_bound)
     return Selection(site_ids=ids, objective_value=obj, totals=totals, means=means,
                      lower_bound=lower_bound, gap=_gap(obj, lower_bound))
 
@@ -546,26 +506,45 @@ def _cap_specs(sites: SiteTable,
             for crit, fld in _CAP_FIELDS.items() if getattr(constraints, fld) is not None]
 
 
+def _problem(instance: Instance, weights: Weights, constraints: Constraints,
+             scaled: ScaledCriteria | None
+             ) -> tuple[SiteTable, np.ndarray, float, dict[int, float],
+                        list[tuple[str, np.ndarray, float]]]:
+    """Pool, site costs, cover target, positive floors and named caps of a
+    solve, after the checks that hold at every pool size."""
+    sites = instance.sites
+    if not len(sites):
+        raise InfeasibleError("instance has no candidate sites")
+    cost = site_costs(sites, weights, scaled)
+    cap_obj = float(constraints.cap_obj)
+    total_potential = float(sites.caps.sum())
+    if not _ge(total_potential, cap_obj):
+        raise InfeasibleError(
+            f"total potential {total_potential:.3f} MW below capacity target "
+            f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
+    return sites, cost, cap_obj, _positive_floors(constraints), _cap_specs(sites, constraints)
+
+
 def _run_heuristic(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                    floors: dict[int, float],
-                   cap_specs: list[tuple[np.ndarray, float]],
-                   deep: bool) -> _State:
+                   cap_specs: list[tuple[np.ndarray, float]]) -> _State:
     state = _greedy(sites, cost, cap_obj, floors, cap_specs)
     _polish(state, cap_obj)
-    if deep:
-        # covering greedy is weakest around the last site added; forcing
-        # each site into the start escapes that trap on small pools
-        for i in range(len(sites)):
-            st = _greedy(sites, cost, cap_obj, floors, cap_specs, preselect=(i,))
-            _polish(st, cap_obj)
-            if st.obj < state.obj - 1e-12:
-                state = st
-        _deep_polish(state, cap_obj)
     return state
+
+
+def _subset_rows(m: int) -> np.ndarray:
+    """The 0/1 rows of all 2**m subsets of m items in mask order: row k
+    holds bit i of k in column i."""
+    masks = np.arange(1 << m, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(float)
 
 
 def _mask_rows(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask >> i & 1]
+
+
+_CHUNK = 1 << 20  # masks scanned per block
 
 
 def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
@@ -573,35 +552,50 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                cap_specs: list[tuple[np.ndarray, float]]) -> tuple[int, float] | None:
     """Exhaustive subset search; returns (best mask, objective) or None
     if no feasible subset exists. Ties go to the lexicographically
-    smallest installed id-set."""
+    smallest installed id-set.
+
+    Meet in the middle: mask `h << n_lo | l` splits into a high half h and
+    a low half l over the first n_lo rows, and the total of a per-site
+    vector over it is hi[h] + lo[l], from two tables of half-subset sums.
+    Masks are scanned in ascending order, _CHUNK at a time.
+    """
     n = len(sites)
+    if any(j not in sites.mun_rows for j in floors):
+        return None
+    n_lo = (n + 1) // 2
+    lo_rows, hi_rows = _subset_rows(n_lo), _subset_rows(n - n_lo)
+
+    def halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return hi_rows @ v[n_lo:], lo_rows @ v[:n_lo]
+
+    def total(pair: tuple[np.ndarray, np.ndarray], hs: slice) -> np.ndarray:
+        hi, lo = pair
+        return (hi[hs, None] + lo).ravel()
+
+    caps = sites.caps
+    at_least = [(halves(caps), cap_obj - FEAS_TOL * max(1.0, cap_obj))]
+    at_least += [(halves(np.where(sites.mun == j, caps, 0.0)),
+                  floor - FEAS_TOL * max(1.0, floor)) for j, floor in floors.items()]
+    at_most = [(halves(v), limit + FEAS_TOL * max(1.0, abs(limit))) for v, limit in cap_specs]
+    cost_halves = halves(cost)
+
     best_obj = np.inf
     best_ids: tuple[int, ...] | None = None
     best_mask = 0
-    shifts = np.arange(n, dtype=np.uint32)
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        bits = ((masks[:, None] >> shifts) & 1).astype(float)
-        feas = bits @ sites.caps >= cap_obj - FEAS_TOL * max(1.0, cap_obj)
-        for v, limit in cap_specs:
-            feas &= bits @ v <= limit + FEAS_TOL * max(1.0, abs(limit))
-        for j, floor in floors.items():
-            rows = sites.mun_rows.get(j)
-            if rows is None:
-                feas &= False
-                break
-            idxs = sites.by_mun[slice(*rows)]
-            feas &= bits[:, idxs] @ sites.caps[idxs] >= floor - FEAS_TOL * max(1.0, floor)
+    step = max(1, _CHUNK >> n_lo)  # high halves per block
+    for h0 in range(0, 1 << (n - n_lo), step):
+        hs = slice(h0, h0 + step)
+        feas = np.logical_and.reduce([total(p, hs) >= bound for p, bound in at_least]
+                                     + [total(p, hs) <= bound for p, bound in at_most])
         if not feas.any():
             continue
-        obj = bits @ cost
+        obj = total(cost_halves, hs)
         obj[~feas] = np.inf
         cutoff = min(best_obj, float(obj.min())) + 1e-12
-        for pos in np.nonzero(obj <= cutoff)[0]:
-            mask = int(masks[pos])
+        for pos in np.flatnonzero(obj <= cutoff).tolist():
+            mask = (h0 << n_lo) + pos
             o = float(obj[pos])
-            ids = tuple(int(sites.ids[i]) for i in _mask_rows(mask, n))
+            ids = tuple(sites.ids[_mask_rows(mask, n)].tolist())
             if (o < best_obj - 1e-12
                     or (abs(o - best_obj) <= 1e-12 and (best_ids is None or ids < best_ids))):
                 best_obj, best_ids, best_mask = o, ids, mask
@@ -610,72 +604,71 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
     return best_mask, best_obj
 
 
+def _solve_exact(sites: SiteTable, cost: np.ndarray, cap_obj: float,
+                 floors: dict[int, float],
+                 named_specs: list[tuple[str, np.ndarray, float]]) -> Selection:
+    """The optimum by enumeration, reported as its own lower bound. When no
+    subset is feasible, the error names what enumeration proves
+    unattainable: the floors, one cap, or the caps together."""
+    exact = _enumerate(sites, cost, cap_obj, floors,
+                       [(v, limit) for _, v, limit in named_specs])
+    if exact is None:
+        if floors and _enumerate(sites, cost, cap_obj, floors, []) is None:
+            missing = sorted(j for j in floors if j not in sites.mun_rows)
+            if missing:
+                raise InfeasibleError(
+                    f"equity floors in municipalities without candidates: {missing}")
+            raise InfeasibleError("equity floors unattainable with this pool")
+        for name, v, limit in named_specs:
+            vmin = _enumerate(sites, v, cap_obj, floors, [])
+            if vmin is not None and not _le(vmin[1], limit):
+                raise InfeasibleError(
+                    f"cap on total {name} ({limit}) below the minimum "
+                    f"achievable {vmin[1]:.6f}")
+        raise InfeasibleError(
+            f"caps {[name for name, _, _ in named_specs]} unattainable together")
+    return _make_selection(sites, _mask_rows(exact[0], len(sites)), cost, None)
+
+
 def solve(instance: Instance, weights: Weights, constraints: Constraints,
           scaled: ScaledCriteria | None = None) -> Selection:
     """Exact (small pools) or certified-heuristic solve; see module docstring."""
-    if not len(instance.sites):
-        raise InfeasibleError("instance has no candidate sites")
-    sites = instance.sites
-    cost = site_costs(sites, weights, scaled)
-    floors = _positive_floors(constraints)
-    named_specs = _cap_specs(sites, constraints)
-    cap_specs = [(v, limit) for _, v, limit in named_specs]
-    cap_obj = float(constraints.cap_obj)
-
-    total_potential = float(sites.caps.sum())
-    if not _ge(total_potential, cap_obj):
-        raise InfeasibleError(
-            f"total potential {total_potential:.3f} MW below capacity target "
-            f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
-
+    sites, cost, cap_obj, floors, named_specs = _problem(instance, weights, constraints,
+                                                         scaled)
     if len(sites) <= BRUTE_FORCE_LIMIT:
-        # small pools are enumerated exactly; local search alone cannot
-        # certify the multi-exchange optima these covering instances need
-        exact = _enumerate(sites, cost, cap_obj, floors, cap_specs)
-        if exact is None:
-            if floors and _enumerate(sites, cost, cap_obj, floors, []) is None:
-                missing = sorted(j for j in floors if j not in sites.mun_rows)
-                if missing:
-                    raise InfeasibleError(
-                        f"equity floors in municipalities without candidates: {missing}")
-                raise InfeasibleError("equity floors unattainable with this pool")
-            for name, v, limit in named_specs:
-                vmin = _enumerate(sites, v.astype(float), cap_obj, floors, [])
-                if vmin is not None and not _le(vmin[1], limit):
-                    raise InfeasibleError(
-                        f"cap on total {name} ({limit}) below the minimum "
-                        f"achievable {vmin[1]:.6f}")
-            raise InfeasibleError(
-                f"caps {[name for name, _, _ in named_specs]} unattainable together")
-        state = _State(sites, cost, floors, cap_specs, _mask_rows(exact[0], len(sites)))
-        bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs,
-                             [0.0] * len(cap_specs))
-        return _make_selection(sites, state, cost, min(bound, state.obj))
+        return _solve_exact(sites, cost, cap_obj, floors, named_specs)
 
-    deep = len(sites) <= 24
+    cap_specs = [(v, limit) for _, v, limit in named_specs]
     lambdas = [0.0] * len(cap_specs)
-    state = _run_heuristic(sites, cost, cap_obj, floors, cap_specs, deep)
+    state = _run_heuristic(sites, cost, cap_obj, floors, cap_specs)
 
     if cap_specs and not state.caps_ok():
-        best: _State | None = state if _feasible(state, cap_obj) else None
+        best: _State | None = None
         for k, (name, v, limit) in enumerate(named_specs):
             if _le(state.v_totals[k], limit):
                 continue
             # is the cap attainable at all? check the min-v solution
-            vmin_state = _run_heuristic(sites, v.astype(float), cap_obj, floors,
-                                        cap_specs, deep)
+            vmin_state = _run_heuristic(sites, v.astype(float), cap_obj, floors, cap_specs)
             vmin = float(np.sum(v[sorted(vmin_state.sel)]))
             if not _le(vmin, limit):
+                # the heuristic's minimum proves nothing; only the relaxation
+                # bound on the minimum can rule the cap out
+                bound = _floor_bound(sites, v.astype(float), cap_obj, floors)
+                if not _le(bound, limit):
+                    raise InfeasibleError(
+                        f"cap on total {name} ({limit}) below the minimum achievable, "
+                        f"which is at least {bound:.6f}")
                 raise InfeasibleError(
-                    f"cap on total {name} ({limit}) below the minimum achievable "
-                    f"{vmin:.6f}")
+                    f"cap on total {name} ({limit}) not met: the lowest total found is "
+                    f"{vmin:.6f}, and the lower bound {bound:.6f} does not rule the "
+                    f"cap out")
 
             def run(lam: float) -> _State:
                 pen = cost + lam * v
                 for kk, (vv, _) in enumerate(cap_specs):
                     if lambdas[kk] > 0 and kk != k:
                         pen = pen + lambdas[kk] * vv
-                return _run_heuristic(sites, pen, cap_obj, floors, cap_specs, deep)
+                return _run_heuristic(sites, pen, cap_obj, floors, cap_specs)
 
             lo, hi = 0.0, max(1.0, float(cost.max()) / max(float(v[v > 0].min()), 1e-12)
                               if np.any(v > 0) else 1.0)
@@ -704,45 +697,34 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             repair_cost = np.zeros(len(sites))
             for (v, limit) in cap_specs:
                 repair_cost = repair_cost + v
-            state = _run_heuristic(sites, repair_cost, cap_obj, floors, cap_specs, deep)
+            state = _run_heuristic(sites, repair_cost, cap_obj, floors, cap_specs)
             if not _feasible(state, cap_obj):
                 bad = [name for (name, v, limit), t in zip(named_specs, state.v_totals)
                        if not _le(t, limit)]
-                raise InfeasibleError(f"caps {bad} unattainable together")
+                found = ", ".join(f"{name} {t:.6f}" for (name, _, _), t
+                                  in zip(named_specs, state.v_totals))
+                raise InfeasibleError(
+                    f"caps {bad} not met together: the lowest-total selection found has "
+                    f"{found}, and no lower bound rules the caps out")
         else:
             state = best
         # constrained polish on the true objective
         final = _State(sites, cost, floors, cap_specs, sorted(state.sel))
         _polish(final, cap_obj)
-        if deep:
-            _deep_polish(final, cap_obj)
         state = final
 
     bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs, lambdas)
-    return _make_selection(sites, state, cost, bound)
+    return _make_selection(sites, state.sel, cost, bound)
 
 
 def brute_force(instance: Instance, weights: Weights, constraints: Constraints,
                 scaled: ScaledCriteria | None = None) -> Selection:
-    """Exact optimum by exhaustive subset enumeration (oracle, N <= 22)."""
+    """Exact optimum by exhaustive subset enumeration (oracle, N <= 24);
+    the same routine as `solve` on such pools."""
     n = len(instance.sites)
     if n > BRUTE_FORCE_LIMIT:
         raise PlanError(f"brute_force refused: N={n} > {BRUTE_FORCE_LIMIT}")
-    sites = instance.sites
-    cost = site_costs(sites, weights, scaled)
-    floors = _positive_floors(constraints)
-    cap_specs = [(v, limit) for _, v, limit in _cap_specs(sites, constraints)]
-    cap_obj = float(constraints.cap_obj)
-
-    exact = _enumerate(sites, cost, cap_obj, floors, cap_specs)
-    if exact is None:
-        raise InfeasibleError("no feasible subset exists")
-    best_mask, best_obj = exact
-
-    state = _State(sites, cost, floors, cap_specs, _mask_rows(best_mask, n))
-    sel = _make_selection(sites, state, cost, lower_bound=best_obj)
-    sel.gap = 0.0
-    return sel
+    return _solve_exact(*_problem(instance, weights, constraints, scaled))
 
 
 def equity_floors(municipalities: list[Municipality], total_target_2050: float,

@@ -23,6 +23,7 @@ from .domain import (
     PlanError,
     SiteTable,
     Transformer,
+    capacity_by_municipality,
 )
 
 # exponent of the rank transform mapping the smooth field onto [1, 9]
@@ -208,14 +209,11 @@ def generate(spec: SynthSpec) -> Instance:
         ids=np.arange(1, spec.n_sites + 1), mun=mun_idx + 1, lat=site_lat, lon=site_lon,
         caps=capacity, lcoe=lcoe, scenicness=scenic, full_load_hours=flh)
 
-    ex_sums: dict[int, float] = {}
-    existing = []
-    for t in range(spec.n_existing):
-        j = int(ex_mun[t]) + 1
-        existing.append(ExistingTurbine(
-            turbine_id=t + 1, municipality_id=j,
-            lat=float(ex_lat[t]), lon=float(ex_lon[t]), capacity=float(ex_cap[t])))
-        ex_sums[j] = ex_sums.get(j, 0.0) + float(ex_cap[t])
+    existing = [ExistingTurbine(
+        turbine_id=t + 1, municipality_id=int(ex_mun[t]) + 1,
+        lat=float(ex_lat[t]), lon=float(ex_lon[t]), capacity=float(ex_cap[t]),
+    ) for t in range(spec.n_existing)]
+    ex_sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in existing)
 
     municipalities = [Municipality(
         municipality_id=j + 1,

@@ -11,7 +11,6 @@ from windplan.domain import (
     SiteTable,
     Transformer,
     ValidationError,
-    existing_capacity_totals,
     read_instance,
     validate_instance,
     write_instance,
@@ -205,19 +204,13 @@ def test_validate_inconsistent_derived_existing():
     assert any(v.kind == "InconsistentDerived" for v in rep.violations)
 
 
-def test_existing_capacity_totals():
-    inst = _full_instance()
-    table, total = existing_capacity_totals(inst)
-    assert table == {1: 1.5, 2: 0.0}
-    assert math.isclose(total, 1.5)
-
-
-def test_existing_totals_unknown_municipality():
+def test_validate_turbine_in_unknown_municipality():
     inst = mk_instance([mk_site(1)], existing=[
         ExistingTurbine(turbine_id=9, municipality_id=42, lat=50.0, lon=10.0,
                         capacity=1.0)])
-    with pytest.raises(ValidationError):
-        existing_capacity_totals(inst)
+    rep = validate_instance(inst)
+    assert any(v.kind == "MissingReference" and v.offending_id == 9
+               and "turbine 9" in v.message for v in rep.violations)
 
 
 def test_read_missing_column(tmp_path):

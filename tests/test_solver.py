@@ -39,10 +39,13 @@ def rand_instance(seed, n_sites, n_muns=3):
 
 
 def test_three_site_example(abc_instance):
-    sel = solve(abc_instance, W_LCOE, Constraints(cap_obj=4.0))
-    assert sel.site_ids == (1, 2)
-    assert sel.objective_value == 4.0
-    assert sel.totals.capacity_mw == 4.0
+    for run in (solve, brute_force):
+        sel = run(abc_instance, W_LCOE, Constraints(cap_obj=4.0))
+        assert sel.site_ids == (1, 2)
+        assert sel.objective_value == 4.0
+        assert sel.totals.capacity_mw == 4.0
+        # the exact path reports its optimum as its own bound
+        assert sel.lower_bound == 4.0 and sel.gap == 0.0
 
 
 def test_zero_target_empty_selection(abc_instance):
@@ -52,8 +55,9 @@ def test_zero_target_empty_selection(abc_instance):
 
 
 def test_target_above_potential_infeasible(abc_instance):
-    with pytest.raises(InfeasibleError):
-        solve(abc_instance, W_LCOE, Constraints(cap_obj=9.0))
+    for run in (solve, brute_force):
+        with pytest.raises(InfeasibleError, match="below capacity target"):
+            run(abc_instance, W_LCOE, Constraints(cap_obj=9.0))
 
 
 def test_selection_invariants(abc_instance):
@@ -85,9 +89,11 @@ def test_brute_force_tie_break_lexicographic():
 
 
 def test_cap_below_achievable_names_criterion(abc_instance):
-    con = Constraints(cap_obj=4.0, m_s=1.0)  # min scenicness total is 8.0
-    with pytest.raises(InfeasibleError, match="scenicness"):
-        solve(abc_instance, W_LCOE, con)
+    con = Constraints(cap_obj=4.0, m_s=1.0)  # min scenicness total is 4.0
+    for run in (solve, brute_force):
+        with pytest.raises(InfeasibleError, match=r"scenicness \(1.0\) below the minimum "
+                                                  r"achievable 4.000000"):
+            run(abc_instance, W_LCOE, con)
 
 
 def test_cap_constrained_solution_respects_cap():
@@ -130,8 +136,9 @@ def test_floors_are_satisfied():
 def test_floor_in_municipality_without_candidates():
     inst = mk_instance([mk_site(1, mun=1)], municipalities=[mk_mun(1), mk_mun(2)])
     con = Constraints(cap_obj=1.0, equity_floors={2: 1.0})
-    with pytest.raises(InfeasibleError):
-        solve(inst, W_LCOE, con)
+    for run in (solve, brute_force):
+        with pytest.raises(InfeasibleError, match=r"without candidates: \[2\]"):
+            run(inst, W_LCOE, con)
 
 
 def test_scale_argmin_invariance():
@@ -395,3 +402,139 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     sel = solve(inst, W_LCOE, con)
     assert verify_selection(sel, inst, con)
     assert sel.lower_bound <= sel.objective_value
+
+
+def _scan_subsets(sites, cost, cap_obj, floors, cap_specs):
+    """Reference for `_enumerate`: every subset in plain Python, then the
+    lowest objective (within 1e-12) with the smallest id-set."""
+    n = len(sites)
+    caps, mun, ids = sites.caps.tolist(), sites.mun.tolist(), sites.ids.tolist()
+    found = []
+    for mask in range(1 << n):
+        rows = [i for i in range(n) if mask >> i & 1]
+        if not solver._ge(sum(caps[i] for i in rows), cap_obj):
+            continue
+        if any(not solver._le(sum(v[i] for i in rows), limit) for v, limit in cap_specs):
+            continue
+        if any(not solver._ge(sum(caps[i] for i in rows if mun[i] == j), floor)
+               for j, floor in floors.items()):
+            continue
+        found.append((sum(cost[i] for i in rows), tuple(ids[i] for i in rows), mask))
+    if not found:
+        return None
+    low = min(o for o, _, _ in found)
+    o, _, mask = min((t for t in found if t[0] <= low + 1e-12), key=lambda t: t[1])
+    return mask, o
+
+
+def test_enumerate_matches_plain_subset_scan():
+    # integer capacities and costs: sums are exact and optima tie heavily
+    rng = np.random.default_rng(8)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for trial in range(150):
+        n = int(rng.integers(1, 13))
+        ids = np.sort(rng.choice(100, size=n, replace=False)) + 1
+        sites = SiteTable.of([
+            mk_site(int(sid), mun=int(rng.integers(1, 4)), capacity=float(rng.integers(1, 5)),
+                    lcoe=float(rng.integers(0, 4)), scenicness=float(rng.integers(1, 10)))
+            for sid in ids])
+        cost = sites.lcoe.copy()
+        total = float(sites.caps.sum())
+        cap_obj = float(rng.integers(0, int(total) + 2))
+        floors = {int(j): float(rng.integers(1, 5))
+                  for j in rng.choice(4, size=int(rng.integers(0, 3)), replace=False) + 1}
+        cap_specs = ([(sites.scenicness, float(rng.integers(0, 5 * n)))]
+                     if rng.random() < 0.5 else [])
+        want = _scan_subsets(sites, cost, cap_obj, floors, cap_specs)
+        got = solver._enumerate(sites, cost, cap_obj, floors, cap_specs)
+        assert got == want, (trial, n, floors, cap_specs)
+        outcomes["infeasible" if want is None else "feasible"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+@pytest.mark.parametrize("seed, n_sites, n", [(3, 24, 23), (7, 25, 24)])
+def test_exact_path_at_23_and_24_sites(monkeypatch, seed, n_sites, n):
+    inst = rand_instance(seed, n_sites)
+    assert len(inst.sites) == n
+    cap_obj = 0.5 * sum(inst.sites.caps.tolist())
+    con = _floored(inst, 0.45)
+    free = brute_force(inst, W_LCOE, replace(con, cap_obj=cap_obj))
+    con = replace(con, cap_obj=cap_obj, m_s=1.05 * free.totals.scenicness)
+    sel = solve(inst, W_LCOE, con)
+    assert sel == brute_force(inst, W_LCOE, con)
+    assert sel.gap == 0.0 and sel.lower_bound == sel.objective_value
+    assert verify_selection(sel, inst, con)
+    monkeypatch.setattr(solver, "BRUTE_FORCE_LIMIT", 0)
+    assert solve(inst, W_LCOE, con).objective_value >= sel.objective_value - 1e-9
+
+
+def test_heuristic_cap_failure_without_proof_says_so():
+    # the heuristic's lowest scenicness total is 31.529, but a selection of
+    # 57.20 MW with scenicness 31.349 exists; the LP bound is 30.87
+    inst = rand_instance(10, 52)
+    assert len(inst.sites) == 50  # after the exclusion buffer
+    con = Constraints(cap_obj=57.03099829779829, m_s=31.439414949797282)
+    witness = solver._make_selection(
+        inst.sites, inst.sites.rows((1, 5, 8, 11, 13, 16, 17, 21, 22, 28, 32, 35, 45, 48, 51)),
+        site_costs(inst.sites, W_LCOE), None)
+    assert verify_selection(witness, inst, con)
+    assert witness.totals.scenicness < 31.35
+    with pytest.raises(InfeasibleError) as err:
+        solve(inst, W_LCOE, con)
+    msg = str(err.value)
+    assert "does not rule the cap out" in msg and "31.529381" in msg and "30.869855" in msg
+    assert "below the minimum achievable" not in msg
+    # a cap below the bound is proven unattainable
+    with pytest.raises(InfeasibleError,
+                       match=r"\(30.0\) below the minimum achievable, which is at least "
+                             r"30.869855"):
+        solve(inst, W_LCOE, replace(con, m_s=30.0))
+
+
+def test_heuristic_certificate_against_exact_optimum(monkeypatch):
+    """The heuristic path, forced on pools that enumeration solves, never
+    claims more than it has: lower_bound <= OPT <= objective and the true
+    gap is at most the claimed one."""
+    rng = np.random.default_rng(1974)
+    weightings = [Weights(1, 0, 0), Weights(0, 1, 0), Weights(0, 0, 1), Weights(1, 1, 1)]
+    tally = {"certified": 0, "unproven": 0, "infeasible": 0}
+    for trial in range(400):
+        inst = rand_instance(int(rng.integers(1, 10 ** 6)), int(rng.integers(6, 19)),
+                             n_muns=int(rng.integers(2, 5)))
+        cap_obj = float(rng.uniform(0.2, 0.75)) * sum(inst.sites.caps.tolist())
+        weights = weightings[int(rng.integers(0, 4))]
+        mode = int(rng.integers(0, 4))  # 1: floors, 2: a cap, 3: both
+        con = Constraints(cap_obj=cap_obj)
+        if mode in (1, 3):
+            existing = sum(m.existing_capacity for m in inst.municipalities)
+            con = replace(con, equity_floors=equity_floors(
+                inst.municipalities, (cap_obj + existing) * 0.7, municipal_potentials(inst)))
+        if mode >= 2:
+            crit, fld = list(solver._CAP_FIELDS.items())[int(rng.integers(0, 3))]
+            anchor = getattr(brute_force(inst, weights, con).totals,
+                             "network_length_km" if crit == "network_length" else crit)
+            con = replace(con, **{fld: anchor * float(rng.uniform(0.85, 1.3))})
+        with monkeypatch.context() as m:
+            try:
+                oracle = brute_force(inst, weights, con)
+            except InfeasibleError:
+                m.setattr(solver, "BRUTE_FORCE_LIMIT", 0)
+                with pytest.raises(InfeasibleError):
+                    solve(inst, weights, con)
+                tally["infeasible"] += 1
+                continue
+            m.setattr(solver, "BRUTE_FORCE_LIMIT", 0)
+            try:
+                sel = solve(inst, weights, con)
+            except InfeasibleError as err:
+                assert "rule the cap" in str(err) or "rules the caps" in str(err), trial
+                tally["unproven"] += 1
+                continue
+        opt = oracle.objective_value
+        tol = 1e-9 * max(1.0, abs(opt))
+        assert oracle.gap == 0.0 and oracle.lower_bound == opt
+        assert verify_selection(sel, inst, con), trial
+        assert sel.lower_bound <= opt + tol <= sel.objective_value + 2 * tol, trial
+        assert solver._gap(sel.objective_value, opt) <= sel.gap + 1e-9, trial
+        tally["certified"] += 1
+    assert tally["certified"] >= 300 and tally["infeasible"] >= 15, tally
