@@ -16,6 +16,7 @@ import csv
 import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -308,6 +309,14 @@ def capacity_by_municipality(pairs) -> dict[int, float]:
 #
 # All files UTF-8, '.' decimal separator, floats written with repr() so that
 # a read/write round trip reproduces every numeric field bit-exactly.
+#
+# candidates.csv holds the whole pool (160k rows at desk scale), so no Python
+# string per field is made for it. It is read by one np.loadtxt call, whose C
+# parsers agree with int() and float() on plain ASCII text, and written a
+# block of rows at a time, joined by hand into the bytes csv.writer would
+# write (its fields are numbers, which never need quoting). The csv module
+# reads the three small files, and re-reads candidates.csv wherever loadtxt
+# declines it, so that it decides those inputs and words every error.
 
 CANDIDATES_FILE = "candidates.csv"
 MUNICIPALITIES_FILE = "municipalities.csv"
@@ -317,9 +326,16 @@ INSTANCE_FILES = (CANDIDATES_FILE, MUNICIPALITIES_FILE, EXISTING_FILE, TRANSFORM
 
 _CAND_HEADER = ["site_id", "municipality_id", "lat", "lon", "capacity_mw",
                 "lcoe_ct_kwh", "scenicness", "full_load_hours"]
+_LENGTH_COLUMN = "network_length_km"
 _MUN_HEADER = ["municipality_id", "name", "population", "region_tag", "state_id", "area_km2"]
 _EXISTING_HEADER = ["turbine_id", "municipality_id", "lat", "lon", "capacity_mw"]
 _TRANSFORMER_HEADER = ["transformer_id", "lat", "lon", "voltage_kv"]
+
+# The bytes loadtxt may parse: printable ASCII, tab and line ends. Its number
+# parsers accept some other characters that int() and float() reject.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# candidates.csv rows formatted per write; bounds the strings held at once
+_WRITE_BLOCK = 1 << 14
 
 
 def instance_files(directory: str) -> list[str]:
@@ -329,6 +345,15 @@ def instance_files(directory: str) -> list[str]:
 
 def _fnum(x: float) -> str:
     return repr(float(x))
+
+
+def _check_header(path: str, header: list[str], required: list[str]) -> None:
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing columns {missing}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ValidationError(f"{path}: repeated columns {repeated}")
 
 
 def _read_columns(path: str, required: list[str]) -> dict[str, list[str]]:
@@ -348,9 +373,7 @@ def _read_columns(path: str, required: list[str]) -> dict[str, list[str]]:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
             header = next(reader, [])
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise ValidationError(f"{path}: missing columns {missing}")
+            _check_header(path, header, required)
             # one flat list of fields, row after row, sliced into columns
             fields = list(itertools.chain.from_iterable(rows(reader, len(header))))
     except OSError as e:
@@ -365,23 +388,66 @@ def _parse(path: str, columns: dict[str, list[str]], name: str, convert=float) -
         raise ValidationError(f"{path}: column {name}: {e}") from None
 
 
-def _read_sites(path: str) -> SiteTable:
-    """candidates.csv as a SiteTable. An empty network_length_km field (or a
-    missing column) is NaN, so a literal non-finite length is rejected: the
-    table could not tell it from a missing one."""
+def _read_sites_csv(path: str) -> SiteTable:
+    """candidates.csv as a SiteTable, read by the csv module. An empty
+    network_length_km field (or a missing column) is NaN, so a literal
+    non-finite length is rejected: the table could not tell it from a
+    missing one."""
     cols = _read_columns(path, _CAND_HEADER)
     ids = _parse(path, cols, "site_id", int)
     lengths = None
-    if "network_length_km" in cols:
-        lengths = np.array(_parse(path, cols, "network_length_km",
+    if _LENGTH_COLUMN in cols:
+        lengths = np.array(_parse(path, cols, _LENGTH_COLUMN,
                                   lambda x: float(x) if x else math.nan))
         for k in np.flatnonzero(~np.isfinite(lengths)).tolist():
-            if cols["network_length_km"][k]:
-                raise ValidationError(f"{path}: site {ids[k]}: network_length_km "
-                                      f"{cols['network_length_km'][k]!r} is not finite")
+            if cols[_LENGTH_COLUMN][k]:
+                raise ValidationError(f"{path}: site {ids[k]}: {_LENGTH_COLUMN} "
+                                      f"{cols[_LENGTH_COLUMN][k]!r} is not finite")
     return SiteTable.from_columns(
         ids, _parse(path, cols, "municipality_id", int),
         *(_parse(path, cols, name) for name in _CAND_HEADER[2:]), network_length=lengths)
+
+
+def _length(text: str) -> float:
+    """A network_length_km field: empty is NaN, and a literal non-finite
+    value raises (the csv reader then words the error)."""
+    if not text:
+        return math.nan
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not finite")
+    return x
+
+
+def _load_sites(path: str) -> SiteTable | None:
+    """candidates.csv as a SiteTable by one np.loadtxt call, with the rules
+    of _read_sites_csv, or None where loadtxt declines the file: text other
+    than _PLAIN_BYTES, or anything it cannot read or rejects."""
+    try:
+        with open(path, "rb") as f:
+            if any(chunk.translate(None, _PLAIN_BYTES)
+                   for chunk in iter(lambda: f.read(1 << 20), b"")):
+                return None
+        with open(path, newline="", encoding="utf-8") as f:
+            header = next(csv.reader(f), [])
+            _check_header(path, header, _CAND_HEADER)
+            # one field per header column, so that a row of another width
+            # fails; a column the table does not use is parsed into zero bytes
+            kinds = (dict.fromkeys(_CAND_HEADER[:2], np.int64)
+                     | dict.fromkeys(_CAND_HEADER[2:] + [_LENGTH_COLUMN], np.float64))
+            dtype = np.dtype([(f"c{k}", kinds.get(name, "S0")) for k, name in enumerate(header)])
+            converters = ({header.index(_LENGTH_COLUMN): _length} if _LENGTH_COLUMN in header
+                          else None)
+            with warnings.catch_warnings():  # a header-only file is an empty table
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', converters=converters, ndmin=1)
+    except (OSError, ValueError):
+        return None
+    column = {name: data[f"c{k}"] for k, name in enumerate(header)}
+    return SiteTable.from_columns(*(column[name] for name in _CAND_HEADER),
+                                  network_length=column.get(_LENGTH_COLUMN))
 
 
 def _records(path: str, header: list[str], types: tuple, optional: bool = False) -> list:
@@ -403,7 +469,9 @@ def read_instance(directory: str) -> Instance:
     Municipalities, turbines and transformers come sorted by id.
     """
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
-    sites = _read_sites(cand_path)
+    sites = _load_sites(cand_path)
+    if sites is None:  # the csv reader decides, and words any error
+        sites = _read_sites_csv(cand_path)
     existing = [ExistingTurbine(*r) for r in _records(
         ex_path, _EXISTING_HEADER, (int, int, float, float, float), optional=True)]
     sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in existing)
@@ -422,22 +490,35 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _write_sites(path: str, sites: SiteTable) -> None:
+    """candidates.csv in table order, byte for byte what csv.writer writes
+    for the same rows: ids by str, floats by repr, the network_length_km
+    column only when some site has a length, and empty where it has none."""
+    columns = [sites.ids, sites.mun, sites.lat, sites.lon, sites.caps, sites.lcoe,
+               sites.scenicness, sites.full_load_hours]
+    header = list(_CAND_HEADER)
+    with_lengths = not np.isnan(sites.network_length).all()
+    if with_lengths:
+        header.append(_LENGTH_COLUMN)
+        columns.append(sites.network_length)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(header) + "\r\n")
+        for start in range(0, len(sites), _WRITE_BLOCK):
+            block = [col[start:start + _WRITE_BLOCK] for col in columns]
+            fields = [list(map(str, col.tolist())) for col in block[:2]]
+            fields += [list(map(repr, col.tolist())) for col in block[2:]]
+            if with_lengths:
+                for k in np.flatnonzero(np.isnan(block[-1])).tolist():
+                    fields[-1][k] = ""
+            f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
 def write_instance(instance: Instance, directory: str) -> None:
     """Write the four instance CSVs in table and list order; the
     network_length_km column only when some site has a length."""
     os.makedirs(directory, exist_ok=True)
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
-    sites = instance.sites
-    columns = [sites.ids.tolist(), sites.mun.tolist()]
-    columns += [[repr(x) for x in col.tolist()]
-                for col in (sites.lat, sites.lon, sites.caps, sites.lcoe, sites.scenicness,
-                            sites.full_load_hours)]
-    header = list(_CAND_HEADER)
-    if not np.isnan(sites.network_length).all():
-        header.append("network_length_km")
-        columns.append(["" if math.isnan(x) else repr(x)
-                        for x in sites.network_length.tolist()])
-    _write_csv(cand_path, header, zip(*columns))
+    _write_sites(cand_path, instance.sites)
     _write_csv(mun_path, _MUN_HEADER,
                ([m.municipality_id, m.name, _fnum(m.population), m.region_tag, m.state_id,
                  _fnum(m.area)] for m in instance.municipalities))

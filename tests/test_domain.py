@@ -1,16 +1,25 @@
+import csv
+import io
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import mk_instance, mk_mun, mk_site, same_sites
+from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site, same_sites
+from windplan.cli import main
 from windplan.domain import (
+    _CAND_HEADER,
+    _WRITE_BLOCK,
     ExistingTurbine,
+    Instance,
     SiteTable,
     Transformer,
     ValidationError,
+    _load_sites,
+    _read_sites_csv,
     read_instance,
     validate_instance,
     write_instance,
@@ -224,23 +233,162 @@ def test_read_missing_column(tmp_path):
         read_instance(str(tmp_path))
 
 
+def same_bits(a, b):
+    """Two SiteTables hold the same rows bit for bit, NaN and -0.0 included."""
+    return all(getattr(a, c).dtype == getattr(b, c).dtype
+               and getattr(a, c).tobytes() == getattr(b, c).tobytes() for c in SITE_COLUMNS)
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda row: row + ",7", "line 2: 10 fields, the header has 9"),
-    (lambda row: row.rsplit(",", 1)[0], "line 2: 8 fields, the header has 9"),
-    (lambda row: row.replace(",2.347,", ",abc,"), "column capacity_mw: could not convert"),
-    (lambda row: "\n" + row, None),  # a blank line is skipped
+    (lambda lines: [lines[0], lines[1] + ",7", lines[2]], "line 2: 10 fields, the header has 9"),
+    (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], lines[2]],
+     "line 2: 8 fields, the header has 9"),
+    (lambda lines: [lines[0], lines[1].replace(",2.347,", ",abc,"), lines[2]],
+     "column capacity_mw: could not convert"),
+    (lambda lines: [lines[0], "", lines[1], lines[2]], None),  # a blank line is skipped
+    pytest.param(lambda lines: [lines[0], "#" + lines[1], lines[2]],
+                 "column site_id: invalid literal for int() with base 10: '#1'", id="comment"),
+    pytest.param(lambda lines: [lines[0], lines[1], " \t ", lines[2]],
+                 "line 3: 1 fields, the header has 9", id="whitespace-line"),
+    pytest.param(lambda lines: [lines[0], lines[1].replace(",2.347,", ',"2.347",'), lines[2]],
+                 None, id="quoted-number"),
+    pytest.param(lambda lines: [lines[0], lines[1].replace(",2.347,", ",2_347,"), lines[2]],
+                 None, id="underscore"),
+    pytest.param(lambda lines: [line + "\r" for line in lines], None, id="crlf"),
+    pytest.param(lambda lines: [lines[0], lines[1] + ",", lines[2]],
+                 "line 2: 10 fields, the header has 9", id="trailing-comma"),
+    pytest.param(lambda lines: lines[:1], None, id="header-only"),
+    # numpy's parsers take these; int() and float() do not
+    pytest.param(lambda lines: [lines[0], "\u2460" + lines[1][1:], lines[2]],
+                 "column site_id: invalid literal for int() with base 10: '\u2460'",
+                 id="non-ascii-digit"),
+    pytest.param(lambda lines: [lines[0], lines[1].replace(",2.347,", ",2.347\x1c,"), lines[2]],
+                 "column capacity_mw: could not convert string to float: '2.347\\x1c'",
+                 id="separator-control"),
 ])
 def test_read_malformed_candidate_rows(tmp_path, edit, message):
+    """Each edited file gives the csv reader's table or its error."""
     write_instance(_full_instance(), str(tmp_path))
     path = tmp_path / "candidates.csv"
-    lines = path.read_text().splitlines()
-    lines[1] = edit(lines[1])
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     if message is None:
-        assert read_instance(str(tmp_path)).sites.ids.tolist() == [1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            instance = read_instance(str(tmp_path))
+        assert same_bits(instance.sites, _read_sites_csv(str(path)))
+        if len(instance.sites):
+            assert instance.sites.ids.tolist() == [1, 2]
+        else:
+            assert "EmptyCandidates" in {v.kind for v in validate_instance(instance).violations}
     else:
         with pytest.raises(ValidationError, match=re.escape(message)):
             read_instance(str(tmp_path))
+
+
+@pytest.mark.parametrize("name, column, value", [
+    ("candidates.csv", "capacity_mw", "99.0"),
+    ("municipalities.csv", "population", "1.0"),
+    ("existing.csv", "capacity_mw", "9.0"),
+    ("transformers.csv", "voltage_kv", "20"),
+])
+def test_read_rejects_repeated_column(tmp_path, name, column, value):
+    write_instance(_full_instance(), str(tmp_path))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0] + "," + column]
+                              + [line + "," + value for line in lines[1:]]) + "\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{name}: repeated columns ['{column}']")):
+        read_instance(str(tmp_path))
+    assert main(["scale", "--instance", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def _random_table(rng, n, lengths):
+    """A SiteTable of n rows whose floats mix ordinary values with the edge
+    cases of float text: subnormals, +-1e308, -0.0, random bit patterns and
+    integral values. lengths is "mixed" (some NaN), "nan" (all) or "some"."""
+    special = [5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+               -0.0, 0.0, 3.0, 1e16, 1e-05, 0.1, 123456789.0, 1e22, 9007199254740993.0]
+
+    def column():
+        bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+        bits = np.where(np.isfinite(bits), bits, 1.5)
+        pick = rng.integers(0, 3, n)
+        return np.where(pick == 0, rng.choice(special, n),
+                        np.where(pick == 1, bits, rng.normal(50.0, 20.0, n)))
+
+    length = np.abs(column())
+    if lengths == "mixed":
+        length[rng.random(n) < 0.3] = np.nan
+    elif lengths == "none":
+        length[:] = np.nan
+    ids = rng.permutation(np.arange(1, 10 * n))[:n] * rng.choice([1, -1, 10 ** 12], n)
+    return SiteTable.from_columns(ids, rng.integers(-5, 2 ** 40, n),
+                                  *(column() for _ in range(6)), network_length=length)
+
+
+def _rewrite_csv(path, edit):
+    """Rewrite a CSV through the csv module, each row (header included)
+    replaced by edit(row)."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(edit(row) for row in rows)
+
+
+@pytest.mark.parametrize("lengths", ["all", "mixed", "none", "empty-column"])
+def test_fast_reader_equals_csv_reader(tmp_path, lengths):
+    """loadtxt parses written tables, and a reordered header with an
+    unknown column, into what the csv reader reads, bit for bit; written
+    tables survive write -> read -> write byte for byte. "none" writes no
+    length column, "empty-column" adds one with every field empty."""
+    rng = np.random.default_rng(len(lengths))
+    for trial in range(5):
+        table = _random_table(rng, 300, "none" if lengths == "empty-column" else lengths)
+        out = tmp_path / str(trial)
+        write_instance(Instance(sites=table, municipalities=[]), str(out))
+        path = str(out / "candidates.csv")
+        again = tmp_path / f"{trial}-again"
+        write_instance(read_instance(str(out)), str(again))
+        assert (again / "candidates.csv").read_bytes() == (out / "candidates.csv").read_bytes()
+        if lengths == "empty-column":
+            _rewrite_csv(path, lambda row: row + ["network_length_km" if row[0] == "site_id"
+                                                  else ""])
+        for edit in (None, "reorder"):
+            if edit:
+                width = len(_CAND_HEADER) + (lengths != "none") + 1
+                order = rng.permutation(width)
+                _rewrite_csv(path, lambda row: [(row + ["note" if row[0] == "site_id"
+                                                        else f"a,b {row[0]}"])[k] for k in order])
+            loaded = _load_sites(path)
+            assert loaded is not None
+            assert same_bits(loaded, _read_sites_csv(path))
+            assert same_bits(loaded, table)
+
+
+def _csv_writer_bytes(sites):
+    """Test-local reference: candidates.csv as csv.writer writes it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    with_lengths = not np.isnan(sites.network_length).all()
+    w.writerow(["site_id", "municipality_id", "lat", "lon", "capacity_mw", "lcoe_ct_kwh",
+                "scenicness", "full_load_hours"] + ["network_length_km"] * with_lengths)
+    floats = (sites.lat, sites.lon, sites.caps, sites.lcoe, sites.scenicness,
+              sites.full_load_hours)
+    for k in range(len(sites)):
+        row = [sites.ids[k].tolist(), sites.mun[k].tolist()] + [repr(c[k].tolist()) for c in floats]
+        if with_lengths:
+            x = sites.network_length[k].tolist()
+            row.append("" if math.isnan(x) else repr(x))
+        w.writerow(row)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n, lengths", [(2 * _WRITE_BLOCK + 7, "mixed"), (_WRITE_BLOCK, "none"),
+                                        (0, "none")])
+def test_writer_matches_csv_writer(tmp_path, n, lengths):
+    table = _random_table(np.random.default_rng(n), n, lengths)
+    write_instance(Instance(sites=table, municipalities=[]), str(tmp_path))
+    assert (tmp_path / "candidates.csv").read_bytes() == _csv_writer_bytes(table)
 
 
 def test_read_sorts_by_id(tmp_path):
