@@ -422,7 +422,7 @@ def _length(text: str) -> float:
 def _load_sites(path: str) -> SiteTable | None:
     """candidates.csv as a SiteTable by one np.loadtxt call, with the rules
     of _read_sites_csv, or None where loadtxt declines the file: text other
-    than _PLAIN_BYTES, or anything it cannot read or rejects."""
+    than _PLAIN_BYTES, or anything it cannot read, rejects or warns about."""
     try:
         with open(path, "rb") as f:
             if any(chunk.translate(None, _PLAIN_BYTES)
@@ -438,12 +438,17 @@ def _load_sites(path: str) -> SiteTable | None:
             dtype = np.dtype([(f"c{k}", kinds.get(name, "S0")) for k, name in enumerate(header)])
             converters = ({header.index(_LENGTH_COLUMN): _length} if _LENGTH_COLUMN in header
                           else None)
-            with warnings.catch_warnings():  # a header-only file is an empty table
+            with warnings.catch_warnings():
+                # a header-only file is an empty table
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
+                # numpy 1.23-1.26 read a float text such as "2.9" in an int
+                # column by truncating it, with only this warning; int() rejects it
+                warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                        DeprecationWarning)
                 data = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None,
                                   quotechar='"', converters=converters, ndmin=1)
-    except (OSError, ValueError):
+    except (OSError, ValueError, DeprecationWarning):
         return None
     column = {name: data[f"c{k}"] for k, name in enumerate(header)}
     return SiteTable.from_columns(*(column[name] for name in _CAND_HEADER),

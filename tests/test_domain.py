@@ -259,6 +259,15 @@ def same_bits(a, b):
                  "line 2: 10 fields, the header has 9", id="trailing-comma"),
     pytest.param(lambda lines: lines[:1], None, id="header-only"),
     # numpy's parsers take these; int() and float() do not
+    pytest.param(lambda lines: [lines[0], "1.0" + lines[1][1:], lines[2]],
+                 "column site_id: invalid literal for int() with base 10: '1.0'",
+                 id="float-site-id"),
+    pytest.param(lambda lines: [lines[0], "1e3" + lines[1][1:], lines[2]],
+                 "column site_id: invalid literal for int() with base 10: '1e3'",
+                 id="exponent-site-id"),
+    pytest.param(lambda lines: [lines[0], lines[1], "2,2.9" + lines[2][3:]],
+                 "column municipality_id: invalid literal for int() with base 10: '2.9'",
+                 id="float-municipality-id"),
     pytest.param(lambda lines: [lines[0], "\u2460" + lines[1][1:], lines[2]],
                  "column site_id: invalid literal for int() with base 10: '\u2460'",
                  id="non-ascii-digit"),
@@ -282,6 +291,30 @@ def test_read_malformed_candidate_rows(tmp_path, edit, message):
             assert "EmptyCandidates" in {v.kind for v in validate_instance(instance).violations}
     else:
         with pytest.raises(ValidationError, match=re.escape(message)):
+            read_instance(str(tmp_path))
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+def test_read_int_via_float_warning_declines_fast_path(tmp_path, monkeypatch, action):
+    """numpy 1.23-1.26 read "2.9" in an int column as 2 with only a
+    DeprecationWarning; whatever the warning filters, the csv reader must
+    then decide and reject the file."""
+    write_instance(_full_instance(), str(tmp_path))
+    path = tmp_path / "candidates.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[1], "2,2.9" + lines[2][3:]]) + "\n")
+    loadtxt = np.loadtxt
+
+    def truncating_loadtxt(f, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt(io.StringIO(f.read().replace("2,2.9,", "2,2,")), **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(ValidationError, match=re.escape(
+                "column municipality_id: invalid literal for int() with base 10: '2.9'")):
             read_instance(str(tmp_path))
 
 
