@@ -209,9 +209,21 @@ def sweep_cmd(instance_dir, optimize, sweep_crit, steps, factor,
     write_manifest(out_dir, instance_files(instance_dir),
                    {"command": "sweep", "optimize": optimize, "sweep": sweep_crit,
                     "steps": steps, "factor": factor, "equity": equity,
-                    "total_capacity_mw": total_capacity_mw, "scale": scale},
-                   {"sweep": time.perf_counter() - t0})
-    note = " (truncated at feasibility limit)" if front.truncated else ""
+                    "total_capacity_mw": total_capacity_mw, "scale": scale,
+                    "stop": {"reason": front.stop, "cap": front.stop_cap,
+                             "bound": front.stop_bound}},
+                   {"sweep": time.perf_counter() - t0},
+                   stats={"points": [{"step": p.step, **p.selection.stats}
+                                     for p in front.points]})
+    note = ""
+    if front.truncated:
+        bound = "unknown" if front.stop_bound is None else f"{front.stop_bound:.6g}"
+        if front.stop == "proven_limit":
+            note = (f" (truncated at feasibility limit: the cap {front.stop_cap:.6g} is "
+                    f"below the minimum, which is at least {bound})")
+        else:
+            note = (f" (stopped at the cap {front.stop_cap:.6g}: no selection found, and "
+                    f"the lower bound {bound} does not rule the cap out)")
     click.echo(f"front with {len(front.points)} points{note}")
 
 

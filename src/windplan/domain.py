@@ -37,7 +37,17 @@ class ValidationError(PlanError):
 
 
 class InfeasibleError(PlanError):
-    """The requested targets cannot be met by the instance."""
+    """The requested targets cannot be met by the instance.
+
+    `proven` is False when the solver only failed to find a selection and
+    no bound rules the targets out. `bound`, where known, is a lower bound
+    on the minimum of the capped criterion that failed.
+    """
+
+    def __init__(self, message: str, proven: bool = True, bound: float | None = None):
+        super().__init__(message)
+        self.proven = proven
+        self.bound = bound
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,9 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(out_dir: str, inputs: list[str], config: dict,
-                   timings_s: dict[str, float], warnings: list[str] | None = None) -> None:
+                   timings_s: dict[str, float], warnings: list[str] | None = None,
+                   stats: dict | None = None) -> None:
+    """run_manifest.json; `stats` (solver statistics) is written only when given."""
     doc = {
         "tool_version": __version__,
         "inputs": {os.path.basename(p): _sha256(p) for p in sorted(inputs)
@@ -173,6 +175,8 @@ def write_manifest(out_dir: str, inputs: list[str], config: dict,
         "timings_s": timings_s,
         "warnings": warnings or [],
     }
+    if stats is not None:
+        doc["stats"] = stats
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

@@ -12,24 +12,27 @@ bound (gap 0). Larger pools use a certified heuristic:
      cost/capacity ratio (a single cheapest site is used when cheaper),
   b) cover the remaining national capacity by global ratio greedy,
   c) polish with single-swap local search to a local optimum,
-  d) handle epsilon caps by Lagrangian penalty, bisecting the multiplier
-     until the cap is met with minimal slack,
+  d) handle epsilon caps by Lagrangian penalty (Fisher, Mgmt. Sci. 1981):
+     the multiplier comes from the covering LP relaxation of the penalised
+     cost, and a few heuristic runs bracketed around it repair
+     integrality,
   e) certify with an LP-relaxation lower bound and report the gap.
 
 The pool is the instance's SiteTable, `Instance.sites`; a row index is a
 position in that table (site_id order).
 
 A heuristic run sorts only the prefix of the global ratio order that its
-greedy fill and polish rounds read (`_RatioOrder`), and polish tests all
-swap candidates of a site in one vectorised check, so its cost follows
-the selection size rather than the pool size.
+greedy fill and polish rounds read (`_RatioOrder`), takes that order and
+the selection in numpy blocks (running totals are sequential cumsums, so
+they add as a site-by-site loop would), and polish tests all swap
+candidates of a site in one vectorised check, so its cost follows the
+selection size rather than the pool size.
 
 Everything is deterministic; ties break on the lowest site id.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -41,7 +44,8 @@ from .objective import ScaledCriteria, Weights, site_costs
 
 FEAS_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 24
-_BISECT_ITERS = 48
+_FIRST_STEP = 1e-3  # first relative step of the heuristic bracket around the LP multiplier
+_BISECT_STEPS = 6  # heuristic bisection steps inside that bracket
 
 _CAP_FIELDS = {"lcoe": "m_c", "scenicness": "m_s", "network_length": "m_l"}
 
@@ -91,6 +95,9 @@ class Selection:
     means: Means
     lower_bound: float
     gap: float
+    # how the heuristic got there: heuristic_runs and the multiplier per cap
+    # ("lambda"); empty for an exact solve, and in no result file
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def n_sites(self) -> int:
@@ -112,7 +119,15 @@ class ParetoFront:
     sweep: str
     step_factor: float
     points: list[ParetoPoint] = field(default_factory=list)
-    truncated: bool = False  # sweep hit the swept criterion's feasibility limit
+    # why the sweep ended: "complete", "proven_limit" (a bound rules the next
+    # cap out) or "unproven_miss" (no selection found, nothing rules it out)
+    stop: str = "complete"
+    stop_cap: float | None = None  # the cap of the step that ended the sweep
+    stop_bound: float | None = None  # lower bound on the swept total there, if known
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop != "complete"
 
 
 class _RatioOrder:
@@ -148,17 +163,22 @@ class _RatioOrder:
         self._sorted = np.lexsort((ids, ratio))
         self._complete = True
 
-    def __iter__(self):
+    def blocks(self):
+        """The order as successive arrays of rows, each as long as the sort allows."""
         done = 0
         while True:
             rows = self._sorted
             if done < rows.size:
-                yield from rows[done:].tolist()
+                yield rows[done:]
                 done = rows.size
             elif self._complete:
                 return
             else:
                 self._grow()
+
+    def __iter__(self):
+        for rows in self.blocks():
+            yield from rows.tolist()
 
 
 def _mun_ratio_order(sites: SiteTable, cost: np.ndarray) -> np.ndarray:
@@ -181,22 +201,40 @@ class _State:
 
     def __init__(self, sites: SiteTable, cost: np.ndarray, floors: dict[int, float],
                  cap_specs: list[tuple[np.ndarray, float]],
-                 rows: list[int] | tuple[int, ...] = ()):
+                 rows: list[int] | tuple[int, ...] | np.ndarray = ()):
         self.sites = sites
         self.cost = cost
         self.floors = floors
         self.cap_specs = cap_specs  # (per-site values, limit) per active cap
         self.sel: set[int] = set()
+        self.taken = np.zeros(len(sites), dtype=bool)  # `sel` as a row mask
         self.cap_total = 0.0
         self.obj = 0.0
         self.mun_totals: dict[int, float] = {j: 0.0 for j in floors}
         self.v_totals = [0.0] * len(cap_specs)
         self.order = _RatioOrder(sites, cost)
-        for i in rows:
-            self.add(i)
+        self.add_rows(np.asarray(rows, dtype=np.intp))
+
+    def add_rows(self, rows: np.ndarray) -> None:
+        """`add` of each row in turn; the totals are sequential cumsums, so
+        they add in the same order."""
+        if not rows.size:
+            return
+        self.sel.update(rows.tolist())
+        self.taken[rows] = True
+        caps = self.sites.caps
+        self.cap_total = _running_sum(self.cap_total, caps[rows])
+        self.obj = _running_sum(self.obj, self.cost[rows])
+        for k, (v, _) in enumerate(self.cap_specs):
+            self.v_totals[k] = _running_sum(self.v_totals[k], v[rows])
+        if self.mun_totals:
+            for i, j in zip(rows.tolist(), self.sites.mun[rows].tolist()):
+                if j in self.mun_totals:
+                    self.mun_totals[j] += caps[i]
 
     def add(self, i: int) -> None:
         self.sel.add(i)
+        self.taken[i] = True
         self.cap_total += self.sites.caps[i]
         self.obj += self.cost[i]
         j = int(self.sites.mun[i])
@@ -207,6 +245,7 @@ class _State:
 
     def remove(self, i: int) -> None:
         self.sel.discard(i)
+        self.taken[i] = False
         self.cap_total -= self.sites.caps[i]
         self.obj -= self.cost[i]
         j = int(self.sites.mun[i])
@@ -226,6 +265,54 @@ class _State:
 
     def caps_ok(self) -> bool:
         return all(_le(t, limit) for t, (_, limit) in zip(self.v_totals, self.cap_specs))
+
+    def costliest_first(self) -> np.ndarray:
+        """The selected rows by descending cost, ties on the lower site id."""
+        rows = np.flatnonzero(self.taken)
+        return rows[np.lexsort((self.sites.ids[rows], -self.cost[rows]))]
+
+    def drop_removable(self, cap_obj: float) -> bool:
+        """Drop, costliest first, each site of positive cost that is
+        `removable` at its turn; True if any was dropped.
+
+        The cover only shrinks, so a site that would uncover it now is
+        never removable later: only the others are tested one by one."""
+        rows = self.costliest_first()
+        cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
+        rows = rows[(self.cost[rows] > 0) & (self.cap_total - self.sites.caps[rows] >= cover_min)]
+        dropped = False
+        for i in rows.tolist():
+            if self.removable(i, cap_obj):
+                self.remove(i)
+                dropped = True
+        return dropped
+
+    def fill(self, cap_obj: float) -> None:
+        """Add unselected rows in ratio order until the cover is met (or
+        the pool runs out)."""
+        cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
+        for rows in self.order.blocks():
+            rows = rows[~self.taken[rows]]
+            covered = np.flatnonzero(
+                np.cumsum(np.append(self.cap_total, self.sites.caps[rows]))[1:] >= cover_min)
+            self.add_rows(rows[:covered[0] + 1] if covered.size else rows)
+            if covered.size:
+                return
+
+    def first_unselected(self, count: int) -> np.ndarray:
+        """The first `count` unselected rows in ratio order."""
+        parts = []
+        for rows in self.order.blocks():
+            parts.append(rows[~self.taken[rows]][:count])
+            count -= parts[-1].size
+            if count <= 0:
+                break
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
+def _running_sum(start: float, values: np.ndarray) -> float:
+    """`start` plus each of `values` in turn, as a scalar loop adds them."""
+    return float(np.cumsum(np.append(start, values))[-1])
 
 
 def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
@@ -268,21 +355,14 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
             state.add(i)
 
     if not _ge(state.cap_total, cap_obj):
-        for i in state.order:
-            if i in state.sel:
-                continue
-            state.add(i)
-            if _ge(state.cap_total, cap_obj):
-                break
+        state.fill(cap_obj)
     if not _ge(state.cap_total, cap_obj):
         shortfall = cap_obj - state.cap_total
         raise InfeasibleError(
             f"total potential {state.cap_total + 0.0:.3f} MW cannot cover capacity "
             f"target: shortfall {shortfall:.3f} MW")
 
-    for i in sorted(state.sel, key=lambda i: (-cost[i], ids[i])):
-        if cost[i] > 0 and state.removable(i, cap_obj):
-            state.remove(i)
+    state.drop_removable(cap_obj)
     return state
 
 
@@ -295,7 +375,7 @@ def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
     unselected sites and makes the first strictly improving feasible
     swap it finds for that `out`.
     """
-    sites, cost, ids = state.sites, state.cost, state.sites.ids
+    sites, cost = state.sites, state.cost
     caps, mun = sites.caps, sites.mun
     n = len(sites)
     if neighborhood is None:
@@ -303,14 +383,9 @@ def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
     cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
     cap_max = [limit + FEAS_TOL * max(1.0, abs(limit)) for _, limit in state.cap_specs]
     for _ in range(max_rounds):
-        improved = False
-        for i in sorted(state.sel, key=lambda i: (-cost[i], ids[i])):
-            if cost[i] > 0 and state.removable(i, cap_obj):
-                state.remove(i)
-                improved = True
-        outs = sorted(state.sel, key=lambda i: (-cost[i], ids[i]))[:neighborhood]
-        ins = np.fromiter(itertools.islice((i for i in state.order if i not in state.sel),
-                                           neighborhood), dtype=np.intp)
+        improved = state.drop_removable(cap_obj)
+        outs = state.costliest_first()[:neighborhood].tolist()
+        ins = state.first_unselected(neighborhood)
         # the swap rule of `_ge`/`_le`, evaluated for all `ins` at once
         cost_in, caps_in, mun_in = cost[ins], caps[ins], mun[ins]
         v_in = [v[ins] for v, _ in state.cap_specs]
@@ -366,14 +441,16 @@ def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: flo
 
 
 def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
-               cap_obj: float, floors: dict[int, float]) -> float:
-    """Exact optimum of the fractional relaxation (floors + covering).
+               cap_obj: float, floors: dict[int, float],
+               v: np.ndarray | None = None) -> tuple[float, float]:
+    """Exact optimum of the fractional relaxation (floors + covering), and
+    the total of `v` over that fractional solution (0.0 without `v`).
 
     Floors are filled fractionally at the cheapest within-municipality
     ratios; the residual capacity takes the globally cheapest remaining
     fractional marginals. Marginal cost curves are convex, so this
     greedy is LP-optimal. `order` is `_mun_ratio_order(sites, cost)`
-    (None without floors).
+    (None without floors). An infeasible relaxation gives (inf, inf).
     """
     caps = sites.caps
     used = np.zeros(len(sites))  # fraction of each site already committed
@@ -382,25 +459,37 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
     for j, floor in floors.items():
         rows = sites.mun_rows.get(j)
         if rows is None:
-            return np.inf
+            return np.inf, np.inf
         total_cost = _fill_floor(caps, cost, order[slice(*rows)], floor, total_cost, used)
         if total_cost == np.inf:
-            return np.inf
+            return np.inf, np.inf
         floor_cap += floor
+    v_total = float(used @ v) if v is not None and floors else 0.0
     residual = cap_obj - floor_cap
     if residual > 1e-15:
-        for i in _RatioOrder(sites, cost):
-            avail = caps[i] * (1.0 - used[i])
-            if avail <= 0:
-                continue
-            take = min(avail, residual)
-            total_cost += take / caps[i] * cost[i]
-            residual -= take
-            if residual <= 1e-15:
+        # take each site's available capacity in ratio order until the
+        # residual is <= 1e-15, the last one only in part; every running sum
+        # is a sequential cumsum, so it adds in the order of a scalar loop
+        for rows in _RatioOrder(sites, cost).blocks():
+            avail = caps[rows] * (1.0 - used[rows])
+            rows, avail = rows[avail > 0], avail[avail > 0]
+            left = np.cumsum(np.concatenate(([residual], -avail)))  # residual after each
+            done = np.flatnonzero(left[1:] <= 1e-15)
+            n = int(done[0]) + 1 if done.size else rows.size
+            take = avail[:n]
+            residual = float(left[n])
+            if done.size and avail[n - 1] >= left[n - 1]:
+                take = np.append(avail[:n - 1], left[n - 1])
+                residual = 0.0
+            frac = take / caps[rows[:n]]
+            total_cost = float(np.cumsum(np.append(total_cost, frac * cost[rows[:n]]))[-1])
+            if v is not None:
+                v_total = float(np.cumsum(np.append(v_total, frac * v[rows[:n]]))[-1])
+            if done.size:
                 break
         if residual > 1e-9:
-            return np.inf
-    return total_cost
+            return np.inf, np.inf
+    return total_cost, v_total
 
 
 def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
@@ -438,7 +527,7 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
 def _floor_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                  floors: dict[int, float]) -> float:
     order = _mun_ratio_order(sites, cost) if floors else None
-    return max(_lp_nested(sites, cost, order, cap_obj, floors),
+    return max(_lp_nested(sites, cost, order, cap_obj, floors)[0],
                _floor_int_bound(sites, cost, order, floors))
 
 
@@ -624,10 +713,64 @@ def _solve_exact(sites: SiteTable, cost: np.ndarray, cap_obj: float,
             if vmin is not None and not _le(vmin[1], limit):
                 raise InfeasibleError(
                     f"cap on total {name} ({limit}) below the minimum "
-                    f"achievable {vmin[1]:.6f}")
+                    f"achievable {vmin[1]:.6f}", bound=vmin[1])
         raise InfeasibleError(
             f"caps {[name for name, _, _ in named_specs]} unattainable together")
     return _make_selection(sites, _mask_rows(exact[0], len(sites)), cost, None)
+
+
+def _lambda_scale(cost: np.ndarray, v: np.ndarray) -> float:
+    """A multiplier at which the penalty `lam * v` is on the scale of `cost`."""
+    pos = v[v > 0]
+    return max(1.0, float(cost.max()) / max(float(pos.min()), 1e-12)) if pos.size else 1.0
+
+
+def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: float,
+                   cap_obj: float, floors: dict[int, float]) -> float:
+    """The smallest lam >= 0 at which the covering relaxation of
+    `base + lam * v` meets the cap `v <= limit`, to a relative FEAS_TOL.
+
+    That lam maximises L(lam) = LP(base + lam * v) - lam * limit. LP is
+    concave and piecewise linear in lam with the relaxation's v-total as
+    its slope, so the tangents at a missing `lo` and a meeting `hi` cross
+    inside [lo, hi], on the breakpoint once both touch the pieces next to
+    it. Each trial is that crossing, or the midpoint after a trial that
+    did not halve the interval.
+    """
+    def tangent(lam: float) -> tuple[float, float]:
+        pen = base + lam * v
+        order = _mun_ratio_order(sites, pen) if floors else None
+        value, v_total = _lp_nested(sites, pen, order, cap_obj, floors, v)
+        return value - lam * v_total, v_total  # intercept and slope
+
+    lo, (c_lo, s_lo) = 0.0, tangent(0.0)
+    if _le(s_lo, limit):
+        return 0.0
+    hi = _lambda_scale(base, v)
+    c_hi, s_hi = tangent(hi)
+    for _ in range(60):
+        if _le(s_hi, limit):
+            break
+        lo, c_lo, s_lo = hi, c_hi, s_hi
+        hi *= 2.0
+        c_hi, s_hi = tangent(hi)
+    else:
+        return hi
+    width = np.inf
+    while hi - lo > FEAS_TOL * hi:
+        if hi - lo <= 0.5 * width:
+            x = (c_hi - c_lo) / (s_lo - s_hi)
+        else:
+            x = 0.5 * (lo + hi)
+        width = hi - lo
+        margin = 0.5 * FEAS_TOL * hi
+        x = min(max(x, lo + margin), hi - margin)
+        c, s = tangent(x)
+        if _le(s, limit):
+            hi, c_hi, s_hi = x, c, s
+        else:
+            lo, c_lo, s_lo = x, c, s
+    return hi
 
 
 def solve(instance: Instance, weights: Weights, constraints: Constraints,
@@ -640,16 +783,23 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
 
     cap_specs = [(v, limit) for _, v, limit in named_specs]
     lambdas = [0.0] * len(cap_specs)
-    state = _run_heuristic(sites, cost, cap_obj, floors, cap_specs)
+    runs = 0
 
+    def heuristic(c: np.ndarray) -> _State:
+        nonlocal runs
+        runs += 1
+        return _run_heuristic(sites, c, cap_obj, floors, cap_specs)
+
+    state = heuristic(cost)
     if cap_specs and not state.caps_ok():
-        best: _State | None = None
+        feasible: list[np.ndarray] = []  # selected rows of each run that meets everything
         for k, (name, v, limit) in enumerate(named_specs):
+            if feasible:
+                break
             if _le(state.v_totals[k], limit):
                 continue
             # is the cap attainable at all? check the min-v solution
-            vmin_state = _run_heuristic(sites, v.astype(float), cap_obj, floors, cap_specs)
-            vmin = float(np.sum(v[sorted(vmin_state.sel)]))
+            vmin = float(np.sum(v[sorted(heuristic(v.astype(float)).sel)]))
             if not _le(vmin, limit):
                 # the heuristic's minimum proves nothing; only the relaxation
                 # bound on the minimum can rule the cap out
@@ -657,47 +807,72 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
                 if not _le(bound, limit):
                     raise InfeasibleError(
                         f"cap on total {name} ({limit}) below the minimum achievable, "
-                        f"which is at least {bound:.6f}")
+                        f"which is at least {bound:.6f}", bound=bound)
                 raise InfeasibleError(
                     f"cap on total {name} ({limit}) not met: the lowest total found is "
                     f"{vmin:.6f}, and the lower bound {bound:.6f} does not rule the "
-                    f"cap out")
+                    f"cap out", proven=False, bound=bound)
 
-            def run(lam: float) -> _State:
-                pen = cost + lam * v
-                for kk, (vv, _) in enumerate(cap_specs):
-                    if lambdas[kk] > 0 and kk != k:
-                        pen = pen + lambdas[kk] * vv
-                return _run_heuristic(sites, pen, cap_obj, floors, cap_specs)
+            base = cost.copy()
+            for kk, (vv, _) in enumerate(cap_specs):
+                if lambdas[kk] > 0 and kk != k:
+                    base = base + lambdas[kk] * vv
+            lambdas[k] = _lp_multiplier(sites, base, v, limit, cap_obj, floors)
 
-            lo, hi = 0.0, max(1.0, float(cost.max()) / max(float(v[v > 0].min()), 1e-12)
-                              if np.any(v > 0) else 1.0)
-            s_hi = run(hi)
-            doublings = 0
-            while not _le(s_hi.v_totals[k], limit) and doublings < 60:
-                hi *= 2.0
-                s_hi = run(hi)
-                doublings += 1
-            if _feasible(s_hi, cap_obj) and (best is None or s_hi.obj < best.obj):
-                best = s_hi
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                s_mid = run(mid)
-                if _le(s_mid.v_totals[k], limit):
-                    hi = mid
-                    if _feasible(s_mid, cap_obj) and (best is None or s_mid.obj < best.obj):
-                        best = s_mid
-                else:
-                    lo = mid
-            lambdas[k] = hi
-            state = best if best is not None else s_hi
+            def meets(lam: float) -> bool:
+                nonlocal state
+                s = heuristic(base + lam * v)
+                if not _le(s.v_totals[k], limit):
+                    return False
+                state = s
+                if _feasible(s, cap_obj):
+                    feasible.append(np.flatnonzero(s.taken))
+                return True
 
-        if best is None:
+            # The heuristic's own threshold lies near the LP multiplier: bracket
+            # it geometrically (lam = 0 is taken to miss the cap) and bisect.
+            # Its cost is not monotone in lam, so when the bracket went down,
+            # one more run goes as far above the LP multiplier.
+            start = lambdas[k] or _FIRST_STEP * _lambda_scale(base, v)
+            step = _FIRST_STEP
+            lo = hi = start
+            above = None
+            met = meets(start)
+            if met:
+                lo = 0.0
+                while step < 1.0:
+                    trial = start * (1.0 - step)
+                    above = start * (1.0 + step)
+                    if not meets(trial):
+                        lo = trial
+                        break
+                    hi = trial
+                    step *= 4.0
+            else:
+                # x4 per step: after 30 the penalty swamps the cost
+                for _ in range(30):
+                    trial = start * (1.0 + step)
+                    if meets(trial):
+                        hi, met = trial, True
+                        break
+                    lo = trial
+                    step *= 4.0
+            if met:
+                for _ in range(_BISECT_STEPS):
+                    mid = 0.5 * (lo + hi)
+                    if meets(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                if above is not None:
+                    meets(above)
+
+        if not feasible:
             # repair: start from a selection minimizing each violated cap
             repair_cost = np.zeros(len(sites))
             for (v, limit) in cap_specs:
                 repair_cost = repair_cost + v
-            state = _run_heuristic(sites, repair_cost, cap_obj, floors, cap_specs)
+            state = heuristic(repair_cost)
             if not _feasible(state, cap_obj):
                 bad = [name for (name, v, limit), t in zip(named_specs, state.v_totals)
                        if not _le(t, limit)]
@@ -705,16 +880,26 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
                                   in zip(named_specs, state.v_totals))
                 raise InfeasibleError(
                     f"caps {bad} not met together: the lowest-total selection found has "
-                    f"{found}, and no lower bound rules the caps out")
-        else:
-            state = best
-        # constrained polish on the true objective
-        final = _State(sites, cost, floors, cap_specs, sorted(state.sel))
-        _polish(final, cap_obj)
-        state = final
+                    f"{found}, and no lower bound rules the caps out", proven=False)
+            feasible.append(np.flatnonzero(state.taken))
+        # constrained polish on the true objective from each distinct feasible
+        # run; the cheapest result wins, ties to the earliest run
+        state = None
+        seen: set[bytes] = set()
+        for rows in feasible:
+            if rows.tobytes() in seen:
+                continue
+            seen.add(rows.tobytes())
+            final = _State(sites, cost, floors, cap_specs, rows)
+            _polish(final, cap_obj)
+            if state is None or final.obj < state.obj:
+                state = final
 
     bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs, lambdas)
-    return _make_selection(sites, state.sel, cost, bound)
+    sel = _make_selection(sites, state.sel, cost, bound)
+    sel.stats = {"heuristic_runs": runs,
+                 "lambda": {name: float(lam) for (name, _, _), lam in zip(named_specs, lambdas)}}
+    return sel
 
 
 def brute_force(instance: Instance, weights: Weights, constraints: Constraints,
@@ -785,11 +970,18 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
     factor each optimization and minimize the other criterion.
 
     Point 0 is the unconstrained minimum of `optimize`; its total on the
-    swept criterion anchors the caps T0 * factor^k. The sweep stops
-    early (front flagged truncated) once a cap becomes infeasible. A
-    backward pass propagates any strictly better tight-cap solution to
+    swept criterion anchors the caps T0 * factor^k. The first cap that
+    `solve` cannot meet ends the sweep, so the front has no holes, and
+    `front.stop` says why: "proven_limit" when a bound rules the cap out,
+    "unproven_miss" when no selection was found but nothing rules the cap
+    out, "complete" when every step was solved (`truncated` is False only
+    then). `stop_cap` and `stop_bound` give that cap and the lower bound on
+    the swept criterion's minimum, where known.
+
+    A backward pass propagates any strictly better tight-cap solution to
     looser-cap points, so achieved minima are monotone by construction;
-    an adopted solution keeps the looser point's own lower bound.
+    an adopted solution keeps the looser point's own lower bound and the
+    solver stats of the looser point's own solve.
     """
     if optimize == sweep:
         raise PlanError("optimize and sweep criteria must differ")
@@ -816,8 +1008,9 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
         con = replace(constraints, **{cap_field: cap_val})
         try:
             sel = solve(instance, w, con, scaled)
-        except InfeasibleError:
-            front.truncated = True
+        except InfeasibleError as err:
+            front.stop = "proven_limit" if err.proven else "unproven_miss"
+            front.stop_cap, front.stop_bound = cap_val, err.bound
             break
         front.points.append(ParetoPoint(k, cap_val, total_of(sel, optimize), sel.gap, sel))
     # tighter caps can only worsen the optimum; a better solution found at a
@@ -829,7 +1022,8 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
         if cur.achieved_min < prev.achieved_min:
             bound = prev.selection.lower_bound
             sel = replace(cur.selection, lower_bound=bound,
-                          gap=_gap(cur.selection.objective_value, bound))
+                          gap=_gap(cur.selection.objective_value, bound),
+                          stats=prev.selection.stats)
             front.points[i - 1] = ParetoPoint(prev.step, prev.cap, cur.achieved_min,
                                               sel.gap, sel)
     return front

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from windplan.cli import main
+from windplan.domain import read_instance
 
 SPEC = {"seed": 404, "n_sites": 250, "n_municipalities": 12, "n_states": 3,
         "n_transformers": 6, "n_existing": 5}
@@ -106,6 +107,46 @@ def test_sweep_writes_front(prepped):
     assert lines[0] == "step,cap,achieved_min,gap"
     assert 2 <= len(lines) <= 5
     _assert_numeric_fields(out / "front.csv")
+
+
+def test_sweep_reports_why_it_stopped(tmp_path, capsys):
+    # 50 sites after exclusion; the heuristic misses the step-1 cap 31.4394,
+    # which the lower bound 30.869855 does not rule out
+    spec = {"seed": 10, "n_sites": 52, "n_municipalities": 3, "n_states": 2,
+            "n_transformers": 3, "n_existing": 2, "rho_lcoe_scenicness": 0.0}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(raw)]) == 0
+    assert main(["prep", "--instance", str(raw), "--out", str(prep)]) == 0
+    existing = sum(m.existing_capacity for m in read_instance(str(prep)).municipalities)
+    args = ["sweep", "--instance", str(prep), "--optimize", "lcoe", "--sweep", "scenicness",
+            "--total-capacity-mw", repr(57.03099829779829 + existing)]
+    capsys.readouterr()
+    assert main(args + ["--steps", "3", "--factor", repr(31.439414949797282 / 69.38336043787855),
+                        "--out", str(tmp_path / "miss")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "front with 1 points (stopped at the cap 31.4394: no selection found, and the "
+        "lower bound 30.8699 does not rule the cap out)")
+    manifest = json.loads((tmp_path / "miss" / "run_manifest.json").read_text())
+    stop = manifest["config"]["stop"]
+    assert stop["reason"] == "unproven_miss" and f"{stop['bound']:.6f}" == "30.869855"
+    assert stop["cap"] == pytest.approx(31.439414949797282, rel=1e-12)
+    assert manifest["stats"]["points"] == [{"step": 0, "heuristic_runs": 1, "lambda": {}}]
+    # a cap below the bound is a proven limit; two steps that solve are complete
+    assert main(args + ["--steps", "3", "--factor", "0.4", "--out", str(tmp_path / "lim")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "front with 1 points (truncated at feasibility limit: the cap 27.7533 is below the "
+        "minimum, which is at least 30.8699)")
+    stop = json.loads((tmp_path / "lim" / "run_manifest.json").read_text())["config"]["stop"]
+    assert stop["reason"] == "proven_limit" and stop["bound"] > stop["cap"]
+    assert main(args + ["--steps", "2", "--factor", "0.95", "--out", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "front with 2 points"
+    manifest = json.loads((tmp_path / "ok" / "run_manifest.json").read_text())
+    assert manifest["config"]["stop"] == {"reason": "complete", "cap": None, "bound": None}
+    point = manifest["stats"]["points"][1]
+    assert point["step"] == 1 and 1 <= point["heuristic_runs"] <= 15
+    assert set(point["lambda"]) == {"scenicness"}
 
 
 def test_scenarios_grid(prepped):
@@ -345,6 +386,8 @@ GOLDEN = {
         "93cdc5976c4120c6be4f4b7964a08c97c3cd5cc343a9232ac19ef7114ac05912",
     "solve/summary.json":
         "ff744011e3dd34c1e670036ecfd67ce151202ae00da8449f1209e4fb248453ac",
+    "sweep/front.csv":
+        "6c6f31a25055fe3fe6b988ac3e44fef77625fc84d7f07b5b67e2a5e6c1b140c5",
 }
 
 
@@ -361,9 +404,12 @@ def test_pipeline_bytes_match_golden_digests(tmp_path):
                  "--scale", "0.003", "--out", str(tmp_path / "grid")]) == 0
     assert main(["solve", "--instance", str(prep), "--scenario", str(scenario),
                  "--out", str(tmp_path / "solve")]) == 0
+    assert main(["sweep", "--instance", str(prep), "--optimize", "lcoe", "--sweep",
+                 "scenicness", "--steps", "4", "--total-capacity-mw", "130",
+                 "--out", str(tmp_path / "sweep")]) == 0
     digests = {f"{step}/{name}": hashlib.sha256((tmp_path / step / name).read_bytes())
                .hexdigest()
-               for step in ("raw", "prep", "grid", "solve")
+               for step in ("raw", "prep", "grid", "solve", "sweep")
                for name in sorted(os.listdir(tmp_path / step))
                if name != "run_manifest.json"}
     assert digests == GOLDEN

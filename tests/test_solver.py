@@ -231,6 +231,78 @@ def test_pareto_truncation_flag():
     assert len(front.points) < 40
 
 
+def test_pareto_stop_reasons():
+    # the heuristic misses the step-1 cap, which the bound does not rule out
+    inst = rand_instance(10, 52)
+    front = pareto_sweep(inst, "lcoe", "scenicness", Constraints(cap_obj=57.03099829779829),
+                         steps=3, step_factor=31.439414949797282 / 69.38336043787855)
+    assert len(front.points) == 1 and front.truncated
+    assert front.stop == "unproven_miss"
+    assert front.stop_cap == pytest.approx(31.439414949797282, rel=1e-12)
+    assert f"{front.stop_bound:.6f}" == "30.869855"
+    # enumeration proves the next cap infeasible
+    inst = rand_instance(57, 10)
+    front = pareto_sweep(inst, "lcoe", "scenicness",
+                         Constraints(cap_obj=0.7 * sum(inst.sites.caps.tolist())), steps=40)
+    assert front.truncated and front.stop == "proven_limit"
+    assert front.stop_cap == pytest.approx(front.points[0].cap * 0.9 ** len(front.points))
+    assert front.stop_bound > front.stop_cap
+    # every step solved
+    front = pareto_sweep(inst, "lcoe", "scenicness",
+                         Constraints(cap_obj=0.7 * sum(inst.sites.caps.tolist())), steps=1)
+    assert not front.truncated and front.stop == "complete"
+    assert front.stop_cap is None and front.stop_bound is None
+
+
+def _lp_v_total(sites, pen, v, cap_obj):
+    """Total of `v` over the covering LP optimum of cost `pen` (no floors):
+    one full sort by ratio, then the cheapest prefix, the last site in part."""
+    order = np.lexsort((sites.ids, pen / sites.caps))
+    caps = sites.caps[order]
+    frac = np.clip((cap_obj - (np.cumsum(caps) - caps)) / caps, 0.0, 1.0)
+    return float(frac @ v[order])
+
+
+def test_capped_solve_takes_multiplier_from_relaxation(monkeypatch):
+    inst = rand_instance(43, 150, n_muns=10)
+    sites = inst.sites
+    assert len(sites) > BRUTE_FORCE_LIMIT
+    cap_obj = 0.35 * sum(sites.caps.tolist())
+    runs = []
+    heuristic = solver._run_heuristic
+    monkeypatch.setattr(solver, "_run_heuristic",
+                        lambda *a: runs.append(1) or heuristic(*a))
+    # one cap per criterion, each minimizing another criterion
+    cases = [(Weights(0.0, 1.0, 0.0), "lcoe", "m_c"), (W_LCOE, "scenicness", "m_s"),
+             (W_LCOE, "network_length", "m_l")]
+    for weights, crit, fld in cases:
+        free = solve(inst, weights, Constraints(cap_obj=cap_obj))
+        v = getattr(sites, crit)
+        limit = 0.9 * float(np.sum(v[sites.rows(free.site_ids)]))
+        con = Constraints(cap_obj=cap_obj, **{fld: limit})
+        runs.clear()
+        sel = solve(inst, weights, con)
+        assert len(runs) == sel.stats["heuristic_runs"] <= 15, (crit, len(runs))
+        assert verify_selection(sel, inst, con)
+        assert sel.lower_bound <= sel.objective_value
+        lam = sel.stats["lambda"][crit]
+        cost = site_costs(sites, weights)
+        assert lam > 0
+        assert solver._le(_lp_v_total(sites, cost + lam * v, v, cap_obj), limit)
+        assert not solver._le(_lp_v_total(sites, cost + lam * (1 - 1e-6) * v, v, cap_obj),
+                              limit)
+    # two caps together
+    free = solve(inst, W_LCOE, Constraints(cap_obj=cap_obj))
+    con = Constraints(cap_obj=cap_obj, m_s=0.95 * free.totals.scenicness,
+                      m_l=0.9 * free.totals.network_length_km)
+    runs.clear()
+    sel = solve(inst, W_LCOE, con)
+    assert len(runs) == sel.stats["heuristic_runs"] <= 30
+    assert set(sel.stats["lambda"]) == {"scenicness", "network_length"}
+    assert verify_selection(sel, inst, con)
+    assert sel.lower_bound <= sel.objective_value
+
+
 def _shuffled(inst, seed):
     """The instance with its table rebuilt from columns in shuffled row order."""
     order = np.random.default_rng(seed).permutation(len(inst.sites))
@@ -538,3 +610,4 @@ def test_heuristic_certificate_against_exact_optimum(monkeypatch):
         assert solver._gap(sel.objective_value, opt) <= sel.gap + 1e-9, trial
         tally["certified"] += 1
     assert tally["certified"] >= 300 and tally["infeasible"] >= 15, tally
+    assert tally["unproven"] == 0, tally
