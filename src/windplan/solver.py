@@ -289,8 +289,10 @@ class _State:
 
     def fill(self, cap_obj: float) -> None:
         """Add unselected rows in ratio order until the cover is met (or
-        the pool runs out)."""
+        the pool runs out); nothing when it is met already."""
         cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
+        if self.cap_total >= cover_min:
+            return
         for rows in self.order.blocks():
             rows = rows[~self.taken[rows]]
             covered = np.flatnonzero(
@@ -354,8 +356,7 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
         for i in chosen:
             state.add(i)
 
-    if not _ge(state.cap_total, cap_obj):
-        state.fill(cap_obj)
+    state.fill(cap_obj)
     if not _ge(state.cap_total, cap_obj):
         shortfall = cap_obj - state.cap_total
         raise InfeasibleError(

@@ -476,6 +476,91 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     assert sel.lower_bound <= sel.objective_value
 
 
+def _random_pool(rng, n):
+    """A pool over a few municipalities whose cost/capacity ratios tie often."""
+    ids = rng.permutation(10 * n)[:n]
+    mun = rng.integers(0, 6, n)
+    caps = rng.choice([2.0, 3.0, 4.5, 0.7], size=n) * rng.uniform(0.5, 1.5, n) ** rng.integers(0, 2)
+    zero = np.zeros(n)
+    sites = SiteTable.from_columns(ids, mun, zero, zero, caps, rng.uniform(0.0, 5.0, n),
+                                   rng.uniform(0.0, 3.0, n), zero, rng.uniform(0.0, 50.0, n))
+    cost = np.round(sites.lcoe + rng.uniform(0.0, 1.0) * sites.scenicness, int(rng.integers(1, 4)))
+    cost[rng.random(n) < 0.05] = 0.0
+    floors = {int(j): float(rng.uniform(0.0, 0.6)) * float(caps[mun == j].sum())
+              for j in np.unique(mun)[: int(rng.integers(0, 4))]}
+    return sites, cost, floors
+
+
+def _scalar_lp(sites, cost, order, cap_obj, floors, v):
+    """Reference for `_lp_nested`: the floors, then one site at a time along
+    the full ratio sort."""
+    caps = sites.caps
+    used = np.zeros(len(sites))
+    total, floor_cap = 0.0, 0.0
+    for j, floor in floors.items():
+        total = solver._fill_floor(caps, cost, order[slice(*sites.mun_rows[j])], floor,
+                                   total, used)
+        if total == np.inf:
+            return np.inf, np.inf
+        floor_cap += floor
+    v_total = float(used @ v) if floors else 0.0
+    residual = cap_obj - floor_cap
+    if residual > 1e-15:
+        for i in np.lexsort((sites.ids, cost / caps)).tolist():
+            avail = caps[i] * (1.0 - used[i])
+            if avail <= 0:
+                continue
+            take = min(avail, residual)
+            total += take / caps[i] * cost[i]
+            v_total += take / caps[i] * v[i]
+            residual -= take
+            if residual <= 1e-15:
+                break
+        if residual > 1e-9:
+            return np.inf, np.inf
+    return total, v_total
+
+
+def _scalar_fill_and_trim(state, cap_obj):
+    """Reference for `_State.fill` and `drop_removable`: one site at a time."""
+    sites, cost = state.sites, state.cost
+    if not solver._ge(state.cap_total, cap_obj):
+        for i in np.lexsort((sites.ids, cost / sites.caps)).tolist():
+            if i in state.sel:
+                continue
+            state.add(i)
+            if solver._ge(state.cap_total, cap_obj):
+                break
+    for i in sorted(state.sel, key=lambda i: (-cost[i], sites.ids[i])):
+        if cost[i] > 0 and state.removable(i, cap_obj):
+            state.remove(i)
+
+
+def test_block_passes_match_scalar_loops():
+    # the relaxation, the greedy fill and the trim pass take numpy blocks;
+    # every total must equal the site-by-site loop's to the last bit
+    rng = np.random.default_rng(31)
+    for trial in range(120):
+        n = int(rng.integers(1, 3000))
+        sites, cost, floors = _random_pool(rng, n)
+        cap_obj = float(rng.uniform(0.0, 1.02)) * float(sites.caps.sum())
+        order = solver._mun_ratio_order(sites, cost)
+        v = sites.scenicness
+        got = solver._lp_nested(sites, cost, order, cap_obj, floors, v)
+        assert got == _scalar_lp(sites, cost, order, cap_obj, floors, v), trial
+        assert solver._lp_nested(sites, cost, order, cap_obj, floors)[0] == got[0]
+        specs = [(v, float(v.sum()) * 0.3), (sites.network_length, 1e9)]
+        start = [int(i) for i in order[:int(rng.integers(0, n + 1)) // 3]]
+        ours = solver._State(sites, cost, floors, specs, start)
+        ref = copy.deepcopy(ours)
+        ours.fill(cap_obj)
+        ours.drop_removable(cap_obj)
+        _scalar_fill_and_trim(ref, cap_obj)
+        assert ours.sel == ref.sel, trial
+        assert (ours.obj, ours.cap_total, ours.v_totals, ours.mun_totals) == (
+            ref.obj, ref.cap_total, ref.v_totals, ref.mun_totals), trial
+
+
 def _scan_subsets(sites, cost, cap_obj, floors, cap_specs):
     """Reference for `_enumerate`: every subset in plain Python, then the
     lowest objective (within 1e-12) with the smallest id-set."""
