@@ -34,6 +34,7 @@ Everything is deterministic; ties break on the lowest site id.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -727,16 +728,18 @@ def _lambda_scale(cost: np.ndarray, v: np.ndarray) -> float:
 
 
 def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: float,
-                   cap_obj: float, floors: dict[int, float]) -> float:
+                   cap_obj: float, floors: dict[int, float]) -> tuple[float, float]:
     """The smallest lam >= 0 at which the covering relaxation of
-    `base + lam * v` meets the cap `v <= limit`, to a relative FEAS_TOL.
+    `base + lam * v` meets the cap `v <= limit`, to a relative FEAS_TOL,
+    and the breakpoint it approaches from above, where the bound is taken.
 
     That lam maximises L(lam) = LP(base + lam * v) - lam * limit. LP is
     concave and piecewise linear in lam with the relaxation's v-total as
     its slope, so the tangents at a missing `lo` and a meeting `hi` cross
     inside [lo, hi], on the breakpoint once both touch the pieces next to
     it. Each trial is that crossing, or the midpoint after a trial that
-    did not halve the interval.
+    did not halve the interval. At the breakpoint itself the relaxation
+    ties, so its v-total may read either way, but L is largest there.
     """
     def tangent(lam: float) -> tuple[float, float]:
         pen = base + lam * v
@@ -746,7 +749,7 @@ def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: flo
 
     lo, (c_lo, s_lo) = 0.0, tangent(0.0)
     if _le(s_lo, limit):
-        return 0.0
+        return 0.0, 0.0
     hi = _lambda_scale(base, v)
     c_hi, s_hi = tangent(hi)
     for _ in range(60):
@@ -756,7 +759,7 @@ def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: flo
         hi *= 2.0
         c_hi, s_hi = tangent(hi)
     else:
-        return hi
+        return hi, hi
     width = np.inf
     while hi - lo > FEAS_TOL * hi:
         if hi - lo <= 0.5 * width:
@@ -771,7 +774,51 @@ def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: flo
             hi, c_hi, s_hi = x, c, s
         else:
             lo, c_lo, s_lo = x, c, s
-    return hi
+    return hi, min(max((c_hi - c_lo) / (s_lo - s_hi), lo), hi)
+
+
+def _bracket_runs(meets: Callable[[float], bool], start: float) -> None:
+    """Heuristic runs around the LP multiplier `start` > 0; `meets(lam)`
+    makes one run and says whether it meets the cap.
+
+    The heuristic's own threshold lies near `start`: bracket it
+    geometrically on the side that needs it (lam = 0 is taken to miss the
+    cap), then bisect _BISECT_STEPS times. The heuristic's cost is not
+    monotone in lam, so when the bracket went down, one more run goes as
+    far above `start`.
+    """
+    step = _FIRST_STEP
+    lo = hi = start
+    above = None
+    met = meets(start)
+    if met:
+        lo = 0.0
+        while step < 1.0:
+            trial = start * (1.0 - step)
+            above = start * (1.0 + step)
+            if not meets(trial):
+                lo = trial
+                break
+            hi = trial
+            step *= 4.0
+    else:
+        # x4 per step: after 30 the penalty swamps the cost
+        for _ in range(30):
+            trial = start * (1.0 + step)
+            if meets(trial):
+                hi, met = trial, True
+                break
+            lo = trial
+            step *= 4.0
+    if met:
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            if meets(mid):
+                hi = mid
+            else:
+                lo = mid
+        if above is not None:
+            meets(above)
 
 
 def solve(instance: Instance, weights: Weights, constraints: Constraints,
@@ -784,6 +831,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
 
     cap_specs = [(v, limit) for _, v, limit in named_specs]
     lambdas = [0.0] * len(cap_specs)
+    at_break = [0.0] * len(cap_specs)  # the bound's multipliers
     runs = 0
 
     def heuristic(c: np.ndarray) -> _State:
@@ -818,7 +866,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             for kk, (vv, _) in enumerate(cap_specs):
                 if lambdas[kk] > 0 and kk != k:
                     base = base + lambdas[kk] * vv
-            lambdas[k] = _lp_multiplier(sites, base, v, limit, cap_obj, floors)
+            lambdas[k], at_break[k] = _lp_multiplier(sites, base, v, limit, cap_obj, floors)
 
             def meets(lam: float) -> bool:
                 nonlocal state
@@ -830,43 +878,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
                     feasible.append(np.flatnonzero(s.taken))
                 return True
 
-            # The heuristic's own threshold lies near the LP multiplier: bracket
-            # it geometrically (lam = 0 is taken to miss the cap) and bisect.
-            # Its cost is not monotone in lam, so when the bracket went down,
-            # one more run goes as far above the LP multiplier.
-            start = lambdas[k] or _FIRST_STEP * _lambda_scale(base, v)
-            step = _FIRST_STEP
-            lo = hi = start
-            above = None
-            met = meets(start)
-            if met:
-                lo = 0.0
-                while step < 1.0:
-                    trial = start * (1.0 - step)
-                    above = start * (1.0 + step)
-                    if not meets(trial):
-                        lo = trial
-                        break
-                    hi = trial
-                    step *= 4.0
-            else:
-                # x4 per step: after 30 the penalty swamps the cost
-                for _ in range(30):
-                    trial = start * (1.0 + step)
-                    if meets(trial):
-                        hi, met = trial, True
-                        break
-                    lo = trial
-                    step *= 4.0
-            if met:
-                for _ in range(_BISECT_STEPS):
-                    mid = 0.5 * (lo + hi)
-                    if meets(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                if above is not None:
-                    meets(above)
+            _bracket_runs(meets, lambdas[k] or _FIRST_STEP * _lambda_scale(base, v))
 
         if not feasible:
             # repair: start from a selection minimizing each violated cap
@@ -896,7 +908,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             if state is None or final.obj < state.obj:
                 state = final
 
-    bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs, lambdas)
+    bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs, at_break)
     sel = _make_selection(sites, state.sel, cost, bound)
     sel.stats = {"heuristic_runs": runs,
                  "lambda": {name: float(lam) for (name, _, _), lam in zip(named_specs, lambdas)}}
