@@ -13,8 +13,9 @@ bound (gap 0). Larger pools use a certified heuristic:
   b) cover the remaining national capacity by global ratio greedy,
   c) polish with single-swap local search to a local optimum,
   d) handle epsilon caps by Lagrangian penalty (Fisher, Mgmt. Sci. 1981):
-     the multiplier comes from the covering LP relaxation of the penalised
-     cost, and a few heuristic runs bracketed around it repair
+     the multiplier comes from a relaxation of the penalised cost (the
+     covering LP, or with floors the integral floor bound when that bound
+     is larger), and a few heuristic runs bracketed around it repair
      integrality,
   e) certify with an LP-relaxation lower bound and report the gap.
 
@@ -495,42 +496,53 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
 
 
 def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
-                     floors: dict[int, float]) -> float:
-    """Lower bound keeping floor coverage integral per municipality.
+                     floors: dict[int, float],
+                     v: np.ndarray | None = None) -> tuple[float, float]:
+    """Lower bound keeping floor coverage integral per municipality, and
+    the total of `v` over the covers it takes (0.0 without `v`).
 
     Exact when a floor fits a single site or the municipality is small
     enough to enumerate; otherwise the municipal fractional fill along
     `order` (`_fill_floor`, as in `_lp_nested`) is used. Ignores the
-    global constraint, which only relaxes further.
+    global constraint, which only relaxes further. An unattainable floor
+    gives (inf, inf).
     """
     caps = sites.caps
-    total = 0.0
+    used = np.zeros(len(sites)) if v is not None else None  # fractional fills
+    total = v_total = 0.0
     for j, floor in floors.items():
         rows = sites.mun_rows.get(j)
         if rows is None:
-            return np.inf
+            return np.inf, np.inf
         idxs = sites.by_mun[slice(*rows)]
         min_cap = caps[idxs].min()
         if floor <= min_cap + 1e-15:
             total += cost[idxs].min()
+            if v is not None:
+                v_total += v[idxs[np.argmin(cost[idxs])]]
         elif len(idxs) <= 12:
             bits = _subset_rows(len(idxs))[1:]
             feas = bits @ caps[idxs] >= floor - FEAS_TOL * max(1.0, floor)
             if not feas.any():
-                return np.inf
-            total += float((bits @ cost[idxs])[feas].min())
+                return np.inf, np.inf
+            costs = (bits @ cost[idxs])[feas]
+            total += float(costs.min())
+            if v is not None:
+                v_total += float(bits[feas][np.argmin(costs)] @ v[idxs])
         else:
-            total = _fill_floor(caps, cost, order[slice(*rows)], floor, total)
+            total = _fill_floor(caps, cost, order[slice(*rows)], floor, total, used)
             if total == np.inf:
-                return np.inf
-    return total
+                return np.inf, np.inf
+    if v is not None:
+        v_total += float(used @ v)
+    return total, v_total
 
 
 def _floor_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                  floors: dict[int, float]) -> float:
     order = _mun_ratio_order(sites, cost) if floors else None
     return max(_lp_nested(sites, cost, order, cap_obj, floors)[0],
-               _floor_int_bound(sites, cost, order, floors))
+               _floor_int_bound(sites, cost, order, floors)[0])
 
 
 def _lower_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
@@ -727,29 +739,32 @@ def _lambda_scale(cost: np.ndarray, v: np.ndarray) -> float:
     return max(1.0, float(cost.max()) / max(float(pos.min()), 1e-12)) if pos.size else 1.0
 
 
-def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: float,
-                   cap_obj: float, floors: dict[int, float]) -> tuple[float, float]:
-    """The smallest lam >= 0 at which the covering relaxation of
-    `base + lam * v` meets the cap `v <= limit`, to a relative FEAS_TOL,
-    and the breakpoint it approaches from above, where the bound is taken.
+def _multiplier(relax: Callable[[np.ndarray], tuple[float, float]], base: np.ndarray,
+                v: np.ndarray, limit: float) -> tuple[float, float, float]:
+    """Where the Lagrangian bound of one relaxation is largest, for the cap
+    `v <= limit` priced into `base + lam * v`.
 
-    That lam maximises L(lam) = LP(base + lam * v) - lam * limit. LP is
-    concave and piecewise linear in lam with the relaxation's v-total as
-    its slope, so the tangents at a missing `lo` and a meeting `hi` cross
-    inside [lo, hi], on the breakpoint once both touch the pieces next to
-    it. Each trial is that crossing, or the midpoint after a trial that
-    did not halve the interval. At the breakpoint itself the relaxation
-    ties, so its v-total may read either way, but L is largest there.
+    `relax(cost)` gives the relaxation's optimum and the total of `v` over
+    its solution; the optimum is concave and piecewise linear in lam with
+    that total as its slope, so L(lam) = relax(base + lam * v)[0] -
+    lam * limit is largest where the slope crosses the limit. Returns the
+    smallest lam >= 0 found at which the slope meets the limit (to a
+    relative FEAS_TOL), the breakpoint it approaches from above, where the
+    bound is taken, and L at the former.
+
+    The tangents at a missing `lo` and a meeting `hi` cross inside
+    [lo, hi], on the breakpoint once both touch the pieces next to it.
+    Each trial is that crossing, or the midpoint after a trial that did
+    not halve the interval. At the breakpoint itself the relaxation ties,
+    so its v-total may read either way, but L is largest there.
     """
     def tangent(lam: float) -> tuple[float, float]:
-        pen = base + lam * v
-        order = _mun_ratio_order(sites, pen) if floors else None
-        value, v_total = _lp_nested(sites, pen, order, cap_obj, floors, v)
+        value, v_total = relax(base + lam * v)
         return value - lam * v_total, v_total  # intercept and slope
 
     lo, (c_lo, s_lo) = 0.0, tangent(0.0)
     if _le(s_lo, limit):
-        return 0.0, 0.0
+        return 0.0, 0.0, c_lo
     hi = _lambda_scale(base, v)
     c_hi, s_hi = tangent(hi)
     for _ in range(60):
@@ -759,7 +774,7 @@ def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: flo
         hi *= 2.0
         c_hi, s_hi = tangent(hi)
     else:
-        return hi, hi
+        return hi, hi, c_hi + hi * (s_hi - limit)
     width = np.inf
     while hi - lo > FEAS_TOL * hi:
         if hi - lo <= 0.5 * width:
@@ -774,7 +789,7 @@ def _lp_multiplier(sites: SiteTable, base: np.ndarray, v: np.ndarray, limit: flo
             hi, c_hi, s_hi = x, c, s
         else:
             lo, c_lo, s_lo = x, c, s
-    return hi, min(max((c_hi - c_lo) / (s_lo - s_hi), lo), hi)
+    return hi, min(max((c_hi - c_lo) / (s_lo - s_hi), lo), hi), c_hi + hi * (s_hi - limit)
 
 
 def _bracket_runs(meets: Callable[[float], bool], start: float) -> None:
@@ -866,7 +881,19 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             for kk, (vv, _) in enumerate(cap_specs):
                 if lambdas[kk] > 0 and kk != k:
                     base = base + lambdas[kk] * vv
-            lambdas[k], at_break[k] = _lp_multiplier(sites, base, v, limit, cap_obj, floors)
+            # the multiplier of the covering LP and, with floors, of the
+            # integral floor bound; the larger bound wins
+            def lp(c: np.ndarray) -> tuple[float, float]:
+                order = _mun_ratio_order(sites, c) if floors else None
+                return _lp_nested(sites, c, order, cap_obj, floors, v)
+
+            def floor_int(c: np.ndarray) -> tuple[float, float]:
+                return _floor_int_bound(sites, c, _mun_ratio_order(sites, c), floors, v)
+
+            lambdas[k], at_break[k], _ = max(
+                (_multiplier(relax, base, v, limit) for relax in ([lp, floor_int] if floors
+                                                                   else [lp])),
+                key=lambda m: m[2])
 
             def meets(lam: float) -> bool:
                 nonlocal state
