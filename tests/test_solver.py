@@ -291,6 +291,23 @@ def test_capped_solve_takes_multiplier_from_relaxation(monkeypatch):
         assert solver._le(_lp_v_total(sites, cost + lam * v, v, cap_obj), limit)
         assert not solver._le(_lp_v_total(sites, cost + lam * (1 - 1e-6) * v, v, cap_obj),
                               limit)
+    # small equity floors: the integral floor bound is the larger relaxation,
+    # and its multiplier lifts the bound above the uncapped one
+    floored = rand_instance(47, 400, n_muns=60)
+    small = 0.1 * sum(floored.sites.caps.tolist())
+    existing = sum(m.existing_capacity for m in floored.municipalities)
+    con = Constraints(cap_obj=small, equity_floors=equity_floors(
+        floored.municipalities, small + existing, municipal_potentials(floored)))
+    limit = 0.95 * solve(floored, W_LCOE, con).totals.scenicness
+    con = replace(con, m_s=limit)
+    runs.clear()
+    sel = solve(floored, W_LCOE, con)
+    assert len(runs) == sel.stats["heuristic_runs"] <= 15
+    assert verify_selection(sel, floored, con)
+    assert sel.stats["lambda"]["scenicness"] > 0
+    cost = site_costs(floored.sites, W_LCOE)
+    plain = solver._floor_bound(floored.sites, cost, small, solver._positive_floors(con))
+    assert plain < sel.lower_bound <= sel.objective_value
     # two caps together
     free = solve(inst, W_LCOE, Constraints(cap_obj=cap_obj))
     con = Constraints(cap_obj=cap_obj, m_s=0.95 * free.totals.scenicness,
@@ -480,7 +497,8 @@ def _random_pool(rng, n):
     """A pool over a few municipalities whose cost/capacity ratios tie often."""
     ids = rng.permutation(10 * n)[:n]
     mun = rng.integers(0, 6, n)
-    caps = rng.choice([2.0, 3.0, 4.5, 0.7], size=n) * rng.uniform(0.5, 1.5, n) ** rng.integers(0, 2)
+    caps = rng.choice([2.0, 3.0, 4.5, 0.7], size=n)
+    caps = caps * rng.uniform(0.5, 1.5, n) ** rng.integers(0, 2)
     zero = np.zeros(n)
     sites = SiteTable.from_columns(ids, mun, zero, zero, caps, rng.uniform(0.0, 5.0, n),
                                    rng.uniform(0.0, 3.0, n), zero, rng.uniform(0.0, 50.0, n))
