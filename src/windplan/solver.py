@@ -793,8 +793,8 @@ def _multiplier(relax: Callable[[np.ndarray], tuple[float, float]], base: np.nda
 
 
 def _bracket_runs(meets: Callable[[float], bool], start: float) -> None:
-    """Heuristic runs around the LP multiplier `start` > 0; `meets(lam)`
-    makes one run and says whether it meets the cap.
+    """Heuristic runs around the relaxation's multiplier `start` > 0;
+    `meets(lam)` makes one run and says whether it meets the cap.
 
     The heuristic's own threshold lies near `start`: bracket it
     geometrically on the side that needs it (lam = 0 is taken to miss the
@@ -890,9 +890,9 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             def floor_int(c: np.ndarray) -> tuple[float, float]:
                 return _floor_int_bound(sites, c, _mun_ratio_order(sites, c), floors, v)
 
+            relaxations = [lp, floor_int] if floors else [lp]
             lambdas[k], at_break[k], _ = max(
-                (_multiplier(relax, base, v, limit) for relax in ([lp, floor_int] if floors
-                                                                   else [lp])),
+                (_multiplier(relax, base, v, limit) for relax in relaxations),
                 key=lambda m: m[2])
 
             def meets(lam: float) -> bool:
