@@ -46,11 +46,6 @@ class ScaledCriteria:
     lcoe: np.ndarray
     scenicness: np.ndarray
     network_length: np.ndarray
-    x_min: dict[str, float]
-    x_max: dict[str, float]
-    mean_factor: dict[str, float]
-    target_mean: float = TARGET_MEAN
-    degenerate: tuple[str, ...] = ()
 
     def by_name(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -72,24 +67,6 @@ def minmax_scale(values) -> tuple[np.ndarray, float, float, bool]:
     return (arr - x_min) / (x_max - x_min), x_min, x_max, False
 
 
-def equalize_means(scaled: dict[str, np.ndarray],
-                   x_min: dict[str, float], x_max: dict[str, float],
-                   degenerate: tuple[str, ...] = ()) -> ScaledCriteria:
-    """Multiply each already-scaled criterion so all means equal 1.0."""
-    out = {}
-    factors = {}
-    for name, arr in scaled.items():
-        mean = float(arr.mean())
-        if mean == 0.0:
-            raise ValidationError(f"criterion {name!r} has zero mean; cannot equalize")
-        factors[name] = TARGET_MEAN / mean
-        out[name] = arr * factors[name]
-    return ScaledCriteria(lcoe=out["lcoe"], scenicness=out["scenicness"],
-                          network_length=out["network_length"],
-                          x_min=x_min, x_max=x_max, mean_factor=factors,
-                          degenerate=degenerate)
-
-
 def _require_lengths(sites: SiteTable) -> None:
     missing = np.isnan(sites.network_length)
     if missing.any():
@@ -98,15 +75,17 @@ def _require_lengths(sites: SiteTable) -> None:
 
 
 def scale_candidates(sites: SiteTable) -> ScaledCriteria:
-    """Min-max scale + mean-equalize all three criteria over the pool."""
+    """Min-max scale all three criteria over the pool, then multiply each so
+    its mean is TARGET_MEAN."""
     _require_lengths(sites)
-    scaled, x_min, x_max = {}, {}, {}
-    degenerate = []
+    out = {}
     for name in CRITERIA:
-        scaled[name], x_min[name], x_max[name], degen = minmax_scale(getattr(sites, name))
-        if degen:
-            degenerate.append(name)
-    return equalize_means(scaled, x_min, x_max, tuple(degenerate))
+        arr = minmax_scale(getattr(sites, name))[0]
+        mean = float(arr.mean())
+        if mean == 0.0:
+            raise ValidationError(f"criterion {name!r} has zero mean; cannot equalize")
+        out[name] = arr * (TARGET_MEAN / mean)
+    return ScaledCriteria(**out)
 
 
 def site_costs(sites: SiteTable, weights: Weights,

@@ -34,6 +34,7 @@ Everything is deterministic; ties break on the lowest site id.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -48,6 +49,7 @@ FEAS_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 24
 _FIRST_STEP = 1e-3  # first relative step of the heuristic bracket around the LP multiplier
 _BISECT_STEPS = 6  # heuristic bisection steps inside that bracket
+_POLISH_ROUNDS = 60
 
 _CAP_FIELDS = {"lcoe": "m_c", "scenicness": "m_s", "network_length": "m_l"}
 
@@ -197,73 +199,80 @@ def _le(a: float, b: float) -> bool:
     return a <= b + FEAS_TOL * max(1.0, abs(b))
 
 
+@dataclass(frozen=True)
+class _Floors:
+    """The positive equity floors of a solve, in their given order."""
+    mun: list[int]  # municipality of each floor
+    mw: list[float]  # the floors
+    ge: np.ndarray  # each floor's `_ge` threshold
+    of_site: np.ndarray  # per site, the index of its municipality's floor, -1 for none
+
+    def __len__(self) -> int:
+        return len(self.mw)
+
+
+def _floors(sites: SiteTable, equity_floors: dict[int, float] | None) -> _Floors:
+    """The floors above zero (the others constrain nothing); a floor in a
+    municipality without candidates cannot be met."""
+    pos = {int(j): float(f) for j, f in (equity_floors or {}).items() if f > 0}
+    missing = sorted(j for j in pos if j not in sites.mun_rows)
+    if missing:
+        raise InfeasibleError(f"equity floors in municipalities without candidates: {missing}")
+    mw = list(pos.values())
+    of_site = np.full(len(sites), -1, dtype=np.int32)
+    for k, j in enumerate(pos):
+        of_site[sites.by_mun[slice(*sites.mun_rows[j])]] = k
+    return _Floors(list(pos), mw, np.array(mw) - FEAS_TOL * np.maximum(1.0, mw), of_site)
+
+
 class _State:
     """Incumbent selection with incrementally maintained totals and the
     ratio order of its cost, shared by greedy fill and every polish round."""
 
-    def __init__(self, sites: SiteTable, cost: np.ndarray, floors: dict[int, float],
+    def __init__(self, sites: SiteTable, cost: np.ndarray, floors: _Floors,
                  cap_specs: list[tuple[np.ndarray, float]],
                  rows: list[int] | tuple[int, ...] | np.ndarray = ()):
         self.sites = sites
         self.cost = cost
         self.floors = floors
         self.cap_specs = cap_specs  # (per-site values, limit) per active cap
-        self.sel: set[int] = set()
-        self.taken = np.zeros(len(sites), dtype=bool)  # `sel` as a row mask
+        self.taken = np.zeros(len(sites), dtype=bool)  # the selection as a row mask
         self.cap_total = 0.0
         self.obj = 0.0
-        self.mun_totals: dict[int, float] = {j: 0.0 for j in floors}
+        self.floor_totals = np.zeros(len(floors))  # selected MW per floor
         self.v_totals = [0.0] * len(cap_specs)
         self.order = _RatioOrder(sites, cost)
         self.add_rows(np.asarray(rows, dtype=np.intp))
 
     def add_rows(self, rows: np.ndarray) -> None:
-        """`add` of each row in turn; the totals are sequential cumsums, so
-        they add in the same order."""
+        """Add each row in turn; every total is a sequential cumsum or
+        `np.add.at`, so it adds in the order of a site-by-site loop."""
         if not rows.size:
             return
-        self.sel.update(rows.tolist())
         self.taken[rows] = True
         caps = self.sites.caps
         self.cap_total = _running_sum(self.cap_total, caps[rows])
         self.obj = _running_sum(self.obj, self.cost[rows])
         for k, (v, _) in enumerate(self.cap_specs):
             self.v_totals[k] = _running_sum(self.v_totals[k], v[rows])
-        if self.mun_totals:
-            for i, j in zip(rows.tolist(), self.sites.mun[rows].tolist()):
-                if j in self.mun_totals:
-                    self.mun_totals[j] += caps[i]
-
-    def add(self, i: int) -> None:
-        self.sel.add(i)
-        self.taken[i] = True
-        self.cap_total += self.sites.caps[i]
-        self.obj += self.cost[i]
-        j = int(self.sites.mun[i])
-        if j in self.mun_totals:
-            self.mun_totals[j] += self.sites.caps[i]
-        for k, (v, _) in enumerate(self.cap_specs):
-            self.v_totals[k] += v[i]
+        k = self.floors.of_site[rows]
+        np.add.at(self.floor_totals, k[k >= 0], caps[rows][k >= 0])
 
     def remove(self, i: int) -> None:
-        self.sel.discard(i)
         self.taken[i] = False
         self.cap_total -= self.sites.caps[i]
         self.obj -= self.cost[i]
-        j = int(self.sites.mun[i])
-        if j in self.mun_totals:
-            self.mun_totals[j] -= self.sites.caps[i]
+        k = self.floors.of_site[i]
+        if k >= 0:
+            self.floor_totals[k] -= self.sites.caps[i]
         for k, (v, _) in enumerate(self.cap_specs):
             self.v_totals[k] -= v[i]
 
     def removable(self, i: int, cap_obj: float) -> bool:
         if not _ge(self.cap_total - self.sites.caps[i], cap_obj):
             return False
-        j = int(self.sites.mun[i])
-        floor = self.floors.get(j, 0.0)
-        if floor > 0 and not _ge(self.mun_totals[j] - self.sites.caps[i], floor):
-            return False
-        return True
+        k = self.floors.of_site[i]
+        return k < 0 or self.floor_totals[k] - self.sites.caps[i] >= self.floors.ge[k]
 
     def caps_ok(self) -> bool:
         return all(_le(t, limit) for t, (_, limit) in zip(self.v_totals, self.cap_specs))
@@ -320,8 +329,7 @@ def _running_sum(start: float, values: np.ndarray) -> float:
 
 
 def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-            floors: dict[int, float],
-            cap_specs: list[tuple[np.ndarray, float]]) -> _State:
+            floors: _Floors, cap_specs: list[tuple[np.ndarray, float]]) -> _State:
     """Floor-first then global ratio greedy, followed by a trim pass.
 
     A floor only takes sites of its own municipality, so none of them is
@@ -330,33 +338,29 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
     caps, ids = sites.caps, sites.ids
 
     order = _mun_ratio_order(sites, cost) if floors else None
-    for j in sorted(floors):
-        floor = floors[j]
-        rows = sites.mun_rows.get(j)
-        if rows is None:
-            raise InfeasibleError(
-                f"equity floor {floor} MW in municipality {j} with no candidates")
-        if _ge(0.0, floor):
+    covers = []
+    for j, floor, ge in sorted(zip(floors.mun, floors.mw, floors.ge.tolist())):
+        if 0.0 >= ge:
             continue
-        local = order[slice(*rows)]
+        local = order[slice(*sites.mun_rows[j])]
         chosen, cum, cost_a = [], 0.0, 0.0
         for i in local:
             chosen.append(i)
             cum += caps[i]
             cost_a += cost[i]
-            if _ge(cum, floor):
+            if cum >= ge:
                 break
-        if not _ge(cum, floor):
+        if not cum >= ge:
             raise InfeasibleError(
                 f"equity floor {floor} MW exceeds potential {cum} MW in municipality {j}")
         # the cheapest single site that covers the floor, ties on the lower id
-        fits = local[caps[local] >= floor - FEAS_TOL * max(1.0, abs(floor))]
+        fits = local[caps[local] >= ge]
         if fits.size:
             single = fits[np.lexsort((ids[fits], cost[fits]))[0]]
             if cost[single] < cost_a:
                 chosen = [single]
-        for i in chosen:
-            state.add(i)
+        covers += chosen
+    state.add_rows(np.array(covers, dtype=np.intp))
 
     state.fill(cap_obj)
     if not _ge(state.cap_total, cap_obj):
@@ -369,45 +373,42 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
     return state
 
 
-def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
-            neighborhood: int | None = None) -> None:
+def _polish(state: _State, cap_obj: float) -> None:
     """Single-swap (and drop) local search; in-place, deterministic.
 
-    Each round drops removable sites, then tries every selected site
-    `out` (costliest first) against the `neighborhood` cheapest-ratio
-    unselected sites and makes the first strictly improving feasible
-    swap it finds for that `out`.
+    Each round, up to _POLISH_ROUNDS, drops removable sites, then tries
+    every selected site `out` (costliest first) against the `neighborhood`
+    cheapest-ratio unselected sites (every site of a pool of up to 400,
+    else 120) and makes the first strictly improving feasible swap it finds
+    for that `out`.
     """
     sites, cost = state.sites, state.cost
-    caps, mun = sites.caps, sites.mun
-    n = len(sites)
-    if neighborhood is None:
-        neighborhood = n if n <= 400 else 120
+    caps, of_site, ge = sites.caps, state.floors.of_site, state.floors.ge
+    neighborhood = len(sites) if len(sites) <= 400 else 120
     cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
     cap_max = [limit + FEAS_TOL * max(1.0, abs(limit)) for _, limit in state.cap_specs]
-    for _ in range(max_rounds):
+    for _ in range(_POLISH_ROUNDS):
         improved = state.drop_removable(cap_obj)
         outs = state.costliest_first()[:neighborhood].tolist()
         ins = state.first_unselected(neighborhood)
         # the swap rule of `_ge`/`_le`, evaluated for all `ins` at once
-        cost_in, caps_in, mun_in = cost[ins], caps[ins], mun[ins]
+        cost_in, caps_in, floor_in = cost[ins], caps[ins], of_site[ins]
         v_in = [v[ins] for v, _ in state.cap_specs]
         taken = np.zeros(ins.size, dtype=bool)
         for out in outs:
             ok = ~taken & ~(cost_in - cost[out] >= -1e-12)
             ok &= state.cap_total - caps[out] + caps_in >= cover_min
-            jo = int(mun[out])
-            fo = state.floors.get(jo, 0.0)
-            if fo > 0:
-                t = state.mun_totals[jo] - caps[out] + np.where(mun_in == jo, caps_in, 0.0)
-                ok &= t >= fo - FEAS_TOL * max(1.0, abs(fo))
+            ko = of_site[out]
+            if ko >= 0:
+                t = state.floor_totals[ko] - caps[out] + np.where(floor_in == ko, caps_in, 0.0)
+                ok &= t >= ge[ko]
             for k, (v, _) in enumerate(state.cap_specs):
                 ok &= state.v_totals[k] - v[out] + v_in[k] <= cap_max[k]
             hit = np.flatnonzero(ok)
             if hit.size:
                 p = int(hit[0])
                 state.remove(out)
-                state.add(int(ins[p]))
+                state.add_rows(ins[p:p + 1])
                 taken[p] = True
                 improved = True
         if not improved:
@@ -415,12 +416,8 @@ def _polish(state: _State, cap_obj: float, max_rounds: int = 60,
 
 
 def _feasible(state: _State, cap_obj: float) -> bool:
-    if not _ge(state.cap_total, cap_obj):
-        return False
-    for j, f in state.floors.items():
-        if f > 0 and not _ge(state.mun_totals.get(j, 0.0), f):
-            return False
-    return state.caps_ok()
+    return (_ge(state.cap_total, cap_obj) and bool(np.all(state.floor_totals >= state.floors.ge))
+            and state.caps_ok())
 
 
 def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: float,
@@ -444,7 +441,7 @@ def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: flo
 
 
 def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
-               cap_obj: float, floors: dict[int, float],
+               cap_obj: float, floors: _Floors,
                v: np.ndarray | None = None) -> tuple[float, float]:
     """Exact optimum of the fractional relaxation (floors + covering), and
     the total of `v` over that fractional solution (0.0 without `v`).
@@ -459,11 +456,9 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
     used = np.zeros(len(sites))  # fraction of each site already committed
     total_cost = 0.0
     floor_cap = 0.0
-    for j, floor in floors.items():
-        rows = sites.mun_rows.get(j)
-        if rows is None:
-            return np.inf, np.inf
-        total_cost = _fill_floor(caps, cost, order[slice(*rows)], floor, total_cost, used)
+    for j, floor in zip(floors.mun, floors.mw):
+        total_cost = _fill_floor(caps, cost, order[slice(*sites.mun_rows[j])], floor,
+                                 total_cost, used)
         if total_cost == np.inf:
             return np.inf, np.inf
         floor_cap += floor
@@ -496,7 +491,7 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
 
 
 def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
-                     floors: dict[int, float],
+                     floors: _Floors,
                      v: np.ndarray | None = None) -> tuple[float, float]:
     """Lower bound keeping floor coverage integral per municipality, and
     the total of `v` over the covers it takes (0.0 without `v`).
@@ -510,10 +505,8 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
     caps = sites.caps
     used = np.zeros(len(sites)) if v is not None else None  # fractional fills
     total = v_total = 0.0
-    for j, floor in floors.items():
-        rows = sites.mun_rows.get(j)
-        if rows is None:
-            return np.inf, np.inf
+    for j, floor, ge in zip(floors.mun, floors.mw, floors.ge):
+        rows = sites.mun_rows[j]
         idxs = sites.by_mun[slice(*rows)]
         min_cap = caps[idxs].min()
         if floor <= min_cap + 1e-15:
@@ -522,7 +515,7 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
                 v_total += v[idxs[np.argmin(cost[idxs])]]
         elif len(idxs) <= 12:
             bits = _subset_rows(len(idxs))[1:]
-            feas = bits @ caps[idxs] >= floor - FEAS_TOL * max(1.0, floor)
+            feas = bits @ caps[idxs] >= ge
             if not feas.any():
                 return np.inf, np.inf
             costs = (bits @ cost[idxs])[feas]
@@ -539,14 +532,13 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
 
 
 def _floor_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-                 floors: dict[int, float]) -> float:
+                 floors: _Floors) -> float:
     order = _mun_ratio_order(sites, cost) if floors else None
     return max(_lp_nested(sites, cost, order, cap_obj, floors)[0],
                _floor_int_bound(sites, cost, order, floors)[0])
 
 
-def _lower_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-                 floors: dict[int, float],
+def _lower_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
                  cap_specs: list[tuple[np.ndarray, float]],
                  lambdas: list[float]) -> float:
     bound = _floor_bound(sites, cost, cap_obj, floors)
@@ -597,12 +589,6 @@ def _make_selection(sites: SiteTable, rows, weights_cost: np.ndarray,
                      lower_bound=lower_bound, gap=_gap(obj, lower_bound))
 
 
-def _positive_floors(constraints: Constraints) -> dict[int, float]:
-    """The equity floors above zero; the others constrain nothing."""
-    return {int(j): float(f) for j, f in (constraints.equity_floors or {}).items()
-            if f > 0}
-
-
 def _cap_specs(sites: SiteTable,
                constraints: Constraints) -> list[tuple[str, np.ndarray, float]]:
     return [(crit, getattr(sites, crit), float(getattr(constraints, fld)))
@@ -611,10 +597,10 @@ def _cap_specs(sites: SiteTable,
 
 def _problem(instance: Instance, weights: Weights, constraints: Constraints,
              scaled: ScaledCriteria | None
-             ) -> tuple[SiteTable, np.ndarray, float, dict[int, float],
+             ) -> tuple[SiteTable, np.ndarray, float, _Floors,
                         list[tuple[str, np.ndarray, float]]]:
-    """Pool, site costs, cover target, positive floors and named caps of a
-    solve, after the checks that hold at every pool size."""
+    """Pool, site costs, cover target, floors and named caps of a solve,
+    after the checks that hold at every pool size."""
     sites = instance.sites
     if not len(sites):
         raise InfeasibleError("instance has no candidate sites")
@@ -625,22 +611,25 @@ def _problem(instance: Instance, weights: Weights, constraints: Constraints,
         raise InfeasibleError(
             f"total potential {total_potential:.3f} MW below capacity target "
             f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
-    return sites, cost, cap_obj, _positive_floors(constraints), _cap_specs(sites, constraints)
+    floors = _floors(sites, constraints.equity_floors)
+    return sites, cost, cap_obj, floors, _cap_specs(sites, constraints)
 
 
-def _run_heuristic(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-                   floors: dict[int, float],
+def _run_heuristic(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
                    cap_specs: list[tuple[np.ndarray, float]]) -> _State:
     state = _greedy(sites, cost, cap_obj, floors, cap_specs)
     _polish(state, cap_obj)
     return state
 
 
+@functools.cache
 def _subset_rows(m: int) -> np.ndarray:
     """The 0/1 rows of all 2**m subsets of m items in mask order: row k
-    holds bit i of k in column i."""
+    holds bit i of k in column i. Read-only, since every caller shares it."""
     masks = np.arange(1 << m, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(float)
+    rows = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(float)
+    rows.flags.writeable = False
+    return rows
 
 
 def _mask_rows(mask: int, n: int) -> list[int]:
@@ -650,8 +639,7 @@ def _mask_rows(mask: int, n: int) -> list[int]:
 _CHUNK = 1 << 20  # masks scanned per block
 
 
-def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-               floors: dict[int, float],
+def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
                cap_specs: list[tuple[np.ndarray, float]]) -> tuple[int, float] | None:
     """Exhaustive subset search; returns (best mask, objective) or None
     if no feasible subset exists. Ties go to the lexicographically
@@ -663,8 +651,6 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
     Masks are scanned in ascending order, _CHUNK at a time.
     """
     n = len(sites)
-    if any(j not in sites.mun_rows for j in floors):
-        return None
     n_lo = (n + 1) // 2
     lo_rows, hi_rows = _subset_rows(n_lo), _subset_rows(n - n_lo)
 
@@ -677,8 +663,8 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
 
     caps = sites.caps
     at_least = [(halves(caps), cap_obj - FEAS_TOL * max(1.0, cap_obj))]
-    at_least += [(halves(np.where(sites.mun == j, caps, 0.0)),
-                  floor - FEAS_TOL * max(1.0, floor)) for j, floor in floors.items()]
+    at_least += [(halves(np.where(floors.of_site == k, caps, 0.0)), ge)
+                 for k, ge in enumerate(floors.ge)]
     at_most = [(halves(v), limit + FEAS_TOL * max(1.0, abs(limit))) for v, limit in cap_specs]
     cost_halves = halves(cost)
 
@@ -707,8 +693,7 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float,
     return best_mask, best_obj
 
 
-def _solve_exact(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-                 floors: dict[int, float],
+def _solve_exact(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
                  named_specs: list[tuple[str, np.ndarray, float]]) -> Selection:
     """The optimum by enumeration, reported as its own lower bound. When no
     subset is feasible, the error names what enumeration proves
@@ -717,10 +702,6 @@ def _solve_exact(sites: SiteTable, cost: np.ndarray, cap_obj: float,
                        [(v, limit) for _, v, limit in named_specs])
     if exact is None:
         if floors and _enumerate(sites, cost, cap_obj, floors, []) is None:
-            missing = sorted(j for j in floors if j not in sites.mun_rows)
-            if missing:
-                raise InfeasibleError(
-                    f"equity floors in municipalities without candidates: {missing}")
             raise InfeasibleError("equity floors unattainable with this pool")
         for name, v, limit in named_specs:
             vmin = _enumerate(sites, v, cap_obj, floors, [])
@@ -863,11 +844,11 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
             if _le(state.v_totals[k], limit):
                 continue
             # is the cap attainable at all? check the min-v solution
-            vmin = float(np.sum(v[sorted(heuristic(v.astype(float)).sel)]))
+            vmin = float(np.sum(v[heuristic(v).taken]))
             if not _le(vmin, limit):
                 # the heuristic's minimum proves nothing; only the relaxation
                 # bound on the minimum can rule the cap out
-                bound = _floor_bound(sites, v.astype(float), cap_obj, floors)
+                bound = _floor_bound(sites, v, cap_obj, floors)
                 if not _le(bound, limit):
                     raise InfeasibleError(
                         f"cap on total {name} ({limit}) below the minimum achievable, "
@@ -936,7 +917,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
                 state = final
 
     bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs, at_break)
-    sel = _make_selection(sites, state.sel, cost, bound)
+    sel = _make_selection(sites, np.flatnonzero(state.taken), cost, bound)
     sel.stats = {"heuristic_runs": runs,
                  "lambda": {name: float(lam) for (name, _, _), lam in zip(named_specs, lambdas)}}
     return sel

@@ -139,6 +139,12 @@ def test_floor_in_municipality_without_candidates():
     for run in (solve, brute_force):
         with pytest.raises(InfeasibleError, match=r"without candidates: \[2\]"):
             run(inst, W_LCOE, con)
+    # the same message on the heuristic path
+    big = mk_instance([mk_site(i, mun=1) for i in range(1, BRUTE_FORCE_LIMIT + 6)],
+                      municipalities=[mk_mun(1), mk_mun(2)])
+    assert len(big.sites) > BRUTE_FORCE_LIMIT
+    with pytest.raises(InfeasibleError, match=r"without candidates: \[2\]"):
+        solve(big, W_LCOE, con)
 
 
 def test_scale_argmin_invariance():
@@ -306,7 +312,8 @@ def test_capped_solve_takes_multiplier_from_relaxation(monkeypatch):
     assert verify_selection(sel, floored, con)
     assert sel.stats["lambda"]["scenicness"] > 0
     cost = site_costs(floored.sites, W_LCOE)
-    plain = solver._floor_bound(floored.sites, cost, small, solver._positive_floors(con))
+    plain = solver._floor_bound(floored.sites, cost, small,
+                                solver._floors(floored.sites, con.equity_floors))
     assert plain < sel.lower_bound <= sel.objective_value
     # two caps together
     free = solve(inst, W_LCOE, Constraints(cap_obj=cap_obj))
@@ -434,31 +441,33 @@ def _scalar_polish(state, cap_obj, max_rounds=60):
     def swap_feasible(out, inn):
         if not solver._ge(state.cap_total - caps[out] + caps[inn], cap_obj):
             return False
-        jo, ji = int(mun[out]), int(mun[inn])
-        fo = state.floors.get(jo, 0.0)
-        if fo > 0:
-            t = state.mun_totals[jo] - caps[out] + (caps[inn] if ji == jo else 0.0)
-            if not solver._ge(t, fo):
+        ko = state.floors.of_site[out]
+        if ko >= 0:
+            t = state.floor_totals[ko] - caps[out] + (caps[inn] if mun[inn] == mun[out] else 0.0)
+            if not solver._ge(t, state.floors.mw[ko]):
                 return False
         return all(solver._le(state.v_totals[k] - v[out] + v[inn], limit)
                    for k, (v, limit) in enumerate(state.cap_specs))
 
+    def selected():
+        return sorted(np.flatnonzero(state.taken).tolist(), key=lambda i: (-cost[i], ids[i]))
+
     for _ in range(max_rounds):
         improved = False
-        for i in sorted(state.sel, key=lambda i: (-cost[i], ids[i])):
+        for i in selected():
             if cost[i] > 0 and state.removable(i, cap_obj):
                 state.remove(i)
                 improved = True
-        outs = sorted(state.sel, key=lambda i: (-cost[i], ids[i]))[:neighborhood]
-        unsel = [i for i in np.lexsort((ids, cost / caps)) if i not in state.sel]
+        outs = selected()[:neighborhood]
+        unsel = [i for i in np.lexsort((ids, cost / caps)) if not state.taken[i]]
         ins = unsel[:neighborhood]
         for out in outs:
             for inn in ins:
-                if inn in state.sel or cost[inn] - cost[out] >= -1e-12:
+                if state.taken[inn] or cost[inn] - cost[out] >= -1e-12:
                     continue
                 if swap_feasible(out, inn):
                     state.remove(out)
-                    state.add(inn)
+                    state.add_rows(np.array([inn]))
                     improved = True
                     break
         if not improved:
@@ -476,17 +485,18 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     floors = equity_floors(inst.municipalities, 0.1 * potential, pots)
     cap_obj = share * potential
     cost = site_costs(sites, W_LCOE)
-    pos_floors = {j: f for j, f in floors.items() if f > 0}
+    pos_floors = solver._floors(sites, floors)
     free = solver._greedy(sites, cost, cap_obj, pos_floors, [])
-    m_s = 1.002 * float(np.sum(sites.scenicness[sorted(free.sel)]))
+    m_s = 1.002 * float(np.sum(sites.scenicness[free.taken]))
     start = solver._greedy(sites, cost, cap_obj, pos_floors, [(sites.scenicness, m_s)])
     ours, ref = copy.deepcopy(start), copy.deepcopy(start)
     solver._polish(ours, cap_obj)
     _scalar_polish(ref, cap_obj)
-    assert ours.sel != start.sel  # the scan made swaps
+    assert (ours.taken != start.taken).any()  # the scan made swaps
     assert ours.order._sorted.size > 1025  # and read past the first sorted block
-    assert ours.sel == ref.sel
+    assert (ours.taken == ref.taken).all()
     assert ours.obj == ref.obj
+    assert ours.floor_totals.tolist() == ref.floor_totals.tolist()
     con = Constraints(cap_obj=cap_obj, m_s=m_s, equity_floors=floors)
     sel = solve(inst, W_LCOE, con)
     assert verify_selection(sel, inst, con)
@@ -515,7 +525,7 @@ def _scalar_lp(sites, cost, order, cap_obj, floors, v):
     caps = sites.caps
     used = np.zeros(len(sites))
     total, floor_cap = 0.0, 0.0
-    for j, floor in floors.items():
+    for j, floor in zip(floors.mun, floors.mw):
         total = solver._fill_floor(caps, cost, order[slice(*sites.mun_rows[j])], floor,
                                    total, used)
         if total == np.inf:
@@ -544,12 +554,13 @@ def _scalar_fill_and_trim(state, cap_obj):
     sites, cost = state.sites, state.cost
     if not solver._ge(state.cap_total, cap_obj):
         for i in np.lexsort((sites.ids, cost / sites.caps)).tolist():
-            if i in state.sel:
+            if state.taken[i]:
                 continue
-            state.add(i)
+            state.add_rows(np.array([i]))
             if solver._ge(state.cap_total, cap_obj):
                 break
-    for i in sorted(state.sel, key=lambda i: (-cost[i], sites.ids[i])):
+    for i in sorted(np.flatnonzero(state.taken).tolist(),
+                    key=lambda i: (-cost[i], sites.ids[i])):
         if cost[i] > 0 and state.removable(i, cap_obj):
             state.remove(i)
 
@@ -561,6 +572,7 @@ def test_block_passes_match_scalar_loops():
     for trial in range(120):
         n = int(rng.integers(1, 3000))
         sites, cost, floors = _random_pool(rng, n)
+        floors = solver._floors(sites, floors)
         cap_obj = float(rng.uniform(0.0, 1.02)) * float(sites.caps.sum())
         order = solver._mun_ratio_order(sites, cost)
         v = sites.scenicness
@@ -574,9 +586,9 @@ def test_block_passes_match_scalar_loops():
         ours.fill(cap_obj)
         ours.drop_removable(cap_obj)
         _scalar_fill_and_trim(ref, cap_obj)
-        assert ours.sel == ref.sel, trial
-        assert (ours.obj, ours.cap_total, ours.v_totals, ours.mun_totals) == (
-            ref.obj, ref.cap_total, ref.v_totals, ref.mun_totals), trial
+        assert (ours.taken == ref.taken).all(), trial
+        assert (ours.obj, ours.cap_total, ours.v_totals, ours.floor_totals.tolist()) == (
+            ref.obj, ref.cap_total, ref.v_totals, ref.floor_totals.tolist()), trial
 
 
 def _scan_subsets(sites, cost, cap_obj, floors, cap_specs):
@@ -621,8 +633,15 @@ def test_enumerate_matches_plain_subset_scan():
         cap_specs = ([(sites.scenicness, float(rng.integers(0, 5 * n)))]
                      if rng.random() < 0.5 else [])
         want = _scan_subsets(sites, cost, cap_obj, floors, cap_specs)
-        got = solver._enumerate(sites, cost, cap_obj, floors, cap_specs)
-        assert got == want, (trial, n, floors, cap_specs)
+        if any(j not in sites.mun_rows for j in floors):
+            # a floor in a municipality without candidates
+            assert want is None, trial
+            with pytest.raises(InfeasibleError, match="without candidates"):
+                solver._floors(sites, floors)
+        else:
+            got = solver._enumerate(sites, cost, cap_obj, solver._floors(sites, floors),
+                                    cap_specs)
+            assert got == want, (trial, n, floors, cap_specs)
         outcomes["infeasible" if want is None else "feasible"] += 1
     assert min(outcomes.values()) >= 30, outcomes
 
