@@ -149,16 +149,18 @@ def test_sweep_reports_why_it_stopped(tmp_path, capsys):
     assert set(point["lambda"]) == {"scenicness"}
 
 
+GRID = [
+    {"name": "a", "w_c": 1.0, "w_s": 0.0, "w_l": 0.0, "equity": False,
+     "total_capacity_mw": 120.0},
+    {"name": "b", "w_c": 0.0, "w_s": 1.0, "w_l": 0.0, "equity": True,
+     "total_capacity_mw": 120.0},
+]
+
+
 def test_scenarios_grid(prepped):
     root, prep = prepped
-    grid = [
-        {"name": "a", "w_c": 1.0, "w_s": 0.0, "w_l": 0.0, "equity": False,
-         "total_capacity_mw": 120.0},
-        {"name": "b", "w_c": 0.0, "w_s": 1.0, "w_l": 0.0, "equity": True,
-         "total_capacity_mw": 120.0},
-    ]
     grid_path = root / "grid.json"
-    grid_path.write_text(json.dumps(grid))
+    grid_path.write_text(json.dumps(GRID))
     out = root / "grid_out"
     assert main(["scenarios", "--instance", str(prep), "--grid", str(grid_path),
                  "--out", str(out)]) == 0
@@ -169,6 +171,27 @@ def test_scenarios_grid(prepped):
     assert (out / "selection_b.geojson").exists()
     assert (out / "radar.csv").exists()
 
+
+
+def test_scenarios_failed_rows(prepped, tmp_path, capsys):
+    # the unprepped instance has no network lengths, so every solve fails in-row
+    root, _ = prepped
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(GRID))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["scenarios", "--instance", str(root / "raw"), "--grid", str(grid_path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "ran 2 scenarios, failures: ['a', 'b']\n"
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "run_manifest.json"]
+    failed = ",109.39482580986999,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,site 1 has no " \
+        "network_length; run prep first"
+    assert (out / "results.csv").read_text().splitlines() == [
+        "name,w_c,w_s,w_l,equity,total_capacity_mw,added_target_mw,n_sites,mean_lcoe,"
+        "mean_scenicness,mean_network_length_km,equity_pct,south_quota_pct,objective,"
+        "lower_bound,gap,error",
+        "a,1.0,0.0,0.0,0,120.0" + failed,
+        "b,0.0,1.0,0.0,1,120.0" + failed]
 
 def test_metrics_command(prepped):
     root, prep = prepped
