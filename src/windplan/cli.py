@@ -254,10 +254,11 @@ def scenarios_cmd(instance_dir, grid_spec, scale, out_dir):
         if r.selection is not None:
             write_geojson(r.selection, instance,
                           os.path.join(out_dir, f"selection_{r.name}.geojson"))
-    ok = {r.name: {"mean_lcoe": r.mean_lcoe, "mean_scenicness": r.mean_scenicness,
-                   "mean_network_length_km": r.mean_network_length_km,
+    ok = {r.name: {"mean_lcoe": r.selection.means.lcoe,
+                   "mean_scenicness": r.selection.means.scenicness,
+                   "mean_network_length_km": r.selection.means.network_length_km,
                    "equity_pct": r.equity_pct}
-          for r in results if r.error is None}
+          for r in results if r.selection is not None}
     base = sorted(n for n in ok if n.startswith("Base"))
     if len(ok) >= 2:
         group = base if len(base) >= 2 else sorted(ok)

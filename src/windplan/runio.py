@@ -12,17 +12,20 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict
 
 from . import __version__
 from .domain import Instance, ValidationError
 from .metrics import RADAR_AXES, RadarValues
 from .scenarios import ScenarioResult
-from .solver import ParetoFront, Selection
+from .solver import Means, ParetoFront, Selection, Totals
 
 MANIFEST_FILE = "run_manifest.json"
 # one selection record: the selection CSV header and the GeoJSON properties
 _SELECTION_FIELDS = ("site_id", "municipality_id", "capacity_mw", "lcoe", "scenicness",
                      "network_length_km")
+# what a failed scenario's results.csv row reads: no sites and every figure 0.0
+_NO_SELECTION = Selection((), 0.0, Totals(0.0, 0.0, 0.0, 0.0), Means(0.0, 0.0, 0.0, 0.0), 0.0, 0.0)
 
 
 def _selected_sites(selection: Selection, instance: Instance):
@@ -104,18 +107,8 @@ def write_summary_json(selection: Selection, path: str) -> None:
         "objective": selection.objective_value,
         "lower_bound": selection.lower_bound,
         "gap": selection.gap,
-        "totals": {
-            "capacity_mw": selection.totals.capacity_mw,
-            "lcoe": selection.totals.lcoe,
-            "scenicness": selection.totals.scenicness,
-            "network_length_km": selection.totals.network_length_km,
-        },
-        "means": {
-            "lcoe": selection.means.lcoe,
-            "scenicness": selection.means.scenicness,
-            "network_length_km": selection.means.network_length_km,
-            "lcoe_capacity_weighted": selection.means.lcoe_capacity_weighted,
-        },
+        "totals": asdict(selection.totals),
+        "means": asdict(selection.means),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
@@ -138,12 +131,13 @@ def write_results_csv(results: list[ScenarioResult], path: str) -> None:
                     "mean_network_length_km", "equity_pct", "south_quota_pct",
                     "objective", "lower_bound", "gap", "error"])
         for r in results:
+            sel = r.selection or _NO_SELECTION
             w.writerow([r.name, repr(r.weights.w_c), repr(r.weights.w_s),
                         repr(r.weights.w_l), int(r.equity), repr(r.total_capacity_mw),
-                        repr(r.added_target_mw), r.n_sites, repr(r.mean_lcoe),
-                        repr(r.mean_scenicness), repr(r.mean_network_length_km),
-                        repr(r.equity_pct), repr(r.south_quota_pct), repr(r.objective),
-                        repr(r.lower_bound), repr(r.gap), r.error or ""])
+                        repr(r.added_target_mw), sel.n_sites, repr(sel.means.lcoe),
+                        repr(sel.means.scenicness), repr(sel.means.network_length_km),
+                        repr(r.equity_pct), repr(r.south_quota_pct), repr(sel.objective_value),
+                        repr(sel.lower_bound), repr(sel.gap), r.error or ""])
 
 
 def write_radar_csv(radar: RadarValues, path: str) -> None:

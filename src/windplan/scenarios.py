@@ -37,17 +37,10 @@ class ScenarioResult:
     equity: bool
     total_capacity_mw: float
     added_target_mw: float
-    n_sites: int
-    mean_lcoe: float
-    mean_scenicness: float
-    mean_network_length_km: float
-    equity_pct: float
-    south_quota_pct: float
-    objective: float
-    lower_bound: float
-    gap: float
-    runtime_s: float
-    selection: Selection | None
+    selection: Selection | None  # None when the scenario failed
+    equity_pct: float = 0.0
+    south_quota_pct: float = 0.0
+    runtime_s: float = 0.0
     error: str | None = None
 
 
@@ -143,34 +136,16 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
 
     def run_one(job) -> ScenarioResult:
         cfg, total, constraints = job
-        added = constraints.cap_obj
+        row = (cfg.name, cfg.weights, cfg.equity, total, constraints.cap_obj)
         t_start = time.perf_counter()
         try:
             sel = solve(instance, cfg.weights, constraints, scaled)
-            eq = regional_equity(sel.site_ids, instance)
-            return ScenarioResult(
-                name=cfg.name, weights=cfg.weights, equity=cfg.equity,
-                total_capacity_mw=total, added_target_mw=added,
-                n_sites=sel.n_sites,
-                mean_lcoe=sel.means.lcoe,
-                mean_scenicness=sel.means.scenicness,
-                mean_network_length_km=sel.means.network_length_km,
-                equity_pct=eq.regional_equity_pct,
-                south_quota_pct=south_quota(sel.site_ids, instance),
-                objective=sel.objective_value,
-                lower_bound=sel.lower_bound,
-                gap=sel.gap,
-                runtime_s=time.perf_counter() - t_start,
-                selection=sel,
-            )
+            result = ScenarioResult(*row, sel,
+                                    regional_equity(sel.site_ids, instance).regional_equity_pct,
+                                    south_quota(sel.site_ids, instance))
         except PlanError as e:
-            return ScenarioResult(
-                name=cfg.name, weights=cfg.weights, equity=cfg.equity,
-                total_capacity_mw=total, added_target_mw=added,
-                n_sites=0, mean_lcoe=0.0, mean_scenicness=0.0,
-                mean_network_length_km=0.0, equity_pct=0.0, south_quota_pct=0.0,
-                objective=0.0, lower_bound=0.0, gap=0.0,
-                runtime_s=time.perf_counter() - t_start,
-                selection=None, error=str(e))
+            result = ScenarioResult(*row, None, error=str(e))
+        result.runtime_s = time.perf_counter() - t_start
+        return result
 
     return [run_one(j) for j in jobs]

@@ -113,8 +113,11 @@ class ParetoPoint:
     step: int
     cap: float  # cap applied to the swept criterion (T0 for step 0)
     achieved_min: float  # total of the optimized criterion
-    gap: float
     selection: Selection
+
+    @property
+    def gap(self) -> float:
+        return self.selection.gap
 
 
 @dataclass
@@ -1022,7 +1025,7 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
     sel0 = solve(instance, w, constraints, scaled)
     t0 = total_of(sel0, sweep)
     front = ParetoFront(optimize=optimize, sweep=sweep, step_factor=step_factor)
-    front.points.append(ParetoPoint(0, t0, total_of(sel0, optimize), sel0.gap, sel0))
+    front.points.append(ParetoPoint(0, t0, total_of(sel0, optimize), sel0))
     cap_field = _CAP_FIELDS[sweep]
     for k in range(1, steps):
         cap_val = t0 * step_factor ** k
@@ -1033,7 +1036,7 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
             front.stop = "proven_limit" if err.proven else "unproven_miss"
             front.stop_cap, front.stop_bound = cap_val, err.bound
             break
-        front.points.append(ParetoPoint(k, cap_val, total_of(sel, optimize), sel.gap, sel))
+        front.points.append(ParetoPoint(k, cap_val, total_of(sel, optimize), sel))
     # tighter caps can only worsen the optimum; a better solution found at a
     # tighter cap is feasible (and adopted) at every looser cap. The tighter
     # cap's bound does not bound the looser problem, so the adopted copy is
@@ -1045,8 +1048,7 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
             sel = replace(cur.selection, lower_bound=bound,
                           gap=_gap(cur.selection.objective_value, bound),
                           stats=prev.selection.stats)
-            front.points[i - 1] = ParetoPoint(prev.step, prev.cap, cur.achieved_min,
-                                              sel.gap, sel)
+            front.points[i - 1] = ParetoPoint(prev.step, prev.cap, cur.achieved_min, sel)
     return front
 
 

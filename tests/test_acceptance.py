@@ -157,13 +157,13 @@ def test_acceptance_04_diagonal_dominance(desk_grid):
     by_name = {r.name: r for r in results}
     group = [by_name[n] for n in ("Base_LCOE", "Base_Scenic", "Base_Network",
                                   "Base_all")]
-    for crit, minimizer in (("mean_lcoe", "Base_LCOE"),
-                            ("mean_scenicness", "Base_Scenic"),
-                            ("mean_network_length_km", "Base_Network")):
-        vals = {r.name: getattr(r, crit) for r in group}
+    for crit, minimizer in (("lcoe", "Base_LCOE"),
+                            ("scenicness", "Base_Scenic"),
+                            ("network_length_km", "Base_Network")):
+        vals = {r.name: getattr(r.selection.means, crit) for r in group}
         best = min(vals.values())
         own = vals[minimizer]
-        gap = by_name[minimizer].gap
+        gap = by_name[minimizer].selection.gap
         assert own <= best * (1.0 + gap) + 1e-9, (crit, vals)
     print("PASS criterion 4: single-criterion scenarios hit the diagonal minima")
 
@@ -273,9 +273,9 @@ def test_acceptance_09_desk_scale_performance(desk_grid):
     assert len(results) == 14
     for r in results:
         assert r.error is None, (r.name, r.error)
-        assert r.gap < 0.05, (r.name, r.gap)
+        assert r.selection.gap < 0.05, (r.name, r.selection.gap)
     print(f"PASS criterion 9: 14 scenarios in {elapsed:.1f} s, "
-          f"max gap {max(r.gap for r in results):.4f}")
+          f"max gap {max(r.selection.gap for r in results):.4f}")
 
 
 def test_acceptance_10_determinism(tmp_path):

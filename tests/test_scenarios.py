@@ -57,7 +57,7 @@ def test_run_grid_results_ordered_and_feasible():
         assert r.error is None, r.error
         assert r.selection is not None
         assert r.selection.totals.capacity_mw >= r.added_target_mw - 1e-9
-        assert r.gap >= 0.0
+        assert r.selection.gap >= 0.0
 
 
 def test_run_grid_target_below_existing_errors():
