@@ -158,8 +158,7 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(out_dir: str, inputs: list[str], config: dict,
-                   timings_s: dict[str, float], warnings: list[str] | None = None,
-                   stats: dict | None = None) -> None:
+                   timings_s: dict[str, float], stats: dict | None = None) -> None:
     """run_manifest.json; `stats` (solver statistics) is written only when given."""
     doc = {
         "tool_version": __version__,
@@ -167,7 +166,7 @@ def write_manifest(out_dir: str, inputs: list[str], config: dict,
                    if os.path.isfile(p)},
         "config": config,
         "timings_s": timings_s,
-        "warnings": warnings or [],
+        "warnings": [],
     }
     if stats is not None:
         doc["stats"] = stats

@@ -13,10 +13,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .domain import InfeasibleError, Instance, PlanError, ValidationError
+from .domain import Instance, PlanError, ValidationError
 from .metrics import regional_equity, south_quota
 from .objective import Weights, scale_candidates
-from .solver import Constraints, Selection, municipal_potentials, solve, target_constraints
+from .solver import (Constraints, Selection, municipal_potentials, require_potential, solve,
+                     target_constraints)
 
 BASE_TOTAL_MW = 105_000.0
 HIGH_TOTAL_MW = 200_000.0
@@ -113,7 +114,6 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
     instance-wide infeasibility (capacity target above total potential)
     aborts with the offending scenario named.
     """
-    potential_total = sum(instance.sites.caps.tolist())
     pots = municipal_potentials(instance)
     needs_scaling = any(len(cfg.weights.active()) > 1 for cfg in grid)
     scaled = scale_candidates(instance.sites) if needs_scaling else None
@@ -126,10 +126,7 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
         try:
             if key not in cache:
                 cache[key] = target_constraints(instance, total, cfg.equity, pots)
-            if cache[key].cap_obj > potential_total:
-                raise InfeasibleError(
-                    f"added target {cache[key].cap_obj:.3f} MW exceeds total "
-                    f"potential {potential_total:.3f} MW")
+            require_potential(instance.sites, cache[key].cap_obj)
         except PlanError as e:
             raise type(e)(f"scenario {cfg.name}: {e}") from e
         jobs.append((cfg, total, cache[key]))

@@ -289,11 +289,17 @@ class _State:
         """Drop, costliest first, each site of positive cost that is
         `removable` at its turn; True if any was dropped.
 
-        The cover only shrinks, so a site that would uncover it now is
-        never removable later: only the others are tested one by one."""
+        The cover and every floor total only shrink, so a site that would
+        uncover either now is never removable later: only the others are
+        tested one by one."""
         rows = self.costliest_first()
+        caps = self.sites.caps[rows]
         cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
-        rows = rows[(self.cost[rows] > 0) & (self.cap_total - self.sites.caps[rows] >= cover_min)]
+        keep = (self.cost[rows] > 0) & (self.cap_total - caps >= cover_min)
+        if self.floors:  # without floors `floor_totals` is empty
+            k = self.floors.of_site[rows]
+            keep &= (k < 0) | (self.floor_totals[k] - caps >= self.floors.ge[k])
+        rows = rows[keep]
         dropped = False
         for i in rows.tolist():
             if self.removable(i, cap_obj):
@@ -598,6 +604,15 @@ def _cap_specs(sites: SiteTable,
             for crit, fld in _CAP_FIELDS.items() if getattr(constraints, fld) is not None]
 
 
+def require_potential(sites: SiteTable, cap_obj: float) -> None:
+    """InfeasibleError unless the pool's total capacity covers `cap_obj`."""
+    total_potential = float(sites.caps.sum())
+    if not _ge(total_potential, cap_obj):
+        raise InfeasibleError(
+            f"total potential {total_potential:.3f} MW below capacity target "
+            f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
+
+
 def _problem(instance: Instance, weights: Weights, constraints: Constraints,
              scaled: ScaledCriteria | None
              ) -> tuple[SiteTable, np.ndarray, float, _Floors,
@@ -609,11 +624,7 @@ def _problem(instance: Instance, weights: Weights, constraints: Constraints,
         raise InfeasibleError("instance has no candidate sites")
     cost = site_costs(sites, weights, scaled)
     cap_obj = float(constraints.cap_obj)
-    total_potential = float(sites.caps.sum())
-    if not _ge(total_potential, cap_obj):
-        raise InfeasibleError(
-            f"total potential {total_potential:.3f} MW below capacity target "
-            f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
+    require_potential(sites, cap_obj)
     floors = _floors(sites, constraints.equity_floors)
     return sites, cost, cap_obj, floors, _cap_specs(sites, constraints)
 

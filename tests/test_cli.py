@@ -2,9 +2,12 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import windplan
 from windplan.cli import main
 from windplan.domain import read_instance
 
@@ -40,6 +43,18 @@ def _assert_numeric_fields(path, text_columns=()):
         for column, value in row.items():
             if column not in text_columns:
                 float(value)
+
+
+def test_cli_import_loads_no_scipy():
+    # every `plan` process pays for what importing the CLI loads
+    src = os.path.dirname(os.path.dirname(windplan.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, windplan.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_synth_and_prep_outputs(prepped):

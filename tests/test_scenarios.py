@@ -2,13 +2,16 @@ import pytest
 
 from windplan.domain import InfeasibleError, PlanError
 from windplan.geoprep import prep_instance
+from windplan.objective import Weights
 from windplan.scenarios import (
     BASE_TOTAL_MW,
     HIGH_TOTAL_MW,
+    ScenarioConfig,
     builtin_grid,
     grid_from_rows,
     run_grid,
 )
+from windplan.solver import solve, target_constraints
 from windplan.synth import SynthSpec, generate
 
 
@@ -70,3 +73,16 @@ def test_run_grid_target_above_potential_aborts():
     inst = small_instance(n_sites=120)
     with pytest.raises(InfeasibleError, match="potential"):
         run_grid(inst, builtin_grid(), scale=1.0)
+
+
+def test_run_grid_and_solve_share_the_potential_rule():
+    # a target a hair above the total potential is within the solver's tolerance
+    inst = small_instance(n_sites=120)
+    potential = sum(inst.sites.caps.tolist())
+    existing = sum(m.existing_capacity for m in inst.municipalities)
+    total = existing + potential * (1 + 1e-11)
+    weights = Weights(1.0, 0.0, 0.0)
+    sel = solve(inst, weights, target_constraints(inst, total, False))
+    assert sel.n_sites == len(inst.sites)
+    [r] = run_grid(inst, [ScenarioConfig("edge", weights, False, total)])
+    assert r.error is None and r.selection == sel
