@@ -580,15 +580,24 @@ def test_block_passes_match_scalar_loops():
         assert got == _scalar_lp(sites, cost, order, cap_obj, floors, v), trial
         assert solver._lp_nested(sites, cost, order, cap_obj, floors)[0] == got[0]
         specs = [(v, float(v.sum()) * 0.3), (sites.network_length, 1e9)]
-        start = [int(i) for i in order[:int(rng.integers(0, n + 1)) // 3]]
-        ours = solver._State(sites, cost, floors, specs, start)
-        ref = copy.deepcopy(ours)
-        ours.fill(cap_obj)
-        ours.drop_removable(cap_obj)
-        _scalar_fill_and_trim(ref, cap_obj)
-        assert (ours.taken == ref.taken).all(), trial
-        assert (ours.obj, ours.cap_total, ours.v_totals, ours.floor_totals.tolist()) == (
-            ref.obj, ref.cap_total, ref.v_totals, ref.floor_totals.tolist()), trial
+        # a prefix that the fill extends, and a random part of the pool in
+        # which each floor holds its cheapest cover and up to two more sites,
+        # so the trim runs into floors with little to spare
+        near = rng.random(n) < rng.uniform(0.0, 1.0)
+        for j, ge in zip(floors.mun, floors.ge):
+            rows = order[slice(*sites.mun_rows[j])]
+            cover = int(np.searchsorted(np.cumsum(sites.caps[rows]), ge)) + 1
+            near[rows] = False
+            near[rows[:cover + int(rng.integers(0, 3))]] = True
+        for start in (order[:int(rng.integers(0, n + 1)) // 3], np.flatnonzero(near)):
+            ours = solver._State(sites, cost, floors, specs, start)
+            ref = copy.deepcopy(ours)
+            ours.fill(cap_obj)
+            ours.drop_removable(cap_obj)
+            _scalar_fill_and_trim(ref, cap_obj)
+            assert (ours.taken == ref.taken).all(), trial
+            assert (ours.obj, ours.cap_total, ours.v_totals, ours.floor_totals.tolist()) == (
+                ref.obj, ref.cap_total, ref.v_totals, ref.floor_totals.tolist()), trial
 
 
 def _scan_subsets(sites, cost, cap_obj, floors, cap_specs):
