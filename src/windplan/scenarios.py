@@ -126,7 +126,7 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
         try:
             if key not in cache:
                 cache[key] = target_constraints(instance, total, cfg.equity, pots)
-            require_potential(instance.sites, cache[key].cap_obj)
+                require_potential(instance.sites, cache[key].cap_obj)
         except PlanError as e:
             raise type(e)(f"scenario {cfg.name}: {e}") from e
         jobs.append((cfg, total, cache[key]))

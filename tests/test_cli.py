@@ -187,7 +187,6 @@ def test_scenarios_grid(prepped):
     assert (out / "radar.csv").exists()
 
 
-
 def test_scenarios_failed_rows(prepped, tmp_path, capsys):
     # the unprepped instance has no network lengths, so every solve fails in-row
     root, _ = prepped
@@ -199,14 +198,15 @@ def test_scenarios_failed_rows(prepped, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert capsys.readouterr().out == "ran 2 scenarios, failures: ['a', 'b']\n"
     assert sorted(p.name for p in out.iterdir()) == ["results.csv", "run_manifest.json"]
-    failed = ",109.39482580986999,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,site 1 has no " \
-        "network_length; run prep first"
+    failed = (",109.39482580986999,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,"
+              "site 1 has no network_length; run prep first")
     assert (out / "results.csv").read_text().splitlines() == [
         "name,w_c,w_s,w_l,equity,total_capacity_mw,added_target_mw,n_sites,mean_lcoe,"
         "mean_scenicness,mean_network_length_km,equity_pct,south_quota_pct,objective,"
         "lower_bound,gap,error",
         "a,1.0,0.0,0.0,0,120.0" + failed,
         "b,0.0,1.0,0.0,1,120.0" + failed]
+
 
 def test_metrics_command(prepped):
     root, prep = prepped
