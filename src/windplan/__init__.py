@@ -22,7 +22,7 @@ from .domain import (
     write_instance,
 )
 from .objective import Weights
-from .solver import Constraints, Selection, solve, brute_force, pareto_sweep
+from .solver import Constraints, Selection, solve, pareto_sweep
 
 __all__ = [
     "CandidateSite",
@@ -41,6 +41,5 @@ __all__ = [
     "write_instance",
     "validate_instance",
     "solve",
-    "brute_force",
     "pareto_sweep",
 ]

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 infeasibility,
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -24,6 +23,7 @@ from .domain import (
     instance_files,
     read_instance,
     validate_instance,
+    write_csv,
     write_instance,
 )
 from .geoprep import DEFAULT_BUFFER_DIAMETER_M, prep_instance
@@ -33,13 +33,14 @@ from .runio import (
     read_selection_csv,
     write_front_csv,
     write_geojson,
+    write_json,
     write_manifest,
     write_radar_csv,
     write_results_csv,
     write_selection_csv,
     write_summary_json,
 )
-from .scenarios import builtin_grid, grid_from_rows, row_field, row_weights, run_grid
+from .scenarios import builtin_grid, grid_from_rows, run_grid, scenario_from_row
 from .solver import pareto_sweep, solve, target_constraints
 from .synth import generate, germany_like, spec_from_json, SynthSpec
 
@@ -76,7 +77,7 @@ def synth_cmd(spec_path, seed, out_dir):
     elif spec_path == "germany-like":
         spec = germany_like(seed) if seed is not None else germany_like()
     else:
-        spec = spec_from_json(spec_path, seed_override=seed)
+        spec = spec_from_json(_read_json(spec_path, "synth spec"), seed_override=seed)
     instance = generate(spec)
     os.makedirs(out_dir, exist_ok=True)
     write_instance(instance, out_dir)
@@ -98,14 +99,7 @@ def prep_cmd(instance_dir, buffer_m, out_dir):
     prepped, report = prep_instance(instance, buffer_m)
     os.makedirs(out_dir, exist_ok=True)
     write_instance(prepped, out_dir)
-    with open(os.path.join(out_dir, "exclusion_report.json"), "w", encoding="utf-8") as f:
-        json.dump({
-            "excluded_count": report.excluded_count,
-            "excluded_capacity_mw": report.excluded_capacity_mw,
-            "excluded_share_count": report.excluded_share_count,
-            "excluded_share_capacity": report.excluded_share_capacity,
-        }, f, indent=1)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "exclusion_report.json"), asdict(report))
     write_manifest(out_dir, instance_files(instance_dir),
                    {"command": "prep", "buffer_m": buffer_m},
                    {"prep": time.perf_counter() - t0})
@@ -118,7 +112,7 @@ def prep_cmd(instance_dir, buffer_m, out_dir):
 @click.option("--instance", "instance_dir", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Output CSV of per-criterion scaled-value histograms.")
-@click.option("--bins", type=int, default=40, show_default=True)
+@click.option("--bins", type=click.IntRange(min=1), default=40, show_default=True)
 def scale_cmd(instance_dir, out_path, bins):
     """Emit the scaled-equalized criterion value distributions."""
     t0 = time.perf_counter()
@@ -130,14 +124,14 @@ def scale_cmd(instance_dir, out_path, bins):
     edges = np.linspace(0.0, hi, bins + 1)
     out_dir = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(out_dir, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["criterion", "bin_left", "bin_right", "count", "mean"])
-        for name, arr in arrays.items():
-            counts, _ = np.histogram(arr, bins=edges)
-            for b in range(bins):
-                w.writerow([name, repr(float(edges[b])), repr(float(edges[b + 1])),
-                            int(counts[b]), repr(float(arr.mean()))])
+    rows = []
+    for name, arr in arrays.items():
+        counts, _ = np.histogram(arr, bins=edges)
+        mean = repr(float(arr.mean()))
+        for b in range(bins):
+            rows.append([name, repr(float(edges[b])), repr(float(edges[b + 1])),
+                         int(counts[b]), mean])
+    write_csv(out_path, ["criterion", "bin_left", "bin_right", "count", "mean"], rows)
     write_manifest(out_dir, instance_files(instance_dir),
                    {"command": "scale", "bins": bins},
                    {"scale": time.perf_counter() - t0})
@@ -166,12 +160,11 @@ def solve_cmd(instance_dir, scenario_path, scale, out_dir):
     instance = _load_validated(instance_dir)
     sc = _read_json(scenario_path, "scenario")
     try:
-        weights = row_weights(sc)
-        total_mw = row_field(sc, "total_capacity_mw")
+        cfg = scenario_from_row(sc)
     except ValidationError as e:
         raise ValidationError(f"scenario {scenario_path}: {e}") from None
-    constraints = target_constraints(instance, total_mw * scale, bool(sc.get("equity")))
-    sel = solve(instance, weights, constraints)
+    constraints = target_constraints(instance, cfg.total_capacity_2050 * scale, cfg.equity)
+    sel = solve(instance, cfg.weights, constraints)
     os.makedirs(out_dir, exist_ok=True)
     write_selection_csv(sel, instance, os.path.join(out_dir, "selection.csv"))
     write_geojson(sel, instance, os.path.join(out_dir, "selection.geojson"))
@@ -293,9 +286,7 @@ def metrics_cmd(selection_path, instance_dir, out_path):
     }
     out_dir = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(out_dir, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(out_path, doc)
     write_manifest(out_dir, instance_files(instance_dir) + [selection_path],
                    {"command": "metrics"},
                    {"metrics": time.perf_counter() - t0})

@@ -498,7 +498,9 @@ def read_instance(directory: str) -> Instance:
                     transformers=transformers)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """A header and rows in the csv module's default dialect; every result
+    and instance CSV but candidates.csv is written here."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -534,15 +536,15 @@ def write_instance(instance: Instance, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
     _write_sites(cand_path, instance.sites)
-    _write_csv(mun_path, _MUN_HEADER,
-               ([m.municipality_id, m.name, _fnum(m.population), m.region_tag, m.state_id,
-                 _fnum(m.area)] for m in instance.municipalities))
-    _write_csv(ex_path, _EXISTING_HEADER,
-               ([t.turbine_id, t.municipality_id, _fnum(t.lat), _fnum(t.lon),
-                 _fnum(t.capacity)] for t in instance.existing))
-    _write_csv(tr_path, _TRANSFORMER_HEADER,
-               ([t.transformer_id, _fnum(t.lat), _fnum(t.lon), t.voltage_kv]
-                for t in instance.transformers))
+    write_csv(mun_path, _MUN_HEADER,
+              ([m.municipality_id, m.name, _fnum(m.population), m.region_tag, m.state_id,
+                _fnum(m.area)] for m in instance.municipalities))
+    write_csv(ex_path, _EXISTING_HEADER,
+              ([t.turbine_id, t.municipality_id, _fnum(t.lat), _fnum(t.lon),
+                _fnum(t.capacity)] for t in instance.existing))
+    write_csv(tr_path, _TRANSFORMER_HEADER,
+              ([t.transformer_id, _fnum(t.lat), _fnum(t.lon), t.voltage_kv]
+               for t in instance.transformers))
 
 
 def with_network_lengths(instance: Instance, lengths) -> Instance:

@@ -27,7 +27,6 @@ class EquityReport:
     regional_equity_pct: float
     n_municipalities: int
     excluded_zero_population: int
-    all_zero: bool = False
 
 
 @dataclass
@@ -77,9 +76,8 @@ def _added_capacity(site_ids: Sequence[int], instance: Instance) -> dict[int, fl
     return capacity_by_municipality(zip(sites.mun[rows].tolist(), sites.caps[rows].tolist()))
 
 
-def regional_equity(site_ids: Sequence[int], instance: Instance,
-                    include_existing: bool = True) -> EquityReport:
-    """Equity of the (existing +) added capacity distribution.
+def regional_equity(site_ids: Sequence[int], instance: Instance) -> EquityReport:
+    """Equity of the existing plus added capacity distribution.
 
     Pass site_ids=() to score the existing stock alone.
     """
@@ -90,18 +88,14 @@ def regional_equity(site_ids: Sequence[int], instance: Instance,
         if m.population <= 0:
             excluded += 1
             continue
-        cap = added.get(m.municipality_id, 0.0)
-        if include_existing:
-            cap += m.existing_capacity
+        cap = added.get(m.municipality_id, 0.0) + m.existing_capacity
         x[m.municipality_id] = cap / m.population
     if not x:
         raise PlanError("no municipality has positive population")
     arr = np.array([x[j] for j in sorted(x)], dtype=float)
-    all_zero = bool(arr.sum() == 0.0)
     g = gini_sorted(arr)
     return EquityReport(x=x, gini=g, regional_equity_pct=(1.0 - g) * 100.0,
-                        n_municipalities=arr.size,
-                        excluded_zero_population=excluded, all_zero=all_zero)
+                        n_municipalities=arr.size, excluded_zero_population=excluded)
 
 
 def south_quota(site_ids: Sequence[int], instance: Instance) -> float:

@@ -88,13 +88,11 @@ def scale_candidates(sites: SiteTable) -> ScaledCriteria:
     return ScaledCriteria(**out)
 
 
-def site_costs(sites: SiteTable, weights: Weights,
-               scaled: ScaledCriteria | None = None) -> np.ndarray:
+def site_costs(sites: SiteTable, weights: Weights) -> np.ndarray:
     """Per-site objective contribution, aligned with the table rows.
 
     Exactly one active weight: raw criterion values (times the weight).
-    Several active weights: scaled-equalized values; `scaled` is computed
-    over the given pool when not supplied.
+    Several active weights: values scaled and equalized over the given pool.
     """
     single = weights.single_criterion()
     if single is not None:
@@ -102,7 +100,6 @@ def site_costs(sites: SiteTable, weights: Weights,
         w = {"lcoe": weights.w_c, "scenicness": weights.w_s,
              "network_length": weights.w_l}[single]
         return w * getattr(sites, single)
-    if scaled is None:
-        scaled = scale_candidates(sites)
+    scaled = scale_candidates(sites)
     return (weights.w_c * scaled.lcoe + weights.w_s * scaled.scenicness
             + weights.w_l * scaled.network_length)

@@ -15,7 +15,7 @@ import os
 from dataclasses import asdict
 
 from . import __version__
-from .domain import Instance, ValidationError
+from .domain import Instance, ValidationError, write_csv
 from .metrics import RADAR_AXES, RadarValues
 from .scenarios import ScenarioResult
 from .solver import Means, ParetoFront, Selection, Totals
@@ -71,13 +71,18 @@ def write_geojson(selection: Selection, instance: Instance, path: str) -> None:
         f.write(f'{{\n "type": "FeatureCollection",\n "features": {body}\n}}\n')
 
 
+def write_json(path: str, doc) -> None:
+    """`doc` as json.dump(doc, f, indent=1) writes it, plus a newline; every
+    JSON result file but the GeoJSON is written here."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
 def write_selection_csv(selection: Selection, instance: Instance, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_SELECTION_FIELDS)
-        for _, _, (sid, mun, cap, lcoe, scen, length) in _selected_sites(selection, instance):
-            w.writerow([sid, mun, repr(cap), repr(lcoe), repr(scen),
-                        "" if length is None else repr(length)])
+    write_csv(path, list(_SELECTION_FIELDS), (
+        [sid, mun, repr(cap), repr(lcoe), repr(scen), "" if length is None else repr(length)]
+        for _, _, (sid, mun, cap, lcoe, scen, length) in _selected_sites(selection, instance)))
 
 
 def read_selection_csv(path: str) -> list[int]:
@@ -102,51 +107,42 @@ def read_selection_csv(path: str) -> list[int]:
 
 
 def write_summary_json(selection: Selection, path: str) -> None:
-    doc = {
+    write_json(path, {
         "n_sites": selection.n_sites,
         "objective": selection.objective_value,
         "lower_bound": selection.lower_bound,
         "gap": selection.gap,
         "totals": asdict(selection.totals),
         "means": asdict(selection.means),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    })
 
 
 def write_front_csv(front: ParetoFront, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "cap", "achieved_min", "gap"])
-        for p in front.points:
-            w.writerow([p.step, repr(p.cap), repr(p.achieved_min), repr(p.gap)])
+    write_csv(path, ["step", "cap", "achieved_min", "gap"],
+              ([p.step, repr(p.cap), repr(p.achieved_min), repr(p.gap)] for p in front.points))
+
+
+def _results_row(r: ScenarioResult) -> list:
+    sel = r.selection or _NO_SELECTION
+    return [r.name, repr(r.weights.w_c), repr(r.weights.w_s), repr(r.weights.w_l),
+            int(r.equity), repr(r.total_capacity_mw), repr(r.added_target_mw), sel.n_sites,
+            repr(sel.means.lcoe), repr(sel.means.scenicness),
+            repr(sel.means.network_length_km), repr(r.equity_pct), repr(r.south_quota_pct),
+            repr(sel.objective_value), repr(sel.lower_bound), repr(sel.gap), r.error or ""]
 
 
 def write_results_csv(results: list[ScenarioResult], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["name", "w_c", "w_s", "w_l", "equity", "total_capacity_mw",
-                    "added_target_mw", "n_sites", "mean_lcoe", "mean_scenicness",
-                    "mean_network_length_km", "equity_pct", "south_quota_pct",
-                    "objective", "lower_bound", "gap", "error"])
-        for r in results:
-            sel = r.selection or _NO_SELECTION
-            w.writerow([r.name, repr(r.weights.w_c), repr(r.weights.w_s),
-                        repr(r.weights.w_l), int(r.equity), repr(r.total_capacity_mw),
-                        repr(r.added_target_mw), sel.n_sites, repr(sel.means.lcoe),
-                        repr(sel.means.scenicness), repr(sel.means.network_length_km),
-                        repr(r.equity_pct), repr(r.south_quota_pct), repr(sel.objective_value),
-                        repr(sel.lower_bound), repr(sel.gap), r.error or ""])
+    write_csv(path, ["name", "w_c", "w_s", "w_l", "equity", "total_capacity_mw",
+                     "added_target_mw", "n_sites", "mean_lcoe", "mean_scenicness",
+                     "mean_network_length_km", "equity_pct", "south_quota_pct",
+                     "objective", "lower_bound", "gap", "error"],
+              map(_results_row, results))
 
 
 def write_radar_csv(radar: RadarValues, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["name"] + list(RADAR_AXES))
-        for name in sorted(radar.values):
-            row = [name] + [repr(radar.values[name][a]) for a in RADAR_AXES]
-            w.writerow(row)
+    write_csv(path, ["name", *RADAR_AXES],
+              ([name, *(repr(radar.values[name][a]) for a in RADAR_AXES)]
+               for name in sorted(radar.values)))
 
 
 def _sha256(path: str) -> str:
@@ -170,6 +166,4 @@ def write_manifest(out_dir: str, inputs: list[str], config: dict,
     }
     if stats is not None:
         doc["stats"] = stats
-    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(os.path.join(out_dir, MANIFEST_FILE), doc)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .domain import Instance, PlanError, ValidationError
 from .metrics import regional_equity, south_quota
-from .objective import Weights, scale_candidates
+from .objective import Weights
 from .solver import (Constraints, Selection, municipal_potentials, require_potential, solve,
                      target_constraints)
 
@@ -67,36 +67,43 @@ def builtin_grid() -> list[ScenarioConfig]:
     return grid
 
 
-def row_field(row: dict, key: str, convert=float):
-    """`convert(row[key])`; a missing or unconvertible field is a ValidationError."""
-    if not isinstance(row, dict):
-        raise ValidationError(f"expected a JSON object, got {type(row).__name__}")
+def _field(row: dict, key: str, kind, what: str):
+    """row[key] if it is a JSON value of `kind` (a boolean is not a number);
+    a missing or mistyped field is a ValidationError naming it."""
     if key not in row:
         raise ValidationError(f"missing field {key!r}")
-    try:
-        return convert(row[key])
-    except (TypeError, ValueError):
-        raise ValidationError(f"field {key!r} is not a number: {row[key]!r}") from None
+    value = row[key]
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ValidationError(f"field {key!r} is not {what}: {value!r}")
+    return value
 
 
-def row_weights(row: dict) -> Weights:
-    return Weights(*(row_field(row, key) for key in ("w_c", "w_s", "w_l")))
+def scenario_from_row(row: dict) -> ScenarioConfig:
+    """A scenario from the JSON object {name: string, w_c, w_s, w_l: numbers,
+    equity: boolean, total_capacity_mw: number}."""
+    if not isinstance(row, dict):
+        raise ValidationError(f"expected a JSON object, got {type(row).__name__}")
+
+    def number(key: str) -> float:
+        return float(_field(row, key, (int, float), "a number"))
+
+    return ScenarioConfig(
+        name=_field(row, "name", str, "a string"),
+        weights=Weights(number("w_c"), number("w_s"), number("w_l")),
+        equity=_field(row, "equity", bool, "a boolean"),
+        total_capacity_2050=number("total_capacity_mw"),
+    )
 
 
 def grid_from_rows(rows: list[dict]) -> list[ScenarioConfig]:
-    """Build a grid from JSON rows {name, w_c, w_s, w_l, equity, total_capacity_mw}."""
+    """Build a grid from JSON rows, one `scenario_from_row` object each."""
     if not isinstance(rows, list):
         raise ValidationError(f"expected a JSON list of scenarios, got {type(rows).__name__}")
     grid = []
     names = set()
     for k, r in enumerate(rows):
         try:
-            cfg = ScenarioConfig(
-                name=row_field(r, "name", str),
-                weights=row_weights(r),
-                equity=row_field(r, "equity", bool),
-                total_capacity_2050=row_field(r, "total_capacity_mw"),
-            )
+            cfg = scenario_from_row(r)
         except ValidationError as e:
             raise ValidationError(f"row {k}: {e}") from None
         if cfg.name in names:
@@ -115,8 +122,6 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
     aborts with the offending scenario named.
     """
     pots = municipal_potentials(instance)
-    needs_scaling = any(len(cfg.weights.active()) > 1 for cfg in grid)
-    scaled = scale_candidates(instance.sites) if needs_scaling else None
     # one Constraints per (target, equity), so each floor table is built once
     cache: dict[tuple[float, bool], Constraints] = {}
     jobs = []
@@ -136,7 +141,7 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
         row = (cfg.name, cfg.weights, cfg.equity, total, constraints.cap_obj)
         t_start = time.perf_counter()
         try:
-            sel = solve(instance, cfg.weights, constraints, scaled)
+            sel = solve(instance, cfg.weights, constraints)
             result = ScenarioResult(*row, sel,
                                     regional_equity(sel.site_ids, instance).regional_equity_pct,
                                     south_quota(sel.site_ids, instance))

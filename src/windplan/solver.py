@@ -43,7 +43,7 @@ import numpy as np
 
 from .domain import (InfeasibleError, Instance, Municipality, PlanError, SiteTable,
                      ValidationError, capacity_by_municipality)
-from .objective import ScaledCriteria, Weights, site_costs
+from .objective import Weights, site_costs
 
 FEAS_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 24
@@ -63,16 +63,15 @@ class Constraints:
     equity_floors: dict[int, float] | None = None  # municipality_id -> MW
 
     def __post_init__(self):
-        if self.cap_obj < 0:
-            raise PlanError(f"cap_obj {self.cap_obj} < 0")
-        for name in ("m_c", "m_s", "m_l"):
+        # NaN fails both comparisons, so every bound must be finite and >= 0
+        for name in ("cap_obj", "m_c", "m_s", "m_l"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise PlanError(f"{name} {v} < 0")
+            if v is not None and not 0 <= v < math.inf:
+                raise PlanError(f"{name} {v} is not a finite number >= 0")
         if self.equity_floors:
-            bad = {j: f for j, f in self.equity_floors.items() if f < 0}
+            bad = {j: f for j, f in self.equity_floors.items() if not 0 <= f < math.inf}
             if bad:
-                raise PlanError(f"negative equity floors: {bad}")
+                raise PlanError(f"equity floors not finite numbers >= 0: {bad}")
 
 
 @dataclass(frozen=True)
@@ -613,8 +612,7 @@ def require_potential(sites: SiteTable, cap_obj: float) -> None:
             f"{cap_obj:.3f} MW: shortfall {cap_obj - total_potential:.3f} MW")
 
 
-def _problem(instance: Instance, weights: Weights, constraints: Constraints,
-             scaled: ScaledCriteria | None
+def _problem(instance: Instance, weights: Weights, constraints: Constraints
              ) -> tuple[SiteTable, np.ndarray, float, _Floors,
                         list[tuple[str, np.ndarray, float]]]:
     """Pool, site costs, cover target, floors and named caps of a solve,
@@ -622,7 +620,7 @@ def _problem(instance: Instance, weights: Weights, constraints: Constraints,
     sites = instance.sites
     if not len(sites):
         raise InfeasibleError("instance has no candidate sites")
-    cost = site_costs(sites, weights, scaled)
+    cost = site_costs(sites, weights)
     cap_obj = float(constraints.cap_obj)
     require_potential(sites, cap_obj)
     floors = _floors(sites, constraints.equity_floors)
@@ -831,11 +829,9 @@ def _bracket_runs(meets: Callable[[float], bool], start: float) -> None:
             meets(above)
 
 
-def solve(instance: Instance, weights: Weights, constraints: Constraints,
-          scaled: ScaledCriteria | None = None) -> Selection:
+def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Selection:
     """Exact (small pools) or certified-heuristic solve; see module docstring."""
-    sites, cost, cap_obj, floors, named_specs = _problem(instance, weights, constraints,
-                                                         scaled)
+    sites, cost, cap_obj, floors, named_specs = _problem(instance, weights, constraints)
     if len(sites) <= BRUTE_FORCE_LIMIT:
         return _solve_exact(sites, cost, cap_obj, floors, named_specs)
 
@@ -937,16 +933,6 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints,
     return sel
 
 
-def brute_force(instance: Instance, weights: Weights, constraints: Constraints,
-                scaled: ScaledCriteria | None = None) -> Selection:
-    """Exact optimum by exhaustive subset enumeration (oracle, N <= 24);
-    the same routine as `solve` on such pools."""
-    n = len(instance.sites)
-    if n > BRUTE_FORCE_LIMIT:
-        raise PlanError(f"brute_force refused: N={n} > {BRUTE_FORCE_LIMIT}")
-    return _solve_exact(*_problem(instance, weights, constraints, scaled))
-
-
 def equity_floors(municipalities: list[Municipality], total_target_2050: float,
                   municipal_potentials: dict[int, float]) -> dict[int, float]:
     """Population-share capacity floors, clamped to [0, potential].
@@ -999,8 +985,7 @@ def target_constraints(instance: Instance, total_mw: float, equity: bool,
 
 def pareto_sweep(instance: Instance, optimize: str, sweep: str,
                  constraints: Constraints, steps: int,
-                 step_factor: float = 0.9,
-                 scaled: ScaledCriteria | None = None) -> ParetoFront:
+                 step_factor: float = 0.9) -> ParetoFront:
     """Epsilon-constraint front: tighten the swept criterion by the step
     factor each optimization and minimize the other criterion.
 
@@ -1025,6 +1010,8 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
             raise PlanError(f"unknown criterion {name!r}")
     if steps < 1:
         raise PlanError("steps must be >= 1")
+    if not 0.0 < step_factor < 1.0:
+        raise PlanError(f"step factor {step_factor} outside (0, 1)")
     w = Weights(w_c=1.0 if optimize == "lcoe" else 0.0,
                 w_s=1.0 if optimize == "scenicness" else 0.0,
                 w_l=1.0 if optimize == "network_length" else 0.0)
@@ -1033,7 +1020,7 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
         return {"lcoe": sel.totals.lcoe, "scenicness": sel.totals.scenicness,
                 "network_length": sel.totals.network_length_km}[crit]
 
-    sel0 = solve(instance, w, constraints, scaled)
+    sel0 = solve(instance, w, constraints)
     t0 = total_of(sel0, sweep)
     front = ParetoFront(optimize=optimize, sweep=sweep, step_factor=step_factor)
     front.points.append(ParetoPoint(0, t0, total_of(sel0, optimize), sel0))
@@ -1042,7 +1029,7 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
         cap_val = t0 * step_factor ** k
         con = replace(constraints, **{cap_field: cap_val})
         try:
-            sel = solve(instance, w, con, scaled)
+            sel = solve(instance, w, con)
         except InfeasibleError as err:
             front.stop = "proven_limit" if err.proven else "unproven_miss"
             front.stop_cap, front.stop_bound = cap_val, err.bound

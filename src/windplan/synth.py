@@ -10,9 +10,8 @@ that its regional equity starts out low.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .domain import (
     PlanError,
     SiteTable,
     Transformer,
+    ValidationError,
     capacity_by_municipality,
 )
 
@@ -53,6 +53,8 @@ class SynthSpec:
     south_share: float = 0.35  # share of municipalities tagged South (by latitude)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise PlanError("seed must be >= 0")
         for name in ("n_sites", "n_municipalities", "n_states",
                      "n_transformers", "n_existing"):
             if getattr(self, name) < 1:
@@ -74,16 +76,26 @@ def germany_like(seed: int = 20_50) -> SynthSpec:
                      rho_lcoe_scenicness=0.15)
 
 
-def spec_from_json(path: str, seed_override: int | None = None) -> SynthSpec:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    known = {k: v for k, v in data.items() if k in SynthSpec.__dataclass_fields__}
-    unknown = set(data) - set(known)
+def spec_from_json(doc, seed_override: int | None = None) -> SynthSpec:
+    """SynthSpec from a parsed JSON object: an int field takes a JSON
+    integer, a float field a finite JSON number, and neither a boolean."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"synth spec: expected a JSON object, got {type(doc).__name__}")
+    types = {f.name: f.type for f in fields(SynthSpec)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise PlanError(f"unknown synth spec fields: {sorted(unknown)}")
-    spec = SynthSpec(**known)
+    for name, value in doc.items():
+        if types[name] == "int":
+            ok, what = isinstance(value, int), "an integer"
+        else:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+            what = "a finite number"
+        if isinstance(value, bool) or not ok:
+            raise ValidationError(f"synth spec field {name!r} is not {what}: {value!r}")
+    spec = SynthSpec(**doc)
     if seed_override is not None:
-        spec = SynthSpec(**{**asdict(spec), "seed": seed_override})
+        spec = replace(spec, seed=seed_override)
     return spec
 
 

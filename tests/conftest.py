@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from windplan.domain import (
     SiteTable,
     Transformer,
 )
+from windplan.objective import site_costs
 
 
 def mk_site(site_id, mun=1, lat=50.0, lon=10.0, capacity=2.0, lcoe=5.0,
@@ -43,6 +46,64 @@ def mk_instance(candidates, municipalities=None, existing=None, transformers=Non
                     existing=existing or [], transformers=transformers or [])
 
 
+@functools.cache
+def _subset_bits(k):
+    """0/1 rows of all 2^k subsets of k sites, subset m in row m."""
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+def subset_scan(inst, weights, con):
+    """Oracle independent of the solver: every subset of the N <= 24 sites.
+    Subsets are taken in blocks that share the sites above the lowest 18: a
+    block's totals are a 0/1 matrix over the low sites times their values,
+    plus the block's fixed total over the high sites. Returns (objective,
+    rows) of the lowest feasible objective, ties within 1e-12 to the smallest
+    sorted id tuple, or None when no subset is feasible."""
+    sites = inst.sites
+    n = len(sites)
+    k = min(n, 18)
+    low = _subset_bits(k)
+
+    def tol(bound):
+        return 1e-9 * max(1.0, abs(bound))
+
+    # (values, bound, +1 for total >= bound or -1 for total <= bound)
+    checks = [(sites.caps, con.cap_obj, 1)]
+    for crit, fld in (("lcoe", "m_c"), ("scenicness", "m_s"), ("network_length", "m_l")):
+        if getattr(con, fld) is not None:
+            checks.append((getattr(sites, crit), getattr(con, fld), -1))
+    for j, floor in (con.equity_floors or {}).items():
+        if floor > 0:
+            checks.append((np.where(sites.mun == j, sites.caps, 0.0), floor, 1))
+    cost = site_costs(sites, weights)
+    found = []  # (objective, mask) within 1e-12 of its block's lowest
+    for h in range(1 << (n - k)):
+        high = ((h >> np.arange(n - k)) & 1).astype(float)
+
+        def total(v):
+            return low @ v[:k] + float(high @ v[k:])
+
+        feas = np.ones(len(low), dtype=bool)
+        for v, bound, sign in checks:
+            feas &= sign * total(v) >= sign * bound - tol(bound)
+        if feas.any():
+            obj = total(cost)
+            near = feas & (obj <= obj[feas].min() + 1e-12)
+            found += [(float(obj[m]), h << k | m) for m in np.flatnonzero(near).tolist()]
+    if not found:
+        return None
+    best = min(o for o, _ in found)
+    ties = []
+    for o, mask in found:
+        if o <= best + 1e-12:
+            rows = np.flatnonzero((mask >> np.arange(n)) & 1)
+            ties.append((tuple(sites.ids[rows].tolist()), o, rows))
+    _, o, rows = min(ties, key=lambda t: t[0])
+    return o, rows
+
+
 @pytest.fixture
 def abc_instance():
     """Three sites A/B/C: (cap 2, cost 1), (cap 2, cost 3), (cap 4, cost 5).
@@ -58,5 +119,5 @@ def abc_instance():
     return mk_instance(sites)
 
 
-__all__ = ["mk_site", "mk_mun", "mk_instance", "same_sites", "SITE_COLUMNS",
+__all__ = ["mk_site", "mk_mun", "mk_instance", "same_sites", "subset_scan", "SITE_COLUMNS",
            "CandidateSite", "ExistingTurbine", "Municipality", "Transformer", "Instance"]

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -55,6 +56,37 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+class _WriterCalls(ast.NodeVisitor):
+    """(call, enclosing function) of every json.dump and csv.writer call."""
+
+    def __init__(self):
+        self.functions = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and (f.value.id, f.attr) in {("json", "dump"), ("csv", "writer")}):
+            self.found.append((f"{f.value.id}.{f.attr}", self.functions[-1]))
+        self.generic_visit(node)
+
+
+def test_result_files_have_one_writer_each():
+    # one CSV dialect and one JSON layout: every file goes through the helpers
+    package = os.path.dirname(windplan.__file__)
+    calls = _WriterCalls()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                calls.visit(ast.parse(f.read(), name))
+    assert sorted(calls.found) == [("csv.writer", "write_csv"), ("json.dump", "write_json")]
 
 
 def test_synth_and_prep_outputs(prepped):
@@ -363,6 +395,64 @@ def test_grid_non_numeric_weight_is_validation_error(prepped, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert str(grid_path) in err and "'w_c'" in err and "'abc'" in err
+
+
+_SCENARIO = {"name": "t", "w_c": 1.0, "w_s": 0.0, "w_l": 0.0, "equity": False,
+             "total_capacity_mw": 120.0}
+_SPEC_FILE = ["synth", "--spec", "{tmp}/in.json", "--out", "{tmp}/out"]
+_SOLVE = ["solve", "--instance", "{prep}", "--scenario", "{tmp}/in.json", "--out", "{tmp}/out"]
+_SWEEP = ["sweep", "--instance", "{prep}", "--optimize", "lcoe", "--sweep", "scenicness",
+          "--total-capacity-mw", "120", "--out", "{tmp}/out"]
+_SCALE = ["scale", "--instance", "{prep}", "--out", "{tmp}/out/h.csv"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(_SPEC_FILE, "[1, 2]", "synth spec: expected a JSON object, got list",
+                 id="synth-list"),
+    pytest.param(_SPEC_FILE, "{oops", "invalid JSON", id="synth-bad-json"),
+    pytest.param(_SPEC_FILE, '{"n_sites": "abc"}', "field 'n_sites' is not an integer: 'abc'",
+                 id="synth-string-int"),
+    pytest.param(_SPEC_FILE, '{"n_sites": null}', "field 'n_sites' is not an integer: None",
+                 id="synth-null-int"),
+    pytest.param(_SPEC_FILE, '{"seed": 1.5}', "field 'seed' is not an integer: 1.5",
+                 id="synth-float-seed"),
+    pytest.param(_SPEC_FILE, '{"n_sites": 10.5}', "field 'n_sites' is not an integer: 10.5",
+                 id="synth-float-int"),
+    pytest.param(_SPEC_FILE, '{"capacity_min_mw": "2"}',
+                 "field 'capacity_min_mw' is not a finite number: '2'", id="synth-string-float"),
+    pytest.param(_SOLVE + ["--scale", "nan"], json.dumps(_SCENARIO),
+                 "cap_obj nan is not a finite number >= 0", id="solve-nan-scale"),
+    pytest.param(_SOLVE, json.dumps({**_SCENARIO, "equity": "false"}),
+                 "field 'equity' is not a boolean: 'false'", id="solve-string-equity"),
+    pytest.param(_SOLVE, json.dumps({**_SCENARIO, "w_c": True}),
+                 "field 'w_c' is not a number: True", id="solve-boolean-weight"),
+    pytest.param(["scenarios", "--instance", "{prep}", "--grid", "{tmp}/in.json",
+                  "--scale", "0.01", "--out", "{tmp}/out"],
+                 json.dumps([{**_SCENARIO, "name": "a", "equity": "false"},
+                             {**_SCENARIO, "name": "b"}]),
+                 "row 0: field 'equity' is not a boolean: 'false'",
+                 id="scenarios-string-equity"),
+    pytest.param(_SWEEP + ["--factor", "nan"], None, "step factor nan outside (0, 1)",
+                 id="sweep-nan-factor"),
+    pytest.param(_SWEEP + ["--factor", "1.5"], None, "step factor 1.5 outside (0, 1)",
+                 id="sweep-factor-above-1"),
+    pytest.param(_SCALE + ["--bins", "-2"], None, "-2 is not in the range x>=1",
+                 id="scale-negative-bins"),
+    pytest.param(_SCALE + ["--bins", "0"], None, "0 is not in the range x>=1",
+                 id="scale-zero-bins"),
+])
+def test_bad_input_is_one_line_validation_error(prepped, tmp_path, capsys, argv, text,
+                                                message):
+    root, prep = prepped
+    if text is not None:
+        (tmp_path / "in.json").write_text(text)
+    capsys.readouterr()
+    code = main([a.format(prep=prep, tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # sha256 of every file the pipeline below writes, except run_manifest.json

@@ -60,16 +60,15 @@ def test_regional_equity_concentrated():
     assert abs(rep.regional_equity_pct - 50.0) <= 1e-12
 
 
-def test_regional_equity_existing_toggle():
+def test_regional_equity_counts_existing_stock():
     sites = [mk_site(1, mun=1, capacity=2.0)]
     muns = [mk_mun(1, population=10.0, existing=2.0),
             mk_mun(2, population=10.0)]
     inst = mk_instance(sites, municipalities=muns)
-    with_ex = regional_equity((), inst, include_existing=True)
-    without = regional_equity((), inst, include_existing=False)
-    assert with_ex.regional_equity_pct == 50.0
-    assert without.all_zero
-    assert without.regional_equity_pct == 100.0
+    assert regional_equity((), inst).regional_equity_pct == 50.0
+    # no stock and no selection: every municipality at zero is perfectly equal
+    bare = mk_instance(sites, municipalities=[mk_mun(1, population=10.0), muns[1]])
+    assert regional_equity((), bare).regional_equity_pct == 100.0
 
 
 def test_south_quota_counts_added_only():

@@ -76,7 +76,7 @@ def test_single_criterion_costs_are_raw():
 def test_multi_criterion_costs_use_scaled_values():
     sites = SiteTable.of(_pool(30))
     scaled = scale_candidates(sites)
-    costs = site_costs(sites, Weights(1.0, 1.0, 1.0), scaled)
+    costs = site_costs(sites, Weights(1.0, 1.0, 1.0))
     expected = scaled.lcoe + scaled.scenicness + scaled.network_length
     assert np.allclose(costs, expected)
     # pool mean of the combined cost is the sum of the target means

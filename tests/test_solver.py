@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site
+from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site, subset_scan
 from windplan import solver
 from windplan.domain import InfeasibleError, PlanError, SiteTable
 from windplan.geoprep import prep_instance
@@ -18,7 +18,6 @@ from windplan.solver import (
     Means,
     Selection,
     Totals,
-    brute_force,
     equity_floors,
     municipal_potentials,
     pareto_sweep,
@@ -39,13 +38,12 @@ def rand_instance(seed, n_sites, n_muns=3):
 
 
 def test_three_site_example(abc_instance):
-    for run in (solve, brute_force):
-        sel = run(abc_instance, W_LCOE, Constraints(cap_obj=4.0))
-        assert sel.site_ids == (1, 2)
-        assert sel.objective_value == 4.0
-        assert sel.totals.capacity_mw == 4.0
-        # the exact path reports its optimum as its own bound
-        assert sel.lower_bound == 4.0 and sel.gap == 0.0
+    sel = solve(abc_instance, W_LCOE, Constraints(cap_obj=4.0))
+    assert sel.site_ids == (1, 2)
+    assert sel.objective_value == 4.0
+    assert sel.totals.capacity_mw == 4.0
+    # the exact path reports its optimum as its own bound
+    assert sel.lower_bound == 4.0 and sel.gap == 0.0
 
 
 def test_zero_target_empty_selection(abc_instance):
@@ -55,9 +53,8 @@ def test_zero_target_empty_selection(abc_instance):
 
 
 def test_target_above_potential_infeasible(abc_instance):
-    for run in (solve, brute_force):
-        with pytest.raises(InfeasibleError, match="below capacity target"):
-            run(abc_instance, W_LCOE, Constraints(cap_obj=9.0))
+    with pytest.raises(InfeasibleError, match="below capacity target"):
+        solve(abc_instance, W_LCOE, Constraints(cap_obj=9.0))
 
 
 def test_selection_invariants(abc_instance):
@@ -71,29 +68,20 @@ def test_selection_invariants(abc_instance):
     assert verify_selection(sel, abc_instance, Constraints(cap_obj=5.0))
 
 
-def test_brute_force_refusal():
-    inst = rand_instance(1, BRUTE_FORCE_LIMIT + 4)
-    with pytest.raises(PlanError):
-        brute_force(inst, W_LCOE, Constraints(cap_obj=1.0))
-
-
-def test_brute_force_tie_break_lexicographic():
+def test_exact_tie_break_lexicographic():
     # sites 1 and 2 are interchangeable; the optimum must use site 1
     sites = [mk_site(1, lcoe=2.0, capacity=3.0), mk_site(2, lcoe=2.0, capacity=3.0),
              mk_site(3, lcoe=9.0, capacity=3.0)]
     inst = mk_instance(sites)
-    sel = brute_force(inst, W_LCOE, Constraints(cap_obj=3.0))
-    assert sel.site_ids == (1,)
     sel = solve(inst, W_LCOE, Constraints(cap_obj=3.0))
     assert sel.site_ids == (1,)
 
 
 def test_cap_below_achievable_names_criterion(abc_instance):
     con = Constraints(cap_obj=4.0, m_s=1.0)  # min scenicness total is 4.0
-    for run in (solve, brute_force):
-        with pytest.raises(InfeasibleError, match=r"scenicness \(1.0\) below the minimum "
-                                                  r"achievable 4.000000"):
-            run(abc_instance, W_LCOE, con)
+    with pytest.raises(InfeasibleError, match=r"scenicness \(1.0\) below the minimum "
+                                              r"achievable 4.000000"):
+        solve(abc_instance, W_LCOE, con)
 
 
 def test_cap_constrained_solution_respects_cap():
@@ -136,9 +124,8 @@ def test_floors_are_satisfied():
 def test_floor_in_municipality_without_candidates():
     inst = mk_instance([mk_site(1, mun=1)], municipalities=[mk_mun(1), mk_mun(2)])
     con = Constraints(cap_obj=1.0, equity_floors={2: 1.0})
-    for run in (solve, brute_force):
-        with pytest.raises(InfeasibleError, match=r"without candidates: \[2\]"):
-            run(inst, W_LCOE, con)
+    with pytest.raises(InfeasibleError, match=r"without candidates: \[2\]"):
+        solve(inst, W_LCOE, con)
     # the same message on the heuristic path
     big = mk_instance([mk_site(i, mun=1) for i in range(1, BRUTE_FORCE_LIMIT + 6)],
                       municipalities=[mk_mun(1), mk_mun(2)])
@@ -225,6 +212,17 @@ def test_pareto_sweep_rejects_bad_args():
         pareto_sweep(inst, "lcoe", "scenicness", con, steps=0)
     with pytest.raises(PlanError):
         pareto_sweep(inst, "lcoe", "color", con, steps=3)
+    for factor in (0.0, 1.0, float("nan")):
+        with pytest.raises(PlanError, match="step factor"):
+            pareto_sweep(inst, "lcoe", "scenicness", con, steps=3, step_factor=factor)
+
+
+@pytest.mark.parametrize("bounds", [{"cap_obj": float("nan")}, {"cap_obj": float("inf")},
+                                    {"m_s": float("nan")}, {"m_l": -1.0},
+                                    {"equity_floors": {1: float("inf")}}])
+def test_constraints_reject_bounds_that_are_not_finite_and_non_negative(bounds):
+    with pytest.raises(PlanError, match="finite numbers? >= 0"):
+        Constraints(**{"cap_obj": 1.0, **bounds})
 
 
 def test_pareto_truncation_flag():
@@ -348,20 +346,18 @@ def test_candidate_order_does_not_matter(weights):
     small = rand_instance(61, 16, n_muns=3)
     large = rand_instance(63, 140, n_muns=9)
     cap = 0.3 * sum(large.sites.caps.tolist())
-    cases = [(small, _floored(small, 0.5), True),
-             (large, Constraints(cap_obj=cap), False),
-             (large, _floored(large, 0.4), False),
+    cases = [(small, _floored(small, 0.5)),
+             (large, Constraints(cap_obj=cap)),
+             (large, _floored(large, 0.4)),
              (large, Constraints(cap_obj=cap, m_s=solve(large, weights, Constraints(
-                 cap_obj=cap)).totals.scenicness * 0.9), False)]
-    for inst, con, exact in cases:
-        runs = [solve] + ([brute_force] if exact else [])
-        for run in runs:
-            a = run(inst, weights, con)
-            b = run(_shuffled(inst, 5), weights, con)
-            assert a.site_ids == b.site_ids
-            assert a.objective_value == b.objective_value
-            assert a.lower_bound == b.lower_bound
-            assert a.gap == b.gap
+                 cap_obj=cap)).totals.scenicness * 0.9))]
+    for inst, con in cases:
+        a = solve(inst, weights, con)
+        b = solve(_shuffled(inst, 5), weights, con)
+        assert a.site_ids == b.site_ids
+        assert a.objective_value == b.objective_value
+        assert a.lower_bound == b.lower_bound
+        assert a.gap == b.gap
 
 
 def _canned(site_ids, objective, lower_bound, scenicness):
@@ -376,7 +372,7 @@ def test_pareto_backward_pass_keeps_looser_bound(monkeypatch, abc_instance):
     loose = _canned((3,), 10.0, 7.0, 9.0)
     tight = _canned((1, 2), 8.0, 7.95, 8.0)
     monkeypatch.setattr(solver, "solve",
-                        lambda inst, w, con, scaled=None: loose if con.m_s is None else tight)
+                        lambda inst, w, con: loose if con.m_s is None else tight)
     front = pareto_sweep(abc_instance, "lcoe", "scenicness",
                          Constraints(cap_obj=1.0), steps=2, step_factor=0.95)
     p0, p1 = front.points
@@ -661,10 +657,12 @@ def test_exact_path_at_23_and_24_sites(monkeypatch, seed, n_sites, n):
     assert len(inst.sites) == n
     cap_obj = 0.5 * sum(inst.sites.caps.tolist())
     con = _floored(inst, 0.45)
-    free = brute_force(inst, W_LCOE, replace(con, cap_obj=cap_obj))
+    free = solve(inst, W_LCOE, replace(con, cap_obj=cap_obj))
     con = replace(con, cap_obj=cap_obj, m_s=1.05 * free.totals.scenicness)
     sel = solve(inst, W_LCOE, con)
-    assert sel == brute_force(inst, W_LCOE, con)
+    opt, rows = subset_scan(inst, W_LCOE, con)
+    assert sel.site_ids == tuple(inst.sites.ids[rows].tolist())
+    assert sel.objective_value == pytest.approx(opt, rel=1e-12)
     assert sel.gap == 0.0 and sel.lower_bound == sel.objective_value
     assert verify_selection(sel, inst, con)
     monkeypatch.setattr(solver, "BRUTE_FORCE_LIMIT", 0)
@@ -714,28 +712,25 @@ def test_heuristic_certificate_against_exact_optimum(monkeypatch):
                 inst.municipalities, (cap_obj + existing) * 0.7, municipal_potentials(inst)))
         if mode >= 2:
             crit, fld = list(solver._CAP_FIELDS.items())[int(rng.integers(0, 3))]
-            anchor = getattr(brute_force(inst, weights, con).totals,
-                             "network_length_km" if crit == "network_length" else crit)
+            _, rows = subset_scan(inst, weights, con)
+            anchor = float(getattr(inst.sites, crit)[rows].sum())
             con = replace(con, **{fld: anchor * float(rng.uniform(0.85, 1.3))})
+        oracle = subset_scan(inst, weights, con)
         with monkeypatch.context() as m:
-            try:
-                oracle = brute_force(inst, weights, con)
-            except InfeasibleError:
-                m.setattr(solver, "BRUTE_FORCE_LIMIT", 0)
+            m.setattr(solver, "BRUTE_FORCE_LIMIT", 0)
+            if oracle is None:
                 with pytest.raises(InfeasibleError):
                     solve(inst, weights, con)
                 tally["infeasible"] += 1
                 continue
-            m.setattr(solver, "BRUTE_FORCE_LIMIT", 0)
             try:
                 sel = solve(inst, weights, con)
             except InfeasibleError as err:
                 assert "rule the cap" in str(err) or "rules the caps" in str(err), trial
                 tally["unproven"] += 1
                 continue
-        opt = oracle.objective_value
+        opt, _ = oracle
         tol = 1e-9 * max(1.0, abs(opt))
-        assert oracle.gap == 0.0 and oracle.lower_bound == opt
         assert verify_selection(sel, inst, con), trial
         assert sel.lower_bound <= opt + tol <= sel.objective_value + 2 * tol, trial
         assert solver._gap(sel.objective_value, opt) <= sel.gap + 1e-9, trial

@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from conftest import same_sites
-from windplan.domain import PlanError, validate_instance
+from windplan.domain import PlanError, ValidationError, validate_instance
 from windplan.geoprep import prep_instance
 from windplan.synth import SynthSpec, generate, germany_like, spec_from_json
 
@@ -74,16 +72,17 @@ def test_spec_validation():
         SynthSpec(lat_min=55.0, lat_max=47.0).validate()
 
 
-def test_spec_from_json(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"seed": 42, "n_sites": 50}))
-    spec = spec_from_json(str(path))
-    assert spec.seed == 42 and spec.n_sites == 50
-    spec = spec_from_json(str(path), seed_override=9)
+def test_spec_from_json():
+    spec = spec_from_json({"seed": 42, "n_sites": 50, "capacity_min_mw": 2})
+    assert spec.seed == 42 and spec.n_sites == 50 and spec.capacity_min_mw == 2
+    spec = spec_from_json({"seed": 42, "n_sites": 50}, seed_override=9)
     assert spec.seed == 9
-    path.write_text(json.dumps({"n_turbines": 50}))
     with pytest.raises(PlanError, match="unknown"):
-        spec_from_json(str(path))
+        spec_from_json({"n_turbines": 50})
+    with pytest.raises(ValidationError, match="'n_sites' is not an integer: True"):
+        spec_from_json({"n_sites": True})
+    with pytest.raises(ValidationError, match="'lat_min' is not a finite number: nan"):
+        spec_from_json({"lat_min": float("nan")})
 
 
 def test_germany_like_spec():
