@@ -50,6 +50,26 @@ class InfeasibleError(PlanError):
         self.bound = bound
 
 
+def json_value(value, kind: type, what: str, label: str):
+    """`value` as `kind` if it is a JSON value of that kind: an int takes a
+    JSON integer within int64, a float a JSON number whose float is finite,
+    and neither takes a boolean. Otherwise a ValidationError that `label`
+    is not `what` (or not within int64, or not a finite number)."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ValidationError(f"{label} is not {what}: {value!r}")
+    if kind is int and not -2**63 <= value < 2**63:
+        raise ValidationError(f"{label} is not an integer within int64: {value!r}")
+    if kind is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ValidationError(f"{label} is not a finite number: {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class CandidateSite:
     site_id: int

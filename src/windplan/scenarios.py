@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .domain import Instance, PlanError, ValidationError
+from .domain import Instance, PlanError, ValidationError, json_value
 from .metrics import regional_equity, south_quota
 from .objective import Weights
 from .solver import (Constraints, Selection, municipal_potentials, require_potential, solve,
@@ -67,28 +67,39 @@ def builtin_grid() -> list[ScenarioConfig]:
     return grid
 
 
-def _field(row: dict, key: str, kind, what: str):
-    """row[key] if it is a JSON value of `kind` (a boolean is not a number);
+def _field(row: dict, key: str, kind: type, what: str):
+    """row[key] as `kind` if it is a JSON value of that kind (`json_value`);
     a missing or mistyped field is a ValidationError naming it."""
     if key not in row:
         raise ValidationError(f"missing field {key!r}")
-    value = row[key]
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise ValidationError(f"field {key!r} is not {what}: {value!r}")
-    return value
+    return json_value(row[key], kind, what, f"field {key!r}")
+
+
+def _file_name(name: str) -> str:
+    """`name` if `selection_<name>.geojson` is a file name: not empty, "."
+    or "..", without "/" or NUL, and at most 255 bytes in UTF-8."""
+    try:
+        size = len(f"selection_{name}.geojson".encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        size = None
+    if name in ("", ".", "..") or "/" in name or "\0" in name or size is None or size > 255:
+        raise ValidationError(
+            f"field 'name' is not usable in the file name selection_<name>.geojson: {name!r}")
+    return name
 
 
 def scenario_from_row(row: dict) -> ScenarioConfig:
-    """A scenario from the JSON object {name: string, w_c, w_s, w_l: numbers,
-    equity: boolean, total_capacity_mw: number}."""
+    """A scenario from the JSON object {name: string, w_c, w_s, w_l: finite
+    numbers, equity: boolean, total_capacity_mw: finite number}; the name
+    must be usable in a file name (`_file_name`)."""
     if not isinstance(row, dict):
         raise ValidationError(f"expected a JSON object, got {type(row).__name__}")
 
     def number(key: str) -> float:
-        return float(_field(row, key, (int, float), "a number"))
+        return _field(row, key, float, "a number")
 
     return ScenarioConfig(
-        name=_field(row, "name", str, "a string"),
+        name=_file_name(_field(row, "name", str, "a string")),
         weights=Weights(number("w_c"), number("w_s"), number("w_l")),
         equity=_field(row, "equity", bool, "a boolean"),
         total_capacity_2050=number("total_capacity_mw"),

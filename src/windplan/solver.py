@@ -193,12 +193,22 @@ def _mun_ratio_order(sites: SiteTable, cost: np.ndarray) -> np.ndarray:
     return np.lexsort((sites.ids, cost / sites.caps, sites.mun))
 
 
+def _at_least(b: float) -> float:
+    """The least total that meets a lower bound `b`, to a relative FEAS_TOL."""
+    return b - FEAS_TOL * max(1.0, abs(b))
+
+
+def _at_most(b: float) -> float:
+    """The greatest total that meets an upper bound `b`, to a relative FEAS_TOL."""
+    return b + FEAS_TOL * max(1.0, abs(b))
+
+
 def _ge(a: float, b: float) -> bool:
-    return a >= b - FEAS_TOL * max(1.0, abs(b))
+    return a >= _at_least(b)
 
 
 def _le(a: float, b: float) -> bool:
-    return a <= b + FEAS_TOL * max(1.0, abs(b))
+    return a <= _at_most(b)
 
 
 @dataclass(frozen=True)
@@ -206,7 +216,7 @@ class _Floors:
     """The positive equity floors of a solve, in their given order."""
     mun: list[int]  # municipality of each floor
     mw: list[float]  # the floors
-    ge: np.ndarray  # each floor's `_ge` threshold
+    ge: np.ndarray  # each floor's `_at_least` threshold
     of_site: np.ndarray  # per site, the index of its municipality's floor, -1 for none
 
     def __len__(self) -> int:
@@ -224,26 +234,32 @@ def _floors(sites: SiteTable, equity_floors: dict[int, float] | None) -> _Floors
     of_site = np.full(len(sites), -1, dtype=np.int32)
     for k, j in enumerate(pos):
         of_site[sites.by_mun[slice(*sites.mun_rows[j])]] = k
-    return _Floors(list(pos), mw, np.array(mw) - FEAS_TOL * np.maximum(1.0, mw), of_site)
+    return _Floors(list(pos), mw, np.array([_at_least(f) for f in mw]), of_site)
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """The pool, cover target, floors and caps of one solve."""
+    sites: SiteTable
+    cap_obj: float  # MW of added capacity to cover
+    floors: _Floors
+    caps: list[tuple[str, np.ndarray, float]]  # (criterion, per-site values, limit) per cap
 
 
 class _State:
     """Incumbent selection with incrementally maintained totals and the
     ratio order of its cost, shared by greedy fill and every polish round."""
 
-    def __init__(self, sites: SiteTable, cost: np.ndarray, floors: _Floors,
-                 cap_specs: list[tuple[np.ndarray, float]],
+    def __init__(self, problem: _Problem, cost: np.ndarray,
                  rows: list[int] | tuple[int, ...] | np.ndarray = ()):
-        self.sites = sites
+        self.problem = problem
         self.cost = cost
-        self.floors = floors
-        self.cap_specs = cap_specs  # (per-site values, limit) per active cap
-        self.taken = np.zeros(len(sites), dtype=bool)  # the selection as a row mask
+        self.taken = np.zeros(len(problem.sites), dtype=bool)  # the selection as a row mask
         self.cap_total = 0.0
         self.obj = 0.0
-        self.floor_totals = np.zeros(len(floors))  # selected MW per floor
-        self.v_totals = [0.0] * len(cap_specs)
-        self.order = _RatioOrder(sites, cost)
+        self.floor_totals = np.zeros(len(problem.floors))  # selected MW per floor
+        self.v_totals = [0.0] * len(problem.caps)  # per cap
+        self.order = _RatioOrder(problem.sites, cost)
         self.add_rows(np.asarray(rows, dtype=np.intp))
 
     def add_rows(self, rows: np.ndarray) -> None:
@@ -252,39 +268,40 @@ class _State:
         if not rows.size:
             return
         self.taken[rows] = True
-        caps = self.sites.caps
+        caps = self.problem.sites.caps
         self.cap_total = _running_sum(self.cap_total, caps[rows])
         self.obj = _running_sum(self.obj, self.cost[rows])
-        for k, (v, _) in enumerate(self.cap_specs):
+        for k, (_, v, _) in enumerate(self.problem.caps):
             self.v_totals[k] = _running_sum(self.v_totals[k], v[rows])
-        k = self.floors.of_site[rows]
+        k = self.problem.floors.of_site[rows]
         np.add.at(self.floor_totals, k[k >= 0], caps[rows][k >= 0])
 
     def remove(self, i: int) -> None:
         self.taken[i] = False
-        self.cap_total -= self.sites.caps[i]
+        self.cap_total -= self.problem.sites.caps[i]
         self.obj -= self.cost[i]
-        k = self.floors.of_site[i]
+        k = self.problem.floors.of_site[i]
         if k >= 0:
-            self.floor_totals[k] -= self.sites.caps[i]
-        for k, (v, _) in enumerate(self.cap_specs):
+            self.floor_totals[k] -= self.problem.sites.caps[i]
+        for k, (_, v, _) in enumerate(self.problem.caps):
             self.v_totals[k] -= v[i]
 
-    def removable(self, i: int, cap_obj: float) -> bool:
-        if not _ge(self.cap_total - self.sites.caps[i], cap_obj):
+    def removable(self, i: int) -> bool:
+        cap, floors = self.problem.sites.caps[i], self.problem.floors
+        if not _ge(self.cap_total - cap, self.problem.cap_obj):
             return False
-        k = self.floors.of_site[i]
-        return k < 0 or self.floor_totals[k] - self.sites.caps[i] >= self.floors.ge[k]
+        k = floors.of_site[i]
+        return k < 0 or self.floor_totals[k] - cap >= floors.ge[k]
 
     def caps_ok(self) -> bool:
-        return all(_le(t, limit) for t, (_, limit) in zip(self.v_totals, self.cap_specs))
+        return all(_le(t, limit) for t, (_, _, limit) in zip(self.v_totals, self.problem.caps))
 
     def costliest_first(self) -> np.ndarray:
         """The selected rows by descending cost, ties on the lower site id."""
         rows = np.flatnonzero(self.taken)
-        return rows[np.lexsort((self.sites.ids[rows], -self.cost[rows]))]
+        return rows[np.lexsort((self.problem.sites.ids[rows], -self.cost[rows]))]
 
-    def drop_removable(self, cap_obj: float) -> bool:
+    def drop_removable(self) -> bool:
         """Drop, costliest first, each site of positive cost that is
         `removable` at its turn; True if any was dropped.
 
@@ -292,30 +309,29 @@ class _State:
         uncover either now is never removable later: only the others are
         tested one by one."""
         rows = self.costliest_first()
-        caps = self.sites.caps[rows]
-        cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
-        keep = (self.cost[rows] > 0) & (self.cap_total - caps >= cover_min)
-        if self.floors:  # without floors `floor_totals` is empty
-            k = self.floors.of_site[rows]
-            keep &= (k < 0) | (self.floor_totals[k] - caps >= self.floors.ge[k])
+        caps, floors = self.problem.sites.caps[rows], self.problem.floors
+        keep = (self.cost[rows] > 0) & (self.cap_total - caps >= _at_least(self.problem.cap_obj))
+        if floors:  # without floors `floor_totals` is empty
+            k = floors.of_site[rows]
+            keep &= (k < 0) | (self.floor_totals[k] - caps >= floors.ge[k])
         rows = rows[keep]
         dropped = False
         for i in rows.tolist():
-            if self.removable(i, cap_obj):
+            if self.removable(i):
                 self.remove(i)
                 dropped = True
         return dropped
 
-    def fill(self, cap_obj: float) -> None:
+    def fill(self) -> None:
         """Add unselected rows in ratio order until the cover is met (or
         the pool runs out); nothing when it is met already."""
-        cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
+        cover_min = _at_least(self.problem.cap_obj)
         if self.cap_total >= cover_min:
             return
         for rows in self.order.blocks():
             rows = rows[~self.taken[rows]]
-            covered = np.flatnonzero(
-                np.cumsum(np.append(self.cap_total, self.sites.caps[rows]))[1:] >= cover_min)
+            covered = np.flatnonzero(np.cumsum(np.append(
+                self.cap_total, self.problem.sites.caps[rows]))[1:] >= cover_min)
             self.add_rows(rows[:covered[0] + 1] if covered.size else rows)
             if covered.size:
                 return
@@ -336,13 +352,13 @@ def _running_sum(start: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.append(start, values))[-1])
 
 
-def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-            floors: _Floors, cap_specs: list[tuple[np.ndarray, float]]) -> _State:
+def _greedy(problem: _Problem, cost: np.ndarray) -> _State:
     """Floor-first then global ratio greedy, followed by a trim pass.
 
     A floor only takes sites of its own municipality, so none of them is
     selected before that floor's turn."""
-    state = _State(sites, cost, floors, cap_specs)
+    state = _State(problem, cost)
+    sites, floors, cap_obj = problem.sites, problem.floors, problem.cap_obj
     caps, ids = sites.caps, sites.ids
 
     order = _mun_ratio_order(sites, cost) if floors else None
@@ -370,18 +386,18 @@ def _greedy(sites: SiteTable, cost: np.ndarray, cap_obj: float,
         covers += chosen
     state.add_rows(np.array(covers, dtype=np.intp))
 
-    state.fill(cap_obj)
+    state.fill()
     if not _ge(state.cap_total, cap_obj):
         shortfall = cap_obj - state.cap_total
         raise InfeasibleError(
             f"total potential {state.cap_total + 0.0:.3f} MW cannot cover capacity "
             f"target: shortfall {shortfall:.3f} MW")
 
-    state.drop_removable(cap_obj)
+    state.drop_removable()
     return state
 
 
-def _polish(state: _State, cap_obj: float) -> None:
+def _polish(state: _State) -> None:
     """Single-swap (and drop) local search; in-place, deterministic.
 
     Each round, up to _POLISH_ROUNDS, drops removable sites, then tries
@@ -390,18 +406,18 @@ def _polish(state: _State, cap_obj: float) -> None:
     else 120) and makes the first strictly improving feasible swap it finds
     for that `out`.
     """
-    sites, cost = state.sites, state.cost
-    caps, of_site, ge = sites.caps, state.floors.of_site, state.floors.ge
-    neighborhood = len(sites) if len(sites) <= 400 else 120
-    cover_min = cap_obj - FEAS_TOL * max(1.0, abs(cap_obj))
-    cap_max = [limit + FEAS_TOL * max(1.0, abs(limit)) for _, limit in state.cap_specs]
+    problem, cost = state.problem, state.cost
+    caps, of_site, ge = problem.sites.caps, problem.floors.of_site, problem.floors.ge
+    neighborhood = len(caps) if len(caps) <= 400 else 120
+    cover_min = _at_least(problem.cap_obj)
+    cap_max = [_at_most(limit) for _, _, limit in problem.caps]
     for _ in range(_POLISH_ROUNDS):
-        improved = state.drop_removable(cap_obj)
+        improved = state.drop_removable()
         outs = state.costliest_first()[:neighborhood].tolist()
         ins = state.first_unselected(neighborhood)
         # the swap rule of `_ge`/`_le`, evaluated for all `ins` at once
         cost_in, caps_in, floor_in = cost[ins], caps[ins], of_site[ins]
-        v_in = [v[ins] for v, _ in state.cap_specs]
+        v_in = [v[ins] for _, v, _ in problem.caps]
         taken = np.zeros(ins.size, dtype=bool)
         for out in outs:
             ok = ~taken & ~(cost_in - cost[out] >= -1e-12)
@@ -410,7 +426,7 @@ def _polish(state: _State, cap_obj: float) -> None:
             if ko >= 0:
                 t = state.floor_totals[ko] - caps[out] + np.where(floor_in == ko, caps_in, 0.0)
                 ok &= t >= ge[ko]
-            for k, (v, _) in enumerate(state.cap_specs):
+            for k, (_, v, _) in enumerate(problem.caps):
                 ok &= state.v_totals[k] - v[out] + v_in[k] <= cap_max[k]
             hit = np.flatnonzero(ok)
             if hit.size:
@@ -423,24 +439,23 @@ def _polish(state: _State, cap_obj: float) -> None:
             return
 
 
-def _feasible(state: _State, cap_obj: float) -> bool:
-    return (_ge(state.cap_total, cap_obj) and bool(np.all(state.floor_totals >= state.floors.ge))
-            and state.caps_ok())
+def _feasible(state: _State) -> bool:
+    return (_ge(state.cap_total, state.problem.cap_obj)
+            and bool(np.all(state.floor_totals >= state.problem.floors.ge)) and state.caps_ok())
 
 
 def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: float,
-                total: float, used: np.ndarray | None = None) -> float:
-    """`total` plus the cost of covering `floor` fractionally along `rows`.
+                total: float, used: np.ndarray) -> float:
+    """`total` plus the cost of covering `floor` fractionally along `rows`;
+    `used` accumulates the fraction taken of each site.
 
-    np.inf when the rows cannot cover the floor. `used`, if given,
-    accumulates the fraction taken of each site.
+    np.inf when the rows cannot cover the floor.
     """
     need = floor
     for i in rows:
         take = min(caps[i], need)
         frac = take / caps[i]
-        if used is not None:
-            used[i] += frac
+        used[i] += frac
         total += frac * cost[i]
         need -= take
         if need <= 1e-15:
@@ -448,11 +463,10 @@ def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: flo
     return np.inf if need > 1e-9 else total
 
 
-def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
-               cap_obj: float, floors: _Floors,
-               v: np.ndarray | None = None) -> tuple[float, float]:
+def _lp_nested(problem: _Problem, cost: np.ndarray, order: np.ndarray | None,
+               v: np.ndarray) -> tuple[float, float]:
     """Exact optimum of the fractional relaxation (floors + covering), and
-    the total of `v` over that fractional solution (0.0 without `v`).
+    the total of `v` over that fractional solution.
 
     Floors are filled fractionally at the cheapest within-municipality
     ratios; the residual capacity takes the globally cheapest remaining
@@ -460,7 +474,7 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
     greedy is LP-optimal. `order` is `_mun_ratio_order(sites, cost)`
     (None without floors). An infeasible relaxation gives (inf, inf).
     """
-    caps = sites.caps
+    sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
     used = np.zeros(len(sites))  # fraction of each site already committed
     total_cost = 0.0
     floor_cap = 0.0
@@ -470,8 +484,8 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
         if total_cost == np.inf:
             return np.inf, np.inf
         floor_cap += floor
-    v_total = float(used @ v) if v is not None and floors else 0.0
-    residual = cap_obj - floor_cap
+    v_total = float(used @ v) if floors else 0.0
+    residual = problem.cap_obj - floor_cap
     if residual > 1e-15:
         # take each site's available capacity in ratio order until the
         # residual is <= 1e-15, the last one only in part; every running sum
@@ -488,9 +502,8 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
                 take = np.append(avail[:n - 1], left[n - 1])
                 residual = 0.0
             frac = take / caps[rows[:n]]
-            total_cost = float(np.cumsum(np.append(total_cost, frac * cost[rows[:n]]))[-1])
-            if v is not None:
-                v_total = float(np.cumsum(np.append(v_total, frac * v[rows[:n]]))[-1])
+            total_cost = _running_sum(total_cost, frac * cost[rows[:n]])
+            v_total = _running_sum(v_total, frac * v[rows[:n]])
             if done.size:
                 break
         if residual > 1e-9:
@@ -498,11 +511,10 @@ def _lp_nested(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
     return total_cost, v_total
 
 
-def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | None,
-                     floors: _Floors,
-                     v: np.ndarray | None = None) -> tuple[float, float]:
+def _floor_int_bound(problem: _Problem, cost: np.ndarray, order: np.ndarray | None,
+                     v: np.ndarray) -> tuple[float, float]:
     """Lower bound keeping floor coverage integral per municipality, and
-    the total of `v` over the covers it takes (0.0 without `v`).
+    the total of `v` over the covers it takes.
 
     Exact when a floor fits a single site or the municipality is small
     enough to enumerate; otherwise the municipal fractional fill along
@@ -510,17 +522,16 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
     global constraint, which only relaxes further. An unattainable floor
     gives (inf, inf).
     """
-    caps = sites.caps
-    used = np.zeros(len(sites)) if v is not None else None  # fractional fills
+    sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
+    used = np.zeros(len(sites))  # fractional fills
     total = v_total = 0.0
     for j, floor, ge in zip(floors.mun, floors.mw, floors.ge):
         rows = sites.mun_rows[j]
         idxs = sites.by_mun[slice(*rows)]
-        min_cap = caps[idxs].min()
-        if floor <= min_cap + 1e-15:
-            total += cost[idxs].min()
-            if v is not None:
-                v_total += v[idxs[np.argmin(cost[idxs])]]
+        if floor <= caps[idxs].min() + 1e-15:
+            p = idxs[cost[idxs].argmin()]
+            total += cost[p]
+            v_total += v[p]
         elif len(idxs) <= 12:
             bits = _subset_rows(len(idxs))[1:]
             feas = bits @ caps[idxs] >= ge
@@ -528,35 +539,31 @@ def _floor_int_bound(sites: SiteTable, cost: np.ndarray, order: np.ndarray | Non
                 return np.inf, np.inf
             costs = (bits @ cost[idxs])[feas]
             total += float(costs.min())
-            if v is not None:
-                v_total += float(bits[feas][np.argmin(costs)] @ v[idxs])
+            v_total += float(bits[feas.nonzero()[0][costs.argmin()]] @ v[idxs])
         else:
             total = _fill_floor(caps, cost, order[slice(*rows)], floor, total, used)
             if total == np.inf:
                 return np.inf, np.inf
-    if v is not None:
-        v_total += float(used @ v)
-    return total, v_total
+    return total, v_total + float(used @ v)
 
 
-def _floor_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float,
-                 floors: _Floors) -> float:
-    order = _mun_ratio_order(sites, cost) if floors else None
-    return max(_lp_nested(sites, cost, order, cap_obj, floors)[0],
-               _floor_int_bound(sites, cost, order, floors)[0])
+def _floor_bound(problem: _Problem, cost: np.ndarray) -> float:
+    order = _mun_ratio_order(problem.sites, cost) if problem.floors else None
+    # stride 0: numpy takes its plain loop to dot these, so no BLAS thread wakes
+    zeros = np.broadcast_to(0.0, len(problem.sites))
+    return max(_lp_nested(problem, cost, order, zeros)[0],
+               _floor_int_bound(problem, cost, order, zeros)[0])
 
 
-def _lower_bound(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
-                 cap_specs: list[tuple[np.ndarray, float]],
-                 lambdas: list[float]) -> float:
-    bound = _floor_bound(sites, cost, cap_obj, floors)
-    if cap_specs and any(l > 0 for l in lambdas):
+def _lower_bound(problem: _Problem, cost: np.ndarray, lambdas: list[float]) -> float:
+    bound = _floor_bound(problem, cost)
+    if any(l > 0 for l in lambdas):
         pen = cost.copy()
         offset = 0.0
-        for (v, limit), lam in zip(cap_specs, lambdas):
+        for (_, v, limit), lam in zip(problem.caps, lambdas):
             pen = pen + lam * v
             offset += lam * limit
-        bound = max(bound, _floor_bound(sites, pen, cap_obj, floors) - offset)
+        bound = max(bound, _floor_bound(problem, pen) - offset)
     return float(bound) if np.isfinite(bound) else 0.0
 
 
@@ -597,12 +604,6 @@ def _make_selection(sites: SiteTable, rows, weights_cost: np.ndarray,
                      lower_bound=lower_bound, gap=_gap(obj, lower_bound))
 
 
-def _cap_specs(sites: SiteTable,
-               constraints: Constraints) -> list[tuple[str, np.ndarray, float]]:
-    return [(crit, getattr(sites, crit), float(getattr(constraints, fld)))
-            for crit, fld in _CAP_FIELDS.items() if getattr(constraints, fld) is not None]
-
-
 def require_potential(sites: SiteTable, cap_obj: float) -> None:
     """InfeasibleError unless the pool's total capacity covers `cap_obj`."""
     total_potential = float(sites.caps.sum())
@@ -613,24 +614,23 @@ def require_potential(sites: SiteTable, cap_obj: float) -> None:
 
 
 def _problem(instance: Instance, weights: Weights, constraints: Constraints
-             ) -> tuple[SiteTable, np.ndarray, float, _Floors,
-                        list[tuple[str, np.ndarray, float]]]:
-    """Pool, site costs, cover target, floors and named caps of a solve,
-    after the checks that hold at every pool size."""
+             ) -> tuple[_Problem, np.ndarray]:
+    """The problem and site costs of a solve, after the checks that hold at
+    every pool size."""
     sites = instance.sites
     if not len(sites):
         raise InfeasibleError("instance has no candidate sites")
     cost = site_costs(sites, weights)
     cap_obj = float(constraints.cap_obj)
     require_potential(sites, cap_obj)
-    floors = _floors(sites, constraints.equity_floors)
-    return sites, cost, cap_obj, floors, _cap_specs(sites, constraints)
+    caps = [(crit, getattr(sites, crit), float(getattr(constraints, fld)))
+            for crit, fld in _CAP_FIELDS.items() if getattr(constraints, fld) is not None]
+    return _Problem(sites, cap_obj, _floors(sites, constraints.equity_floors), caps), cost
 
 
-def _run_heuristic(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
-                   cap_specs: list[tuple[np.ndarray, float]]) -> _State:
-    state = _greedy(sites, cost, cap_obj, floors, cap_specs)
-    _polish(state, cap_obj)
+def _run_heuristic(problem: _Problem, cost: np.ndarray) -> _State:
+    state = _greedy(problem, cost)
+    _polish(state)
     return state
 
 
@@ -651,8 +651,7 @@ def _mask_rows(mask: int, n: int) -> list[int]:
 _CHUNK = 1 << 20  # masks scanned per block
 
 
-def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
-               cap_specs: list[tuple[np.ndarray, float]]) -> tuple[int, float] | None:
+def _enumerate(problem: _Problem, cost: np.ndarray) -> tuple[int, float] | None:
     """Exhaustive subset search; returns (best mask, objective) or None
     if no feasible subset exists. Ties go to the lexicographically
     smallest installed id-set.
@@ -662,6 +661,7 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floo
     vector over it is hi[h] + lo[l], from two tables of half-subset sums.
     Masks are scanned in ascending order, _CHUNK at a time.
     """
+    sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
     n = len(sites)
     n_lo = (n + 1) // 2
     lo_rows, hi_rows = _subset_rows(n_lo), _subset_rows(n - n_lo)
@@ -673,11 +673,10 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floo
         hi, lo = pair
         return (hi[hs, None] + lo).ravel()
 
-    caps = sites.caps
-    at_least = [(halves(caps), cap_obj - FEAS_TOL * max(1.0, cap_obj))]
+    at_least = [(halves(caps), _at_least(problem.cap_obj))]
     at_least += [(halves(np.where(floors.of_site == k, caps, 0.0)), ge)
                  for k, ge in enumerate(floors.ge)]
-    at_most = [(halves(v), limit + FEAS_TOL * max(1.0, abs(limit))) for v, limit in cap_specs]
+    at_most = [(halves(v), _at_most(limit)) for _, v, limit in problem.caps]
     cost_halves = halves(cost)
 
     best_obj = np.inf
@@ -705,25 +704,24 @@ def _enumerate(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floo
     return best_mask, best_obj
 
 
-def _solve_exact(sites: SiteTable, cost: np.ndarray, cap_obj: float, floors: _Floors,
-                 named_specs: list[tuple[str, np.ndarray, float]]) -> Selection:
+def _solve_exact(problem: _Problem, cost: np.ndarray) -> Selection:
     """The optimum by enumeration, reported as its own lower bound. When no
     subset is feasible, the error names what enumeration proves
     unattainable: the floors, one cap, or the caps together."""
-    exact = _enumerate(sites, cost, cap_obj, floors,
-                       [(v, limit) for _, v, limit in named_specs])
+    exact = _enumerate(problem, cost)
     if exact is None:
-        if floors and _enumerate(sites, cost, cap_obj, floors, []) is None:
+        uncapped = replace(problem, caps=[])
+        if problem.floors and _enumerate(uncapped, cost) is None:
             raise InfeasibleError("equity floors unattainable with this pool")
-        for name, v, limit in named_specs:
-            vmin = _enumerate(sites, v, cap_obj, floors, [])
+        for name, v, limit in problem.caps:
+            vmin = _enumerate(uncapped, v)
             if vmin is not None and not _le(vmin[1], limit):
                 raise InfeasibleError(
                     f"cap on total {name} ({limit}) below the minimum "
                     f"achievable {vmin[1]:.6f}", bound=vmin[1])
         raise InfeasibleError(
-            f"caps {[name for name, _, _ in named_specs]} unattainable together")
-    return _make_selection(sites, _mask_rows(exact[0], len(sites)), cost, None)
+            f"caps {[name for name, _, _ in problem.caps]} unattainable together")
+    return _make_selection(problem.sites, _mask_rows(exact[0], len(problem.sites)), cost, None)
 
 
 def _lambda_scale(cost: np.ndarray, v: np.ndarray) -> float:
@@ -831,24 +829,24 @@ def _bracket_runs(meets: Callable[[float], bool], start: float) -> None:
 
 def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Selection:
     """Exact (small pools) or certified-heuristic solve; see module docstring."""
-    sites, cost, cap_obj, floors, named_specs = _problem(instance, weights, constraints)
+    problem, cost = _problem(instance, weights, constraints)
+    sites, floors = problem.sites, problem.floors
     if len(sites) <= BRUTE_FORCE_LIMIT:
-        return _solve_exact(sites, cost, cap_obj, floors, named_specs)
+        return _solve_exact(problem, cost)
 
-    cap_specs = [(v, limit) for _, v, limit in named_specs]
-    lambdas = [0.0] * len(cap_specs)
-    at_break = [0.0] * len(cap_specs)  # the bound's multipliers
+    lambdas = [0.0] * len(problem.caps)
+    at_break = [0.0] * len(problem.caps)  # the bound's multipliers
     runs = 0
 
     def heuristic(c: np.ndarray) -> _State:
         nonlocal runs
         runs += 1
-        return _run_heuristic(sites, c, cap_obj, floors, cap_specs)
+        return _run_heuristic(problem, c)
 
     state = heuristic(cost)
-    if cap_specs and not state.caps_ok():
+    if not state.caps_ok():
         feasible: list[np.ndarray] = []  # selected rows of each run that meets everything
-        for k, (name, v, limit) in enumerate(named_specs):
+        for k, (name, v, limit) in enumerate(problem.caps):
             if feasible:
                 break
             if _le(state.v_totals[k], limit):
@@ -858,7 +856,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
             if not _le(vmin, limit):
                 # the heuristic's minimum proves nothing; only the relaxation
                 # bound on the minimum can rule the cap out
-                bound = _floor_bound(sites, v, cap_obj, floors)
+                bound = _floor_bound(problem, v)
                 if not _le(bound, limit):
                     raise InfeasibleError(
                         f"cap on total {name} ({limit}) below the minimum achievable, "
@@ -869,17 +867,17 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
                     f"cap out", proven=False, bound=bound)
 
             base = cost.copy()
-            for kk, (vv, _) in enumerate(cap_specs):
+            for kk, (_, vv, _) in enumerate(problem.caps):
                 if lambdas[kk] > 0 and kk != k:
                     base = base + lambdas[kk] * vv
             # the multiplier of the covering LP and, with floors, of the
             # integral floor bound; the larger bound wins
             def lp(c: np.ndarray) -> tuple[float, float]:
                 order = _mun_ratio_order(sites, c) if floors else None
-                return _lp_nested(sites, c, order, cap_obj, floors, v)
+                return _lp_nested(problem, c, order, v)
 
             def floor_int(c: np.ndarray) -> tuple[float, float]:
-                return _floor_int_bound(sites, c, _mun_ratio_order(sites, c), floors, v)
+                return _floor_int_bound(problem, c, _mun_ratio_order(sites, c), v)
 
             relaxations = [lp, floor_int] if floors else [lp]
             lambdas[k], at_break[k], _ = max(
@@ -892,7 +890,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
                 if not _le(s.v_totals[k], limit):
                     return False
                 state = s
-                if _feasible(s, cap_obj):
+                if _feasible(s):
                     feasible.append(np.flatnonzero(s.taken))
                 return True
 
@@ -901,14 +899,14 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
         if not feasible:
             # repair: start from a selection minimizing each violated cap
             repair_cost = np.zeros(len(sites))
-            for (v, limit) in cap_specs:
+            for _, v, _ in problem.caps:
                 repair_cost = repair_cost + v
             state = heuristic(repair_cost)
-            if not _feasible(state, cap_obj):
-                bad = [name for (name, v, limit), t in zip(named_specs, state.v_totals)
+            if not _feasible(state):
+                bad = [name for (name, _, limit), t in zip(problem.caps, state.v_totals)
                        if not _le(t, limit)]
                 found = ", ".join(f"{name} {t:.6f}" for (name, _, _), t
-                                  in zip(named_specs, state.v_totals))
+                                  in zip(problem.caps, state.v_totals))
                 raise InfeasibleError(
                     f"caps {bad} not met together: the lowest-total selection found has "
                     f"{found}, and no lower bound rules the caps out", proven=False)
@@ -921,15 +919,15 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
             if rows.tobytes() in seen:
                 continue
             seen.add(rows.tobytes())
-            final = _State(sites, cost, floors, cap_specs, rows)
-            _polish(final, cap_obj)
+            final = _State(problem, cost, rows)
+            _polish(final)
             if state is None or final.obj < state.obj:
                 state = final
 
-    bound = _lower_bound(sites, cost, cap_obj, floors, cap_specs, at_break)
+    bound = _lower_bound(problem, cost, at_break)
     sel = _make_selection(sites, np.flatnonzero(state.taken), cost, bound)
     sel.stats = {"heuristic_runs": runs,
-                 "lambda": {name: float(lam) for (name, _, _), lam in zip(named_specs, lambdas)}}
+                 "lambda": {name: float(lam) for (name, _, _), lam in zip(problem.caps, lambdas)}}
     return sel
 
 

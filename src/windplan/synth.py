@@ -24,6 +24,7 @@ from .domain import (
     Transformer,
     ValidationError,
     capacity_by_municipality,
+    json_value,
 )
 
 # exponent of the rank transform mapping the smooth field onto [1, 9]
@@ -86,13 +87,8 @@ def spec_from_json(doc, seed_override: int | None = None) -> SynthSpec:
     if unknown:
         raise PlanError(f"unknown synth spec fields: {sorted(unknown)}")
     for name, value in doc.items():
-        if types[name] == "int":
-            ok, what = isinstance(value, int), "an integer"
-        else:
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
-            what = "a finite number"
-        if isinstance(value, bool) or not ok:
-            raise ValidationError(f"synth spec field {name!r} is not {what}: {value!r}")
+        kind, what = (int, "an integer") if types[name] == "int" else (float, "a finite number")
+        json_value(value, kind, what, f"synth spec field {name!r}")
     spec = SynthSpec(**doc)
     if seed_override is not None:
         spec = replace(spec, seed=seed_override)

@@ -432,6 +432,27 @@ _SCALE = ["scale", "--instance", "{prep}", "--out", "{tmp}/out/h.csv"]
                              {**_SCENARIO, "name": "b"}]),
                  "row 0: field 'equity' is not a boolean: 'false'",
                  id="scenarios-string-equity"),
+    pytest.param(_SOLVE, '{"name": "t", "w_c": 1.0, "w_s": 0.0, "w_l": 0.0, "equity": false, '
+                 '"total_capacity_mw": 1' + "0" * 400 + "}",
+                 "field 'total_capacity_mw' is not a finite number: 1000", id="solve-huge-target"),
+    pytest.param(_SPEC_FILE, '{"n_sites": 1' + "0" * 400 + "}",
+                 "field 'n_sites' is not an integer within int64: 1000", id="synth-huge-int"),
+    pytest.param(_SPEC_FILE, '{"capacity_max_mw": 1' + "0" * 400 + "}",
+                 "field 'capacity_max_mw' is not a finite number: 1000", id="synth-huge-float"),
+    pytest.param(_SPEC_FILE, '{"n_sites": 9223372036854775808}',
+                 "field 'n_sites' is not an integer within int64: 9223372036854775808",
+                 id="synth-int64-plus-one"),
+    pytest.param(_SOLVE, json.dumps({**_SCENARIO, "w_s": float("inf")}),
+                 "field 'w_s' is not a finite number: inf", id="solve-infinite-weight"),
+    *[pytest.param(["scenarios", "--instance", "{prep}", "--grid", "{tmp}/in.json",
+                    "--scale", "0.01", "--out", "{tmp}/out"],
+                   json.dumps([{**_SCENARIO, "name": "ok"}, {**_SCENARIO, "name": name}]),
+                   f"row 1: field 'name' is not usable in the file name "
+                   f"selection_<name>.geojson: {name!r}", id=f"scenarios-name-{case}")
+      for case, name in [("empty", ""), ("dot", "."), ("dotdot", ".."), ("slash", "a/b"),
+                         ("nul", "a\0b"), ("long", "x" * 238), ("surrogate", "\ud800")]],
+    pytest.param(_SOLVE, json.dumps({**_SCENARIO, "name": "a/b"}),
+                 "field 'name' is not usable in the file name", id="solve-name-slash"),
     pytest.param(_SWEEP + ["--factor", "nan"], None, "step factor nan outside (0, 1)",
                  id="sweep-nan-factor"),
     pytest.param(_SWEEP + ["--factor", "1.5"], None, "step factor 1.5 outside (0, 1)",

@@ -1,6 +1,6 @@
 import pytest
 
-from windplan.domain import InfeasibleError, PlanError
+from windplan.domain import InfeasibleError, PlanError, ValidationError
 from windplan.geoprep import prep_instance
 from windplan.objective import Weights
 from windplan.scenarios import (
@@ -10,6 +10,7 @@ from windplan.scenarios import (
     builtin_grid,
     grid_from_rows,
     run_grid,
+    scenario_from_row,
 )
 from windplan.solver import solve, target_constraints
 from windplan.synth import SynthSpec, generate
@@ -46,6 +47,16 @@ def test_grid_from_rows():
     assert grid[0].weights.w_c == 1.0
     with pytest.raises(PlanError, match="duplicate"):
         grid_from_rows(rows + rows)
+
+
+def test_scenario_name_fits_a_file_name():
+    # selection_<name>.geojson may take up to 255 bytes in UTF-8
+    row = {"w_c": 1, "w_s": 0, "w_l": 0, "equity": False, "total_capacity_mw": 50.0}
+    for name in ("x" * 237, "\u00e9" * 118, "a.b", "..."):
+        assert scenario_from_row({**row, "name": name}).name == name
+    for name in ("x" * 238, "\u00e9" * 119, "", ".", "..", "/", "a/", "\0"):
+        with pytest.raises(ValidationError, match="field 'name' is not usable"):
+            scenario_from_row({**row, "name": name})
 
 
 def test_run_grid_results_ordered_and_feasible():

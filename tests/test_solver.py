@@ -1,4 +1,7 @@
+import ast
+import collections
 import copy
+import functools
 import itertools
 from dataclasses import replace
 
@@ -310,8 +313,7 @@ def test_capped_solve_takes_multiplier_from_relaxation(monkeypatch):
     assert verify_selection(sel, floored, con)
     assert sel.stats["lambda"]["scenicness"] > 0
     cost = site_costs(floored.sites, W_LCOE)
-    plain = solver._floor_bound(floored.sites, cost, small,
-                                solver._floors(floored.sites, con.equity_floors))
+    plain = solver._floor_bound(solver._problem(floored, W_LCOE, replace(con, m_s=None))[0], cost)
     assert plain < sel.lower_bound <= sel.objective_value
     # two caps together
     free = solve(inst, W_LCOE, Constraints(cap_obj=cap_obj))
@@ -323,6 +325,43 @@ def test_capped_solve_takes_multiplier_from_relaxation(monkeypatch):
     assert set(sel.stats["lambda"]) == {"scenicness", "network_length"}
     assert verify_selection(sel, inst, con)
     assert sel.lower_bound <= sel.objective_value
+
+
+class _ToleranceProducts(ast.NodeVisitor):
+    """Enclosing function of every product of FEAS_TOL with `max(1.0, ...)`
+    or `np.maximum(1.0, ...)`, in either order."""
+
+    def __init__(self):
+        self.functions = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_BinOp(self, node):
+        def is_tol(x):
+            return isinstance(x, ast.Name) and x.id == "FEAS_TOL"
+
+        def is_max_one(x):
+            return (isinstance(x, ast.Call) and ast.unparse(x.func) in ("max", "np.maximum")
+                    and any(isinstance(a, ast.Constant) and a.value == 1 for a in x.args))
+
+        if isinstance(node.op, ast.Mult) and (
+                (is_tol(node.left) and is_max_one(node.right))
+                or (is_max_one(node.left) and is_tol(node.right))):
+            self.found.append(self.functions[-1])
+        self.generic_visit(node)
+
+
+def test_tolerance_rule_has_one_home():
+    # a total meets a bound b to FEAS_TOL * max(1, |b|): `_at_least` and
+    # `_at_most` hold that rule, and every threshold goes through them
+    with open(solver.__file__, encoding="utf-8") as f:
+        products = _ToleranceProducts()
+        products.visit(ast.parse(f.read()))
+    assert sorted(products.found) == ["_at_least", "_at_most"]
 
 
 def _shuffled(inst, seed):
@@ -428,22 +467,23 @@ def test_ratio_order_infinite_ratio_takes_full_sort():
     assert list(order) == np.lexsort((sites.ids, cost / sites.caps)).tolist()
 
 
-def _scalar_polish(state, cap_obj, max_rounds=60):
+def _scalar_polish(state, max_rounds=60):
     """Reference swap polish: full ratio sort and one feasibility test per pair."""
-    sites, cost, ids = state.sites, state.cost, state.sites.ids
+    problem, cost = state.problem, state.cost
+    sites, ids = problem.sites, problem.sites.ids
     caps, mun = sites.caps, sites.mun
     neighborhood = len(sites) if len(sites) <= 400 else 120
 
     def swap_feasible(out, inn):
-        if not solver._ge(state.cap_total - caps[out] + caps[inn], cap_obj):
+        if not solver._ge(state.cap_total - caps[out] + caps[inn], problem.cap_obj):
             return False
-        ko = state.floors.of_site[out]
+        ko = problem.floors.of_site[out]
         if ko >= 0:
             t = state.floor_totals[ko] - caps[out] + (caps[inn] if mun[inn] == mun[out] else 0.0)
-            if not solver._ge(t, state.floors.mw[ko]):
+            if not solver._ge(t, problem.floors.mw[ko]):
                 return False
         return all(solver._le(state.v_totals[k] - v[out] + v[inn], limit)
-                   for k, (v, limit) in enumerate(state.cap_specs))
+                   for k, (_, v, limit) in enumerate(problem.caps))
 
     def selected():
         return sorted(np.flatnonzero(state.taken).tolist(), key=lambda i: (-cost[i], ids[i]))
@@ -451,7 +491,7 @@ def _scalar_polish(state, cap_obj, max_rounds=60):
     for _ in range(max_rounds):
         improved = False
         for i in selected():
-            if cost[i] > 0 and state.removable(i, cap_obj):
+            if cost[i] > 0 and state.removable(i):
                 state.remove(i)
                 improved = True
         outs = selected()[:neighborhood]
@@ -481,13 +521,13 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     floors = equity_floors(inst.municipalities, 0.1 * potential, pots)
     cap_obj = share * potential
     cost = site_costs(sites, W_LCOE)
-    pos_floors = solver._floors(sites, floors)
-    free = solver._greedy(sites, cost, cap_obj, pos_floors, [])
-    m_s = 1.002 * float(np.sum(sites.scenicness[free.taken]))
-    start = solver._greedy(sites, cost, cap_obj, pos_floors, [(sites.scenicness, m_s)])
+    free = solver._Problem(sites, cap_obj, solver._floors(sites, floors), [])
+    m_s = 1.002 * float(np.sum(sites.scenicness[solver._greedy(free, cost).taken]))
+    capped = replace(free, caps=[("scenicness", sites.scenicness, m_s)])
+    start = solver._greedy(capped, cost)
     ours, ref = copy.deepcopy(start), copy.deepcopy(start)
-    solver._polish(ours, cap_obj)
-    _scalar_polish(ref, cap_obj)
+    solver._polish(ours)
+    _scalar_polish(ref)
     assert (ours.taken != start.taken).any()  # the scan made swaps
     assert ours.order._sorted.size > 1025  # and read past the first sorted block
     assert (ours.taken == ref.taken).all()
@@ -499,10 +539,10 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     assert sel.lower_bound <= sel.objective_value
 
 
-def _random_pool(rng, n):
+def _random_pool(rng, n, n_muns=6):
     """A pool over a few municipalities whose cost/capacity ratios tie often."""
     ids = rng.permutation(10 * n)[:n]
-    mun = rng.integers(0, 6, n)
+    mun = rng.integers(0, n_muns, n)
     caps = rng.choice([2.0, 3.0, 4.5, 0.7], size=n)
     caps = caps * rng.uniform(0.5, 1.5, n) ** rng.integers(0, 2)
     zero = np.zeros(n)
@@ -515,15 +555,59 @@ def _random_pool(rng, n):
     return sites, cost, floors
 
 
-def _scalar_lp(sites, cost, order, cap_obj, floors, v):
-    """Reference for `_lp_nested`: the floors, then one site at a time along
-    the full ratio sort."""
+def _small_mun_pool(rng):
+    """A `_random_pool` of municipalities of about 8 sites each, with floors
+    that every site covers, that need several sites, that exceed a prefix of
+    the ratio order by 1e-12 MW (so a fill is left with a need between its
+    cutoffs 1e-15 and 1e-9), or (rarely) that exceed the municipality's
+    capacity."""
+    n = int(rng.integers(20, 200))
+    sites, cost, _ = _random_pool(rng, n, n_muns=n // 8)
+    floors = {}
+    for j in np.unique(sites.mun).tolist():
+        caps = sites.caps[sites.mun == j]
+        kind = rng.random()
+        if kind < 0.3:
+            floors[j] = float(rng.uniform(0.0, 1.0)) * float(caps.min())
+        elif kind < 0.45 and caps.size > 1:
+            rows = _ratio_rows(sites, cost, j)[:int(rng.integers(1, caps.size))]
+            floors[j] = float(sum(sites.caps[rows].tolist())) + 1e-12
+        elif kind < 0.98:
+            floors[j] = float(rng.uniform(0.0, 1.0)) * float(caps.sum())
+        else:
+            floors[j] = float(rng.uniform(1.001, 1.2)) * float(caps.sum())
+    return sites, cost, floors
+
+
+def _ratio_rows(sites, cost, j):
+    """Municipality j's rows by ascending cost/capacity ratio, ties on the lower id."""
+    return sorted(np.flatnonzero(sites.mun == j).tolist(),
+                  key=lambda i: (cost[i] / sites.caps[i], sites.ids[i]))
+
+
+def _frac_fill(caps, cost, rows, need, total, used):
+    """`total` plus the cost of covering `need` MW fractionally along `rows`,
+    one site at a time, or inf when the rows fall short; `used` takes the
+    fraction taken of each site."""
+    for i in rows:
+        take = min(caps[i], need)
+        used[i] += take / caps[i]
+        total += take / caps[i] * cost[i]
+        need -= take
+        if need <= 1e-15:
+            break
+    return total if need <= 1e-9 else np.inf
+
+
+def _scalar_lp(sites, cost, cap_obj, floors, v):
+    """Reference for `_lp_nested`: the positive floors of the dict `floors`
+    in its order, then one site at a time along the full ratio sort."""
     caps = sites.caps
+    floors = {j: f for j, f in floors.items() if f > 0}
     used = np.zeros(len(sites))
     total, floor_cap = 0.0, 0.0
-    for j, floor in zip(floors.mun, floors.mw):
-        total = solver._fill_floor(caps, cost, order[slice(*sites.mun_rows[j])], floor,
-                                   total, used)
+    for j, floor in floors.items():
+        total = _frac_fill(caps, cost, _ratio_rows(sites, cost, j), floor, total, used)
         if total == np.inf:
             return np.inf, np.inf
         floor_cap += floor
@@ -545,9 +629,69 @@ def _scalar_lp(sites, cost, order, cap_obj, floors, v):
     return total, v_total
 
 
-def _scalar_fill_and_trim(state, cap_obj):
+@functools.cache
+def _masks(m):
+    """The 0/1 rows of the nonempty subsets of m items, row k - 1 holding
+    bit i of k in column i."""
+    rows = np.array(list(itertools.product((0.0, 1.0), repeat=m)))[:, ::-1]
+    return np.ascontiguousarray(rows)[1:]
+
+
+def _scalar_floor_int(sites, cost, floors, v, reached):
+    """Reference for `_floor_int_bound`, one positive floor of the dict
+    `floors` at a time in its order: the cheapest site when every site of
+    the municipality covers the floor, else the cheapest covering subset of
+    a municipality of up to 12 sites, else the fractional fill; (inf, inf)
+    for an unattainable floor. `reached` counts each case."""
+    caps, ids = sites.caps, sites.ids
+    used = np.zeros(len(sites))
+    total = v_total = 0.0
+    for j, floor in floors.items():
+        if floor <= 0:
+            continue
+        rows = np.flatnonzero(sites.mun == j)
+        if all(floor <= caps[i] + 1e-15 for i in rows):
+            reached["single"] += 1
+            i = min(rows.tolist(), key=lambda i: (cost[i], ids[i]))
+            total += cost[i]
+            v_total += v[i]
+        elif rows.size <= 12:
+            reached["subset"] += 1
+            # subset sums by a matrix product, as the solver takes them: BLAS
+            # adds in an order of its own, which a Python loop may miss by an ulp
+            bits = _masks(rows.size)
+            feas = bits @ caps[rows] >= floor - 1e-9 * max(1.0, floor)
+            if not feas.any():
+                reached["unattainable"] += 1
+                return np.inf, np.inf
+            costs = bits @ cost[rows]
+            k = int(np.argmin(np.where(feas, costs, np.inf)))
+            total += float(costs[k])
+            v_total += float(bits[k] @ v[rows])
+        else:
+            reached["fill"] += 1
+            total = _frac_fill(caps, cost, _ratio_rows(sites, cost, j), floor, total, used)
+            if total == np.inf:
+                reached["unattainable"] += 1
+                return np.inf, np.inf
+    return total, v_total + float(used @ v)
+
+
+def _check_relaxations(sites, cost, cap_obj, floors, reached):
+    """Both floor relaxations against their references, with the v-totals
+    of the scenicness and of zeros."""
+    problem = solver._Problem(sites, cap_obj, solver._floors(sites, floors), [])
+    order = solver._mun_ratio_order(sites, cost)
+    for v, count in ((sites.scenicness, reached), (np.zeros(len(sites)), collections.Counter())):
+        assert solver._lp_nested(problem, cost, order, v) == _scalar_lp(
+            sites, cost, cap_obj, floors, v)
+        assert solver._floor_int_bound(problem, cost, order, v) == _scalar_floor_int(
+            sites, cost, floors, v, count)
+
+
+def _scalar_fill_and_trim(state):
     """Reference for `_State.fill` and `drop_removable`: one site at a time."""
-    sites, cost = state.sites, state.cost
+    sites, cost, cap_obj = state.problem.sites, state.cost, state.problem.cap_obj
     if not solver._ge(state.cap_total, cap_obj):
         for i in np.lexsort((sites.ids, cost / sites.caps)).tolist():
             if state.taken[i]:
@@ -557,25 +701,31 @@ def _scalar_fill_and_trim(state, cap_obj):
                 break
     for i in sorted(np.flatnonzero(state.taken).tolist(),
                     key=lambda i: (-cost[i], sites.ids[i])):
-        if cost[i] > 0 and state.removable(i, cap_obj):
+        if cost[i] > 0 and state.removable(i):
             state.remove(i)
 
 
 def test_block_passes_match_scalar_loops():
-    # the relaxation, the greedy fill and the trim pass take numpy blocks;
+    # the relaxations, the greedy fill and the trim pass take numpy blocks;
     # every total must equal the site-by-site loop's to the last bit
     rng = np.random.default_rng(31)
+    small_rng = np.random.default_rng(32)  # small municipalities, for the floor bound
+    reached = collections.Counter()
     for trial in range(120):
         n = int(rng.integers(1, 3000))
-        sites, cost, floors = _random_pool(rng, n)
-        floors = solver._floors(sites, floors)
+        sites, cost, raw_floors = _random_pool(rng, n)
+        floors = solver._floors(sites, raw_floors)
         cap_obj = float(rng.uniform(0.0, 1.02)) * float(sites.caps.sum())
         order = solver._mun_ratio_order(sites, cost)
+        _check_relaxations(sites, cost, cap_obj, raw_floors, reached)
+        small, small_cost, small_floors = _small_mun_pool(small_rng)
+        _check_relaxations(small, small_cost,
+                           float(small_rng.uniform(0.0, 1.02)) * float(small.caps.sum()),
+                           small_floors, reached)
         v = sites.scenicness
-        got = solver._lp_nested(sites, cost, order, cap_obj, floors, v)
-        assert got == _scalar_lp(sites, cost, order, cap_obj, floors, v), trial
-        assert solver._lp_nested(sites, cost, order, cap_obj, floors)[0] == got[0]
-        specs = [(v, float(v.sum()) * 0.3), (sites.network_length, 1e9)]
+        specs = [("scenicness", v, float(v.sum()) * 0.3),
+                 ("network_length", sites.network_length, 1e9)]
+        problem = solver._Problem(sites, cap_obj, floors, specs)
         # a prefix that the fill extends, and a random part of the pool in
         # which each floor holds its cheapest cover and up to two more sites,
         # so the trim runs into floors with little to spare
@@ -586,14 +736,16 @@ def test_block_passes_match_scalar_loops():
             near[rows] = False
             near[rows[:cover + int(rng.integers(0, 3))]] = True
         for start in (order[:int(rng.integers(0, n + 1)) // 3], np.flatnonzero(near)):
-            ours = solver._State(sites, cost, floors, specs, start)
+            ours = solver._State(problem, cost, start)
             ref = copy.deepcopy(ours)
-            ours.fill(cap_obj)
-            ours.drop_removable(cap_obj)
-            _scalar_fill_and_trim(ref, cap_obj)
+            ours.fill()
+            ours.drop_removable()
+            _scalar_fill_and_trim(ref)
             assert (ours.taken == ref.taken).all(), trial
             assert (ours.obj, ours.cap_total, ours.v_totals, ours.floor_totals.tolist()) == (
                 ref.obj, ref.cap_total, ref.v_totals, ref.floor_totals.tolist()), trial
+    # every case of the integral floor bound was compared often enough
+    assert min(reached[k] for k in ("single", "subset", "fill", "unattainable")) >= 20, reached
 
 
 def _scan_subsets(sites, cost, cap_obj, floors, cap_specs):
@@ -644,8 +796,9 @@ def test_enumerate_matches_plain_subset_scan():
             with pytest.raises(InfeasibleError, match="without candidates"):
                 solver._floors(sites, floors)
         else:
-            got = solver._enumerate(sites, cost, cap_obj, solver._floors(sites, floors),
-                                    cap_specs)
+            problem = solver._Problem(sites, cap_obj, solver._floors(sites, floors),
+                                      [("scenicness", v, limit) for v, limit in cap_specs])
+            got = solver._enumerate(problem, cost)
             assert got == want, (trial, n, floors, cap_specs)
         outcomes["infeasible" if want is None else "feasible"] += 1
     assert min(outcomes.values()) >= 30, outcomes
