@@ -187,10 +187,10 @@ class _RatioOrder:
             yield from rows.tolist()
 
 
-def _mun_ratio_order(sites: SiteTable, cost: np.ndarray) -> np.ndarray:
-    """Rows grouped as in `sites.by_mun` (so `mun_rows` slices it), each
-    group in ratio order; one sort serves every municipality."""
-    return np.lexsort((sites.ids, cost / sites.caps, sites.mun))
+def _by_ratio(rows: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Ascending `rows` by their `ratio` (cost/capacity, per site); the sort
+    is stable, so ties stay on the lower row, which is the lower site id."""
+    return rows[np.argsort(ratio[rows], kind="stable")]
 
 
 def _at_least(b: float) -> float:
@@ -213,10 +213,12 @@ def _le(a: float, b: float) -> bool:
 
 @dataclass(frozen=True)
 class _Floors:
-    """The positive equity floors of a solve, in their given order."""
+    """The equity floors of a solve that 0 MW does not meet, in ascending
+    municipality order."""
     mun: list[int]  # municipality of each floor
     mw: list[float]  # the floors
     ge: np.ndarray  # each floor's `_at_least` threshold
+    rows: list[np.ndarray]  # each floor's municipality's rows, ascending
     of_site: np.ndarray  # per site, the index of its municipality's floor, -1 for none
 
     def __len__(self) -> int:
@@ -224,17 +226,19 @@ class _Floors:
 
 
 def _floors(sites: SiteTable, equity_floors: dict[int, float] | None) -> _Floors:
-    """The floors above zero (the others constrain nothing); a floor in a
-    municipality without candidates cannot be met."""
-    pos = {int(j): float(f) for j, f in (equity_floors or {}).items() if f > 0}
-    missing = sorted(j for j in pos if j not in sites.mun_rows)
+    """The floors that 0 MW does not meet (the others constrain nothing); a
+    floor in a municipality without candidates cannot be met."""
+    pos = sorted((int(j), float(f)) for j, f in (equity_floors or {}).items()
+                 if _at_least(f) > 0)
+    missing = [j for j, _ in pos if j not in sites.mun_rows]
     if missing:
         raise InfeasibleError(f"equity floors in municipalities without candidates: {missing}")
-    mw = list(pos.values())
+    rows = [sites.by_mun[slice(*sites.mun_rows[j])] for j, _ in pos]
     of_site = np.full(len(sites), -1, dtype=np.int32)
-    for k, j in enumerate(pos):
-        of_site[sites.by_mun[slice(*sites.mun_rows[j])]] = k
-    return _Floors(list(pos), mw, np.array([_at_least(f) for f in mw]), of_site)
+    for k, r in enumerate(rows):
+        of_site[r] = k
+    return _Floors([j for j, _ in pos], [f for _, f in pos],
+                   np.array([_at_least(f) for _, f in pos]), rows, of_site)
 
 
 @dataclass(frozen=True)
@@ -361,12 +365,10 @@ def _greedy(problem: _Problem, cost: np.ndarray) -> _State:
     sites, floors, cap_obj = problem.sites, problem.floors, problem.cap_obj
     caps, ids = sites.caps, sites.ids
 
-    order = _mun_ratio_order(sites, cost) if floors else None
+    ratio = cost / caps if floors else None
     covers = []
-    for j, floor, ge in sorted(zip(floors.mun, floors.mw, floors.ge.tolist())):
-        if 0.0 >= ge:
-            continue
-        local = order[slice(*sites.mun_rows[j])]
+    for j, floor, ge, rows in zip(floors.mun, floors.mw, floors.ge.tolist(), floors.rows):
+        local = _by_ratio(rows, ratio)
         chosen, cum, cost_a = [], 0.0, 0.0
         for i in local:
             chosen.append(i)
@@ -463,28 +465,26 @@ def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: flo
     return np.inf if need > 1e-9 else total
 
 
-def _lp_nested(problem: _Problem, cost: np.ndarray, order: np.ndarray | None,
-               v: np.ndarray) -> tuple[float, float]:
+def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Exact optimum of the fractional relaxation (floors + covering), and
     the total of `v` over that fractional solution.
 
     Floors are filled fractionally at the cheapest within-municipality
     ratios; the residual capacity takes the globally cheapest remaining
     fractional marginals. Marginal cost curves are convex, so this
-    greedy is LP-optimal. `order` is `_mun_ratio_order(sites, cost)`
-    (None without floors). An infeasible relaxation gives (inf, inf).
+    greedy is LP-optimal. An infeasible relaxation gives (inf, inf).
     """
     sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
     used = np.zeros(len(sites))  # fraction of each site already committed
     total_cost = 0.0
     floor_cap = 0.0
-    for j, floor in zip(floors.mun, floors.mw):
-        total_cost = _fill_floor(caps, cost, order[slice(*sites.mun_rows[j])], floor,
-                                 total_cost, used)
+    ratio = cost / caps if floors else None
+    for floor, rows in zip(floors.mw, floors.rows):
+        total_cost = _fill_floor(caps, cost, _by_ratio(rows, ratio), floor, total_cost, used)
         if total_cost == np.inf:
             return np.inf, np.inf
         floor_cap += floor
-    v_total = float(used @ v) if floors else 0.0
+    v_total = float(np.sum(used * v)) if floors else 0.0
     residual = problem.cap_obj - floor_cap
     if residual > 1e-15:
         # take each site's available capacity in ratio order until the
@@ -511,23 +511,21 @@ def _lp_nested(problem: _Problem, cost: np.ndarray, order: np.ndarray | None,
     return total_cost, v_total
 
 
-def _floor_int_bound(problem: _Problem, cost: np.ndarray, order: np.ndarray | None,
-                     v: np.ndarray) -> tuple[float, float]:
+def _floor_int_bound(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Lower bound keeping floor coverage integral per municipality, and
     the total of `v` over the covers it takes.
 
     Exact when a floor fits a single site or the municipality is small
-    enough to enumerate; otherwise the municipal fractional fill along
-    `order` (`_fill_floor`, as in `_lp_nested`) is used. Ignores the
+    enough to enumerate; otherwise the municipal fractional fill in ratio
+    order (`_fill_floor`, as in `_lp_nested`) is used. Ignores the
     global constraint, which only relaxes further. An unattainable floor
     gives (inf, inf).
     """
     sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
     used = np.zeros(len(sites))  # fractional fills
+    ratio = cost / caps
     total = v_total = 0.0
-    for j, floor, ge in zip(floors.mun, floors.mw, floors.ge):
-        rows = sites.mun_rows[j]
-        idxs = sites.by_mun[slice(*rows)]
+    for floor, ge, idxs in zip(floors.mw, floors.ge, floors.rows):
         if floor <= caps[idxs].min() + 1e-15:
             p = idxs[cost[idxs].argmin()]
             total += cost[p]
@@ -541,18 +539,21 @@ def _floor_int_bound(problem: _Problem, cost: np.ndarray, order: np.ndarray | No
             total += float(costs.min())
             v_total += float(bits[feas.nonzero()[0][costs.argmin()]] @ v[idxs])
         else:
-            total = _fill_floor(caps, cost, order[slice(*rows)], floor, total, used)
+            total = _fill_floor(caps, cost, _by_ratio(idxs, ratio), floor, total, used)
             if total == np.inf:
                 return np.inf, np.inf
-    return total, v_total + float(used @ v)
+    return total, v_total + float(np.sum(used * v))
+
+
+def _relaxations(problem: _Problem) -> list[Callable[..., tuple[float, float]]]:
+    """The relaxations that bound a solve: the covering LP and, with
+    floors, the integral floor bound; the larger bound holds."""
+    return [_lp_nested, _floor_int_bound] if problem.floors else [_lp_nested]
 
 
 def _floor_bound(problem: _Problem, cost: np.ndarray) -> float:
-    order = _mun_ratio_order(problem.sites, cost) if problem.floors else None
-    # stride 0: numpy takes its plain loop to dot these, so no BLAS thread wakes
-    zeros = np.broadcast_to(0.0, len(problem.sites))
-    return max(_lp_nested(problem, cost, order, zeros)[0],
-               _floor_int_bound(problem, cost, order, zeros)[0])
+    zeros = np.zeros(len(problem.sites))
+    return max(relax(problem, cost, zeros)[0] for relax in _relaxations(problem))
 
 
 def _lower_bound(problem: _Problem, cost: np.ndarray, lambdas: list[float]) -> float:
@@ -830,7 +831,7 @@ def _bracket_runs(meets: Callable[[float], bool], start: float) -> None:
 def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Selection:
     """Exact (small pools) or certified-heuristic solve; see module docstring."""
     problem, cost = _problem(instance, weights, constraints)
-    sites, floors = problem.sites, problem.floors
+    sites = problem.sites
     if len(sites) <= BRUTE_FORCE_LIMIT:
         return _solve_exact(problem, cost)
 
@@ -870,18 +871,10 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
             for kk, (_, vv, _) in enumerate(problem.caps):
                 if lambdas[kk] > 0 and kk != k:
                     base = base + lambdas[kk] * vv
-            # the multiplier of the covering LP and, with floors, of the
-            # integral floor bound; the larger bound wins
-            def lp(c: np.ndarray) -> tuple[float, float]:
-                order = _mun_ratio_order(sites, c) if floors else None
-                return _lp_nested(problem, c, order, v)
-
-            def floor_int(c: np.ndarray) -> tuple[float, float]:
-                return _floor_int_bound(problem, c, _mun_ratio_order(sites, c), v)
-
-            relaxations = [lp, floor_int] if floors else [lp]
+            # the multiplier of the relaxation with the larger bound
             lambdas[k], at_break[k], _ = max(
-                (_multiplier(relax, base, v, limit) for relax in relaxations),
+                (_multiplier(functools.partial(relax, problem, v=v), base, v, limit)
+                 for relax in _relaxations(problem)),
                 key=lambda m: m[2])
 
             def meets(lam: float) -> bool:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site, subset_scan
 from windplan import solver
-from windplan.domain import InfeasibleError, PlanError, SiteTable
+from windplan.domain import InfeasibleError, Instance, PlanError, SiteTable
 from windplan.geoprep import prep_instance
 from windplan.objective import Weights, site_costs
 from windplan.solver import (
@@ -135,6 +135,26 @@ def test_floor_in_municipality_without_candidates():
     assert len(big.sites) > BRUTE_FORCE_LIMIT
     with pytest.raises(InfeasibleError, match=r"without candidates: \[2\]"):
         solve(big, W_LCOE, con)
+
+
+def test_floor_that_zero_meets_enters_no_bound():
+    # municipality 1 is dear, but its floor of 1e-10 MW is met by no site
+    # at all: charging its cheapest site would lift the bound to about 100
+    rng = np.random.default_rng(5)
+    sites = [mk_site(i, mun=1 if i <= 10 else 2, capacity=float(rng.uniform(2.0, 5.0)),
+                     lcoe=float(rng.uniform(100.0, 101.0) if i <= 10 else rng.uniform(1.0, 2.0)))
+             for i in range(1, 41)]
+    inst = mk_instance(sites)
+    con = Constraints(cap_obj=10.0, equity_floors={1: 1e-10})
+    sel = solve(inst, W_LCOE, con)
+    assert verify_selection(sel, inst, con)
+    assert all(sid > 10 for sid in sel.site_ids)
+    assert 0 < sel.lower_bound <= sel.objective_value < 10
+    # nor does it need a candidate, on either path
+    con = replace(con, equity_floors={1: 1e-10, 3: 1e-10})
+    assert solve(inst, W_LCOE, con) == sel
+    small = mk_instance(sites[:3])
+    assert solve(small, W_LCOE, con).site_ids == (1, 2, 3)
 
 
 def test_scale_argmin_invariance():
@@ -600,10 +620,11 @@ def _frac_fill(caps, cost, rows, need, total, used):
 
 
 def _scalar_lp(sites, cost, cap_obj, floors, v):
-    """Reference for `_lp_nested`: the positive floors of the dict `floors`
-    in its order, then one site at a time along the full ratio sort."""
+    """Reference for `_lp_nested`: the floors of the dict `floors` that 0 MW
+    does not meet, in its order, then one site at a time along the full
+    ratio sort."""
     caps = sites.caps
-    floors = {j: f for j, f in floors.items() if f > 0}
+    floors = {j: f for j, f in floors.items() if solver._at_least(f) > 0}
     used = np.zeros(len(sites))
     total, floor_cap = 0.0, 0.0
     for j, floor in floors.items():
@@ -611,7 +632,7 @@ def _scalar_lp(sites, cost, cap_obj, floors, v):
         if total == np.inf:
             return np.inf, np.inf
         floor_cap += floor
-    v_total = float(used @ v) if floors else 0.0
+    v_total = float(np.sum(used * v)) if floors else 0.0
     residual = cap_obj - floor_cap
     if residual > 1e-15:
         for i in np.lexsort((sites.ids, cost / caps)).tolist():
@@ -638,16 +659,16 @@ def _masks(m):
 
 
 def _scalar_floor_int(sites, cost, floors, v, reached):
-    """Reference for `_floor_int_bound`, one positive floor of the dict
-    `floors` at a time in its order: the cheapest site when every site of
-    the municipality covers the floor, else the cheapest covering subset of
-    a municipality of up to 12 sites, else the fractional fill; (inf, inf)
-    for an unattainable floor. `reached` counts each case."""
+    """Reference for `_floor_int_bound`, one floor of the dict `floors` that
+    0 MW does not meet at a time, in its order: the cheapest site when every
+    site of the municipality covers the floor, else the cheapest covering
+    subset of a municipality of up to 12 sites, else the fractional fill;
+    (inf, inf) for an unattainable floor. `reached` counts each case."""
     caps, ids = sites.caps, sites.ids
     used = np.zeros(len(sites))
     total = v_total = 0.0
     for j, floor in floors.items():
-        if floor <= 0:
+        if solver._at_least(floor) <= 0:
             continue
         rows = np.flatnonzero(sites.mun == j)
         if all(floor <= caps[i] + 1e-15 for i in rows):
@@ -674,18 +695,17 @@ def _scalar_floor_int(sites, cost, floors, v, reached):
             if total == np.inf:
                 reached["unattainable"] += 1
                 return np.inf, np.inf
-    return total, v_total + float(used @ v)
+    return total, v_total + float(np.sum(used * v))
 
 
 def _check_relaxations(sites, cost, cap_obj, floors, reached):
     """Both floor relaxations against their references, with the v-totals
     of the scenicness and of zeros."""
     problem = solver._Problem(sites, cap_obj, solver._floors(sites, floors), [])
-    order = solver._mun_ratio_order(sites, cost)
     for v, count in ((sites.scenicness, reached), (np.zeros(len(sites)), collections.Counter())):
-        assert solver._lp_nested(problem, cost, order, v) == _scalar_lp(
+        assert solver._lp_nested(problem, cost, v) == _scalar_lp(
             sites, cost, cap_obj, floors, v)
-        assert solver._floor_int_bound(problem, cost, order, v) == _scalar_floor_int(
+        assert solver._floor_int_bound(problem, cost, v) == _scalar_floor_int(
             sites, cost, floors, v, count)
 
 
@@ -716,7 +736,7 @@ def test_block_passes_match_scalar_loops():
         sites, cost, raw_floors = _random_pool(rng, n)
         floors = solver._floors(sites, raw_floors)
         cap_obj = float(rng.uniform(0.0, 1.02)) * float(sites.caps.sum())
-        order = solver._mun_ratio_order(sites, cost)
+        order = np.lexsort((sites.ids, cost / sites.caps, sites.mun))
         _check_relaxations(sites, cost, cap_obj, raw_floors, reached)
         small, small_cost, small_floors = _small_mun_pool(small_rng)
         _check_relaxations(small, small_cost,
@@ -890,3 +910,82 @@ def test_heuristic_certificate_against_exact_optimum(monkeypatch):
         tally["certified"] += 1
     assert tally["certified"] >= 300 and tally["infeasible"] >= 15, tally
     assert tally["unproven"] == 0, tally
+
+
+def _multi_site_pool(rng, n):
+    """An instance of `n` sites in municipalities of 13-31 sites, and floors
+    of 0-0.5 of each municipality's capacity."""
+    sizes = rng.integers(13, 32, n // 13 + 1)
+    mun = np.repeat(np.arange(1, sizes.size + 1), sizes)[:n]
+    sites = SiteTable.from_columns(
+        rng.permutation(n) + 1, mun, rng.uniform(47.0, 55.0, n), rng.uniform(6.0, 15.0, n),
+        rng.uniform(2.0, 5.0, n), rng.uniform(40.0, 90.0, n), rng.uniform(1.0, 10.0, n),
+        rng.uniform(1500.0, 3000.0, n), rng.uniform(0.5, 20.0, n))
+    floors = {j: float(rng.uniform(0.0, 0.5)) * float(sites.caps[sites.mun == j].sum())
+              for j in np.unique(mun).tolist()}
+    return Instance(sites=sites, municipalities=[]), floors
+
+
+def test_bound_does_not_depend_on_floor_order():
+    rng = np.random.default_rng(2025)
+    for trial in range(20):
+        inst, floors = _multi_site_pool(rng, int(rng.integers(30, 401)))
+        con = Constraints(cap_obj=float(rng.uniform(0.2, 0.7)) * float(inst.sites.caps.sum()),
+                          equity_floors=floors)
+        if trial % 2:
+            con = replace(con, m_s=0.97 * solve(inst, W_LCOE, con).totals.scenicness)
+        sel = solve(inst, W_LCOE, con)
+        back = solve(inst, W_LCOE, replace(con, equity_floors=dict(reversed(floors.items()))))
+        assert (sel, sel.stats) == (back, back.stats), trial
+
+
+def _milp_optimum(sites, cost, con):
+    """The optimum of `con` by HiGHS's branch and cut, each bound met to
+    1e-9 * max(1, |bound|), as the objective of the selection it takes."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    def tol(bound):
+        return 1e-9 * max(1.0, abs(bound))
+
+    rows, lower, upper = [sites.caps], [con.cap_obj - tol(con.cap_obj)], [np.inf]
+    for j, floor in con.equity_floors.items():
+        rows.append(np.where(sites.mun == j, sites.caps, 0.0))
+        lower.append(floor - tol(floor))
+        upper.append(np.inf)
+    if con.m_s is not None:
+        rows.append(sites.scenicness)
+        lower.append(-np.inf)
+        upper.append(con.m_s + tol(con.m_s))
+    res = milp(cost, integrality=np.ones(len(sites)), bounds=Bounds(0.0, 1.0),
+               constraints=LinearConstraint(np.array(rows), lower, upper),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message  # an optimum, proven
+    taken = res.x > 0.5
+    assert np.allclose(res.x, taken, rtol=0.0, atol=1e-6)
+    return float(np.sum(cost[taken]))
+
+
+def test_heuristic_certificate_against_milp_optimum():
+    """On pools of 50-450 sites with multi-site floors, the heuristic path
+    never claims more than HiGHS proves: lower_bound <= OPT <= objective,
+    and the true gap is at most the claimed one."""
+    rng = np.random.default_rng(1)
+    weightings = [W_LCOE, Weights(0.0, 0.0, 1.0), Weights(1.0, 1.0, 1.0)]
+    for trial in range(9):
+        inst, floors = _multi_site_pool(rng, int(rng.integers(50, 451)))
+        sites, weights = inst.sites, weightings[trial % 3]
+        con = Constraints(cap_obj=float(rng.uniform(0.2, 0.7)) * float(sites.caps.sum()),
+                          equity_floors=floors)
+        if trial % 2:
+            # a cap between the scenicness totals of two selections that
+            # meet the floors, the least-scenic one found and the uncapped one
+            free = solve(inst, weights, con).totals.scenicness
+            least = solve(inst, Weights(0.0, 1.0, 0.0), con).totals.scenicness
+            con = replace(con, m_s=least + float(rng.uniform(0.1, 0.9)) * (free - least))
+        cost = site_costs(sites, weights)
+        opt = _milp_optimum(sites, cost, con)
+        sel = solve(inst, weights, con)
+        tol = 1e-9 * max(1.0, abs(opt))
+        assert verify_selection(sel, inst, con), trial
+        assert sel.lower_bound <= opt + tol <= sel.objective_value + 2 * tol, trial
+        assert solver._gap(sel.objective_value, opt) <= sel.gap + 1e-9, trial
