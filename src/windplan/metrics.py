@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Instance, PlanError, capacity_by_municipality
+from .domain import Instance, PlanError
 
 RADAR_AXES = ("mean_lcoe", "mean_scenicness", "mean_network_length_km", "equity_pct")
 
@@ -70,10 +70,15 @@ def gini_pairwise(x: np.ndarray) -> float:
     return float(np.abs(x[:, None] - x[None, :]).sum()) / (2.0 * m * m * mean)
 
 
-def _added_capacity(site_ids: Sequence[int], instance: Instance) -> dict[int, float]:
+def _added_capacity(site_ids: Sequence[int], instance: Instance
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The municipalities of the selected sites, ascending, the MW they add
+    (running sums in ascending site-id order) and the position of each
+    one's first site in that order."""
     sites = instance.sites
     rows = np.sort(sites.rows(site_ids))
-    return capacity_by_municipality(zip(sites.mun[rows].tolist(), sites.caps[rows].tolist()))
+    mun, first, at = np.unique(sites.mun[rows], return_index=True, return_inverse=True)
+    return mun, np.bincount(at, weights=sites.caps[rows], minlength=mun.size), first
 
 
 def regional_equity(site_ids: Sequence[int], instance: Instance) -> EquityReport:
@@ -81,32 +86,38 @@ def regional_equity(site_ids: Sequence[int], instance: Instance) -> EquityReport
 
     Pass site_ids=() to score the existing stock alone.
     """
-    added = _added_capacity(site_ids, instance)
-    x: dict[int, float] = {}
-    excluded = 0
-    for m in instance.municipalities:
-        if m.population <= 0:
-            excluded += 1
-            continue
-        cap = added.get(m.municipality_id, 0.0) + m.existing_capacity
-        x[m.municipality_id] = cap / m.population
-    if not x:
+    mun, added, _ = _added_capacity(site_ids, instance)
+    muns = instance.municipalities
+    ids = np.fromiter((m.municipality_id for m in muns), dtype=np.int64, count=len(muns))
+    pop = np.fromiter((m.population for m in muns), dtype=float, count=len(muns))
+    cap = np.zeros(len(muns))  # MW added per municipality
+    if mun.size:
+        at = np.minimum(np.searchsorted(mun, ids), mun.size - 1)
+        hit = mun[at] == ids
+        cap[hit] = added[at[hit]]
+    cap += np.fromiter((m.existing_capacity for m in muns), dtype=float, count=len(muns))
+    counted = ~(pop <= 0)
+    if not counted.any():
         raise PlanError("no municipality has positive population")
-    arr = np.array([x[j] for j in sorted(x)], dtype=float)
+    ids, per_inhabitant = ids[counted], cap[counted] / pop[counted]
+    arr = per_inhabitant[np.argsort(ids)]
     g = gini_sorted(arr)
-    return EquityReport(x=x, gini=g, regional_equity_pct=(1.0 - g) * 100.0,
-                        n_municipalities=arr.size, excluded_zero_population=excluded)
+    return EquityReport(x=dict(zip(ids.tolist(), per_inhabitant.tolist())), gini=g,
+                        regional_equity_pct=(1.0 - g) * 100.0, n_municipalities=arr.size,
+                        excluded_zero_population=len(muns) - arr.size)
 
 
 def south_quota(site_ids: Sequence[int], instance: Instance) -> float:
-    """Percent of ADDED capacity placed in municipalities tagged South."""
-    added = _added_capacity(site_ids, instance)
-    if not added:
+    """Percent of ADDED capacity placed in municipalities tagged South; the
+    per-municipality totals are added in order of their first site."""
+    mun, added, first = _added_capacity(site_ids, instance)
+    if not mun.size:
         return 0.0
-    tags = {m.municipality_id: m.region_tag for m in instance.municipalities}
-    total = sum(added.values())
-    south = sum(cap for j, cap in added.items() if tags.get(j) == "South")
-    return 100.0 * south / total
+    south = np.fromiter((m.municipality_id for m in instance.municipalities
+                         if m.region_tag == "South"), dtype=np.int64)
+    order = np.argsort(first)
+    added, mun = added[order], mun[order]
+    return 100.0 * sum(added[np.isin(mun, south)].tolist()) / sum(added.tolist())
 
 
 def regional_stats(site_ids: Sequence[int], instance: Instance) -> RegionalStats:

@@ -12,10 +12,11 @@ import hashlib
 import json
 import math
 import os
+import weakref
 from dataclasses import asdict
 
 from . import __version__
-from .domain import Instance, ValidationError, write_csv
+from .domain import Instance, SiteTable, ValidationError, write_csv
 from .metrics import RADAR_AXES, RadarValues
 from .scenarios import ScenarioResult
 from .solver import Means, ParetoFront, Selection, Totals
@@ -26,17 +27,6 @@ _SELECTION_FIELDS = ("site_id", "municipality_id", "capacity_mw", "lcoe", "sceni
                      "network_length_km")
 # what a failed scenario's results.csv row reads: no sites and every figure 0.0
 _NO_SELECTION = Selection((), 0.0, Totals(0.0, 0.0, 0.0, 0.0), Means(0.0, 0.0, 0.0, 0.0), 0.0, 0.0)
-
-
-def _selected_sites(selection: Selection, instance: Instance):
-    """(lon, lat, record) per selected site in selection order; a record holds
-    the _SELECTION_FIELDS values, None for a missing network length."""
-    sites = instance.sites
-    rows = sites.rows(selection.site_ids)
-    lengths = [None if math.isnan(x) else x for x in sites.network_length[rows].tolist()]
-    records = zip(sites.ids[rows].tolist(), sites.mun[rows].tolist(), sites.caps[rows].tolist(),
-                  sites.lcoe[rows].tolist(), sites.scenicness[rows].tolist(), lengths)
-    return zip(sites.lon[rows].tolist(), sites.lat[rows].tolist(), records)
 
 
 # one Point feature in the layout of json.dump(..., indent=1); the %s slots
@@ -56,16 +46,41 @@ _FEATURE = """  {
   }"""
 
 
+def _literals(sites: SiteTable, rows: list[int]) -> list[tuple[str, ...]]:
+    """The JSON literals of each row's lon, lat and _SELECTION_FIELDS values:
+    repr() of a finite float is its JSON literal, and a missing network
+    length is null."""
+    lits = [list(map(repr, col[rows].tolist())) for col in (
+        sites.lon, sites.lat, sites.ids, sites.mun, sites.caps, sites.lcoe, sites.scenicness)]
+    lits.append(["null" if math.isnan(x) else repr(x)
+                 for x in sites.network_length[rows].tolist()])
+    return list(zip(*lits))
+
+
+# per SiteTable, the feature text of each row, None until a selection holds it;
+# the table's columns are read-only, so a text never goes stale
+_FEATURES: weakref.WeakKeyDictionary[SiteTable, list[str | None]] = weakref.WeakKeyDictionary()
+
+
+def _features(selection: Selection, instance: Instance) -> list[str]:
+    """The feature text of each selected site, in selection order; each row
+    of a table is formatted once, the first time a selection holds it."""
+    sites = instance.sites
+    rows = sites.rows(selection.site_ids).tolist()
+    features = _FEATURES.setdefault(sites, [None] * len(sites))
+    new = sorted({r for r in rows if features[r] is None})
+    for r, lits in zip(new, _literals(sites, new)):
+        features[r] = _FEATURE % lits
+    return [features[r] for r in rows]
+
+
 def write_geojson(selection: Selection, instance: Instance, path: str) -> None:
     """Selection as a GeoJSON FeatureCollection of Point features.
 
     The text is what json.dump(doc, f, indent=1) writes for the document,
-    built from a per-feature template; repr() of a finite float is its
-    JSON literal, and a missing network length is null.
+    built from a per-feature template (`_features`).
     """
-    features = ",\n".join(
-        _FEATURE % tuple("null" if v is None else repr(v) for v in (lon, lat, *record))
-        for lon, lat, record in _selected_sites(selection, instance))
+    features = ",\n".join(_features(selection, instance))
     body = f"[\n{features}\n ]" if features else "[]"
     with open(path, "w", encoding="utf-8") as f:
         f.write(f'{{\n "type": "FeatureCollection",\n "features": {body}\n}}\n')
@@ -80,9 +95,10 @@ def write_json(path: str, doc) -> None:
 
 
 def write_selection_csv(selection: Selection, instance: Instance, path: str) -> None:
+    sites = instance.sites
     write_csv(path, list(_SELECTION_FIELDS), (
-        [sid, mun, repr(cap), repr(lcoe), repr(scen), "" if length is None else repr(length)]
-        for _, _, (sid, mun, cap, lcoe, scen, length) in _selected_sites(selection, instance)))
+        [*lits[2:7], "" if lits[7] == "null" else lits[7]]
+        for lits in _literals(sites, sites.rows(selection.site_ids).tolist())))
 
 
 def read_selection_csv(path: str) -> list[int]:

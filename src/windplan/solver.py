@@ -29,6 +29,12 @@ they add as a site-by-site loop would), and polish tests all swap
 candidates of a site in one vectorised check, so its cost follows the
 selection size rather than the pool size.
 
+The equity floors are walked all at once: the rows of their municipalities
+sit in padded matrices, one per power-of-two width (`_FloorBlock`), and a
+stable row-wise sort, row-wise cumsums and a masked row-wise argmin give
+every floor's cover, fractional fill and bound terms. The terms are added
+floor after floor and site by site, as the scalar loops add them.
+
 Everything is deterministic; ties break on the lowest site id.
 """
 
@@ -187,15 +193,10 @@ class _RatioOrder:
             yield from rows.tolist()
 
 
-def _by_ratio(rows: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """Ascending `rows` by their `ratio` (cost/capacity, per site); the sort
-    is stable, so ties stay on the lower row, which is the lower site id."""
-    return rows[np.argsort(ratio[rows], kind="stable")]
-
-
-def _at_least(b: float) -> float:
-    """The least total that meets a lower bound `b`, to a relative FEAS_TOL."""
-    return b - FEAS_TOL * max(1.0, abs(b))
+def _at_least(b):
+    """The least total that meets a lower bound `b` (a float or an array of
+    bounds), to a relative FEAS_TOL."""
+    return b - FEAS_TOL * np.maximum(1.0, abs(b))
 
 
 def _at_most(b: float) -> float:
@@ -212,33 +213,84 @@ def _le(a: float, b: float) -> bool:
 
 
 @dataclass(frozen=True)
+class _FloorBlock:
+    """The floors whose municipalities have more than W/2 and at most W
+    sites, W a power of two, with their rows in a floors x W matrix: each
+    floor's rows ascending, then padding (copies of its first row). A row
+    holds fewer padded cells than real ones."""
+    floors: np.ndarray  # the block's floors, ascending
+    rows: np.ndarray  # floors x W
+    real: np.ndarray  # floors x W, False on the padding; a prefix of each row
+    size: np.ndarray  # sites per floor
+
+    def take(self, keep: np.ndarray) -> _FloorBlock:
+        """The block of the floors where `keep` is True."""
+        return _FloorBlock(self.floors[keep], self.rows[keep], self.real[keep], self.size[keep])
+
+    def by_ratio(self, cost: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """`rows` with each floor's sites by ascending cost/capacity and the
+        padding last; the sort is stable, so ties stay on the lower row,
+        which is the lower site id."""
+        ratio = np.where(self.real, cost[self.rows] / caps[self.rows], np.nan)
+        return np.take_along_axis(self.rows, np.argsort(ratio, axis=1, kind="stable"), axis=1)
+
+
+@dataclass(frozen=True)
 class _Floors:
     """The equity floors of a solve that 0 MW does not meet, in ascending
-    municipality order."""
-    mun: list[int]  # municipality of each floor
-    mw: list[float]  # the floors
+    municipality order, and their rows in blocks of similar width."""
+    mun: np.ndarray  # municipality of each floor
+    mw: np.ndarray  # the floors
     ge: np.ndarray  # each floor's `_at_least` threshold
-    rows: list[np.ndarray]  # each floor's municipality's rows, ascending
     of_site: np.ndarray  # per site, the index of its municipality's floor, -1 for none
+    blocks: list[_FloorBlock]
 
     def __len__(self) -> int:
-        return len(self.mw)
+        return self.mw.size
+
+    def in_order(self, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+        """The cells of `parts`, floor after floor. A part (floors, mask,
+        values) gives floor floors[i] the cells values[i][mask[i]], mask[i]
+        a prefix of the row; a floor is in at most one part."""
+        counts = np.zeros(len(self), dtype=np.intp)
+        for floors, mask, _ in parts:
+            counts[floors] = mask.sum(axis=1)
+        start = np.cumsum(counts) - counts
+        out = np.empty(int(counts.sum()), dtype=parts[0][2].dtype if parts else float)
+        for floors, mask, values in parts:
+            out[(start[floors][:, None] + np.arange(mask.shape[1]))[mask]] = values[mask]
+        return out
 
 
 def _floors(sites: SiteTable, equity_floors: dict[int, float] | None) -> _Floors:
     """The floors that 0 MW does not meet (the others constrain nothing); a
     floor in a municipality without candidates cannot be met."""
-    pos = sorted((int(j), float(f)) for j, f in (equity_floors or {}).items()
-                 if _at_least(f) > 0)
-    missing = [j for j, _ in pos if j not in sites.mun_rows]
-    if missing:
-        raise InfeasibleError(f"equity floors in municipalities without candidates: {missing}")
-    rows = [sites.by_mun[slice(*sites.mun_rows[j])] for j, _ in pos]
+    given = equity_floors or {}
+    mun = np.fromiter(given.keys(), dtype=np.int64, count=len(given))
+    mw = np.fromiter(given.values(), dtype=float, count=len(given))
+    keep = _at_least(mw) > 0
+    order = np.argsort(mun[keep])
+    mun, mw = mun[keep][order], mw[keep][order]
     of_site = np.full(len(sites), -1, dtype=np.int32)
-    for k, r in enumerate(rows):
-        of_site[r] = k
-    return _Floors([j for j, _ in pos], [f for _, f in pos],
-                   np.array([_at_least(f) for _, f in pos]), rows, of_site)
+    if not mun.size:
+        return _Floors(mun, mw, _at_least(mw), of_site, [])
+    grouped = sites.mun[sites.by_mun]  # municipality of each by_mun position, ascending
+    start = np.searchsorted(grouped, mun)
+    size = np.searchsorted(grouped, mun, side="right") - start
+    if not size.all():
+        raise InfeasibleError(
+            f"equity floors in municipalities without candidates: {mun[size == 0].tolist()}")
+    # a floor of s sites goes to the block of width 2**e, e the bit length of s - 1
+    width_exp = np.frexp(size - 1)[1]
+    blocks = []
+    for e in np.unique(width_exp).tolist():
+        k = np.flatnonzero(width_exp == e)
+        cols = np.arange(1 << e)
+        real = cols < size[k, None]
+        rows = sites.by_mun[start[k, None] + np.where(real, cols, 0)]
+        of_site[rows[real]] = np.repeat(k, size[k])
+        blocks.append(_FloorBlock(k, rows, real, size[k]))
+    return _Floors(mun, mw, _at_least(mw), of_site, blocks)
 
 
 @dataclass(frozen=True)
@@ -356,39 +408,50 @@ def _running_sum(start: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.append(start, values))[-1])
 
 
+def _floor_covers(problem: _Problem, cost: np.ndarray) -> np.ndarray:
+    """The rows that cover the floors, floor after floor: for each, the
+    shortest prefix of its municipality's ratio order that meets it, or the
+    cheapest single site that meets it alone (ties on the lower id) when
+    that costs less.
+
+    Every running total is a row-wise cumsum, so it adds in the order of a
+    site-by-site loop."""
+    floors, caps = problem.floors, problem.sites.caps
+    parts, short = [], []
+    for block in floors.blocks:
+        rows = block.by_ratio(cost, caps)
+        ge = floors.ge[block.floors]
+        cum = np.cumsum(np.where(block.real, caps[rows], 0.0), axis=1)  # MW after each site
+        covered = cum >= ge[:, None]
+        n = covered.argmax(axis=1)  # the last site of each cover
+        at = np.arange(n.size)
+        met = covered[at, n]
+        short += zip(block.floors[~met].tolist(), cum[~met, -1].tolist())
+        cost_a = np.cumsum(np.where(block.real, cost[rows], 0.0), axis=1)[at, n]
+        alone = np.where(block.real & (caps[block.rows] >= ge[:, None]), cost[block.rows], np.inf)
+        p = alone.argmin(axis=1)
+        single = alone[at, p] < cost_a
+        rows[single, 0] = block.rows[single, p[single]]
+        n[single] = 0
+        parts.append((block.floors, np.arange(rows.shape[1]) <= n[:, None], rows))
+    if short:
+        k, cum = min(short)
+        raise InfeasibleError(f"equity floor {floors.mw[k].item()} MW exceeds potential "
+                              f"{cum} MW in municipality {floors.mun[k].item()}")
+    return floors.in_order(parts)
+
+
 def _greedy(problem: _Problem, cost: np.ndarray) -> _State:
     """Floor-first then global ratio greedy, followed by a trim pass.
 
     A floor only takes sites of its own municipality, so none of them is
     selected before that floor's turn."""
     state = _State(problem, cost)
-    sites, floors, cap_obj = problem.sites, problem.floors, problem.cap_obj
-    caps, ids = sites.caps, sites.ids
-
-    ratio = cost / caps if floors else None
-    covers = []
-    for j, floor, ge, rows in zip(floors.mun, floors.mw, floors.ge.tolist(), floors.rows):
-        local = _by_ratio(rows, ratio)
-        chosen, cum, cost_a = [], 0.0, 0.0
-        for i in local:
-            chosen.append(i)
-            cum += caps[i]
-            cost_a += cost[i]
-            if cum >= ge:
-                break
-        if not cum >= ge:
-            raise InfeasibleError(
-                f"equity floor {floor} MW exceeds potential {cum} MW in municipality {j}")
-        # the cheapest single site that covers the floor, ties on the lower id
-        fits = local[caps[local] >= ge]
-        if fits.size:
-            single = fits[np.lexsort((ids[fits], cost[fits]))[0]]
-            if cost[single] < cost_a:
-                chosen = [single]
-        covers += chosen
-    state.add_rows(np.array(covers, dtype=np.intp))
+    if problem.floors:
+        state.add_rows(_floor_covers(problem, cost))
 
     state.fill()
+    cap_obj = problem.cap_obj
     if not _ge(state.cap_total, cap_obj):
         shortfall = cap_obj - state.cap_total
         raise InfeasibleError(
@@ -446,23 +509,31 @@ def _feasible(state: _State) -> bool:
             and bool(np.all(state.floor_totals >= state.problem.floors.ge)) and state.caps_ok())
 
 
-def _fill_floor(caps: np.ndarray, cost: np.ndarray, rows: np.ndarray, floor: float,
-                total: float, used: np.ndarray) -> float:
-    """`total` plus the cost of covering `floor` fractionally along `rows`;
-    `used` accumulates the fraction taken of each site.
+def _fill(block: _FloorBlock, need: np.ndarray, caps: np.ndarray, cost: np.ndarray,
+          used: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Cover each floor of `block`, `need` MW, fractionally along its
+    municipality's ratio order, as a site-by-site loop does: take
+    min(capacity, need) of each site until the need is at most 1e-15.
 
-    np.inf when the rows cannot cover the floor.
+    Sets the fraction taken of each site in `used` and returns the cost
+    of each take as a part of `_Floors.in_order`; None when a floor ends
+    with a need above 1e-9 (is not met). The need after each site is a
+    row-wise cumsum, so it subtracts in the loop's order.
     """
-    need = floor
-    for i in rows:
-        take = min(caps[i], need)
-        frac = take / caps[i]
-        used[i] += frac
-        total += frac * cost[i]
-        need -= take
-        if need <= 1e-15:
-            break
-    return np.inf if need > 1e-9 else total
+    rows = block.by_ratio(cost, caps)
+    c = caps[rows]
+    left = np.cumsum(np.concatenate((need[:, None], np.where(block.real, -c, 0.0)), axis=1),
+                     axis=1)  # the need before each site, and after the last
+    if not (left[:, -1] <= 1e-9).all():
+        return None
+    done = left[:, 1:] <= 1e-15
+    n = np.where(done.any(axis=1), done.argmax(axis=1) + 1, block.size)
+    taken = np.arange(rows.shape[1]) < n[:, None]
+    frac = np.minimum(c, left[:, :-1])[taken] / c[taken]
+    used[rows[taken]] = frac
+    terms = np.zeros(rows.shape)
+    terms[taken] = frac * cost[rows[taken]]
+    return block.floors, taken, terms
 
 
 def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -470,21 +541,24 @@ def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[floa
     the total of `v` over that fractional solution.
 
     Floors are filled fractionally at the cheapest within-municipality
-    ratios; the residual capacity takes the globally cheapest remaining
-    fractional marginals. Marginal cost curves are convex, so this
-    greedy is LP-optimal. An infeasible relaxation gives (inf, inf).
+    ratios (`_fill`), their costs added floor after floor; the residual
+    capacity takes the globally cheapest remaining fractional marginals.
+    Marginal cost curves are convex, so this greedy is LP-optimal. An
+    infeasible relaxation gives (inf, inf).
     """
     sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
     used = np.zeros(len(sites))  # fraction of each site already committed
     total_cost = 0.0
     floor_cap = 0.0
-    ratio = cost / caps if floors else None
-    for floor, rows in zip(floors.mw, floors.rows):
-        total_cost = _fill_floor(caps, cost, _by_ratio(rows, ratio), floor, total_cost, used)
-        if total_cost == np.inf:
+    v_total = 0.0
+    if floors:
+        parts = [_fill(block, floors.mw[block.floors], caps, cost, used)
+                 for block in floors.blocks]
+        if None in parts:
             return np.inf, np.inf
-        floor_cap += floor
-    v_total = float(np.sum(used * v)) if floors else 0.0
+        total_cost = _running_sum(0.0, floors.in_order(parts))
+        floor_cap = _running_sum(0.0, floors.mw)
+        v_total = float(np.sum(used * v))
     residual = problem.cap_obj - floor_cap
     if residual > 1e-15:
         # take each site's available capacity in ratio order until the
@@ -515,33 +589,49 @@ def _floor_int_bound(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tupl
     """Lower bound keeping floor coverage integral per municipality, and
     the total of `v` over the covers it takes.
 
-    Exact when a floor fits a single site or the municipality is small
+    Exact when every site of a municipality meets its floor alone (the
+    cheapest is taken, ties on the lower id) or the municipality is small
     enough to enumerate; otherwise the municipal fractional fill in ratio
-    order (`_fill_floor`, as in `_lp_nested`) is used. Ignores the
-    global constraint, which only relaxes further. An unattainable floor
-    gives (inf, inf).
+    order (`_fill`, as in `_lp_nested`) is used. The terms are added floor
+    after floor. Ignores the global constraint, which only relaxes further.
+    An unattainable floor gives (inf, inf).
     """
-    sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
-    used = np.zeros(len(sites))  # fractional fills
-    ratio = cost / caps
-    total = v_total = 0.0
-    for floor, ge, idxs in zip(floors.mw, floors.ge, floors.rows):
-        if floor <= caps[idxs].min() + 1e-15:
-            p = idxs[cost[idxs].argmin()]
-            total += cost[p]
-            v_total += v[p]
-        elif len(idxs) <= 12:
-            bits = _subset_rows(len(idxs))[1:]
-            feas = bits @ caps[idxs] >= ge
-            if not feas.any():
+    floors, caps = problem.floors, problem.sites.caps
+    used = np.zeros(len(problem.sites))  # fractional fills
+    parts, v_parts = [], []  # cost and v terms, per block and kind of floor
+    for block in floors.blocks:
+        mw = floors.mw[block.floors]
+        single = mw <= np.where(block.real, caps[block.rows], np.inf).min(axis=1) + 1e-15
+        if single.any():
+            b = block.take(single)
+            cheapest = np.where(b.real, cost[b.rows], np.inf).argmin(axis=1)
+            p = b.rows[np.arange(cheapest.size), cheapest]
+            one = np.ones((p.size, 1), dtype=bool)
+            parts.append((b.floors, one, cost[p, None]))
+            v_parts.append((b.floors, one, v[p, None]))
+        fill = ~single & (block.size > 12)
+        if fill.any():
+            parts.append(_fill(block.take(fill), mw[fill], caps, cost, used))
+            if parts[-1] is None:
                 return np.inf, np.inf
-            costs = (bits @ cost[idxs])[feas]
-            total += float(costs.min())
-            v_total += float(bits[feas.nonzero()[0][costs.argmin()]] @ v[idxs])
-        else:
-            total = _fill_floor(caps, cost, _by_ratio(idxs, ratio), floor, total, used)
-            if total == np.inf:
-                return np.inf, np.inf
+        small = ~single & ~fill
+        if small.any():
+            b = block.take(small)
+            one = np.ones((b.size.size, 1), dtype=bool)
+            terms, v_terms = np.empty(one.shape), np.empty(one.shape)
+            for i, (k, size) in enumerate(zip(b.floors.tolist(), b.size.tolist())):
+                idxs = b.rows[i, :size]
+                bits = _subset_rows(size)[1:]
+                feas = bits @ caps[idxs] >= floors.ge[k]
+                if not feas.any():
+                    return np.inf, np.inf
+                costs = (bits @ cost[idxs])[feas]
+                terms[i] = costs.min()
+                v_terms[i] = bits[feas.nonzero()[0][costs.argmin()]] @ v[idxs]
+            parts.append((b.floors, one, terms))
+            v_parts.append((b.floors, one, v_terms))
+    total = _running_sum(0.0, floors.in_order(parts))
+    v_total = _running_sum(0.0, floors.in_order(v_parts))
     return total, v_total + float(np.sum(used * v))
 
 

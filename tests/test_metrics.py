@@ -89,6 +89,18 @@ def test_reports_sum_in_ascending_site_id_order():
     assert regional_equity([2, 3, 1], inst).x == regional_equity([1, 2, 3], inst).x
 
 
+def test_south_quota_adds_municipal_totals_in_order_of_first_site():
+    # the totals of municipalities 3, 1, 2 are added in that order, the order
+    # of their first sites: (0.1 + 0.2) + 0.3 != (0.2 + 0.3) + 0.1
+    sites = [mk_site(1, mun=3, capacity=0.1), mk_site(2, mun=1, capacity=0.2),
+             mk_site(3, mun=2, capacity=0.3)]
+    inst = mk_instance(sites, municipalities=[mk_mun(1), mk_mun(2, region="South"),
+                                              mk_mun(3, region="South")])
+    expected = 100.0 * (0.1 + 0.3) / ((0.1 + 0.2) + 0.3)
+    assert expected != 100.0 * (0.3 + 0.1) / ((0.2 + 0.3) + 0.1)
+    assert south_quota([3, 2, 1], inst) == expected
+
+
 def test_regional_stats():
     sites = [mk_site(1, mun=1, capacity=3.0, scenicness=2.0),
              mk_site(2, mun=2, capacity=1.0, scenicness=6.0)]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -66,3 +67,44 @@ def test_geojson_template_matches_json_dump(tmp_path, site_ids):
     _json_dump_reference(sel, inst, str(tmp_path / "reference.geojson"))
     assert ((tmp_path / "template.geojson").read_bytes()
             == (tmp_path / "reference.geojson").read_bytes())
+
+
+def _csv_reference(sel, inst, path):
+    """The selection CSV as csv.writer writes it, built from the table."""
+    sites = inst.sites
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["site_id", "municipality_id", "capacity_mw", "lcoe", "scenicness",
+                    "network_length_km"])
+        for k in sites.rows(sel.site_ids).tolist():
+            length = sites.network_length[k].item()
+            w.writerow([sites.ids[k].item(), sites.mun[k].item(), repr(sites.caps[k].item()),
+                        repr(sites.lcoe[k].item()), repr(sites.scenicness[k].item()),
+                        "" if math.isnan(length) else repr(length)])
+
+
+def test_selection_texts_follow_their_table(tmp_path):
+    # selections that share sites are written from one table in turn, then
+    # the same ids from a second table with other values: each file is what
+    # its own table gives, a missing length and -0.0 included
+    def table(shift):
+        return mk_instance([
+            mk_site(i, mun=1 + i % 2, lat=-0.0 if i == 2 else 50.0 + i * shift,
+                    lon=-0.0 if i == 5 else 9.5 - shift, capacity=2.0 + shift,
+                    lcoe=5.0 + i / 7, scenicness=4.0 * shift,
+                    length=None if i == 3 else 1.5 * i + shift)
+            for i in range(1, 7)])
+
+    first, second = table(0.0), table(0.25)
+    writes = [(first, (1, 2, 3)), (first, (3, 4, 2)), (first, (6, 5, 4, 3, 2, 1)), (first, ()),
+              (second, (2, 3, 4)), (second, (1, 2, 3, 4, 5, 6)), (first, (4, 3))]
+    for k, (inst, site_ids) in enumerate(writes):
+        sel = Selection(site_ids=site_ids, objective_value=0.0,
+                        totals=Totals(0.0, 0.0, 0.0, 0.0), means=Means(0.0, 0.0, 0.0, 0.0),
+                        lower_bound=0.0, gap=0.0)
+        for write, reference in ((write_geojson, _json_dump_reference),
+                                 (write_selection_csv, _csv_reference)):
+            write(sel, inst, str(tmp_path / "ours"))
+            reference(sel, inst, str(tmp_path / "reference"))
+            assert ((tmp_path / "ours").read_bytes()
+                    == (tmp_path / "reference").read_bytes()), (k, write.__name__)

@@ -384,6 +384,35 @@ def test_tolerance_rule_has_one_home():
     assert sorted(products.found) == ["_at_least", "_at_most"]
 
 
+def _reads_floors(node):
+    """Whether an expression reads the floors, given (`equity_floors`) or
+    held by the solver (a `_Floors`, or a block's floors), other than as
+    `floors.blocks`, the width blocks."""
+    if isinstance(node, ast.Attribute) and node.attr == "blocks":
+        return False
+    return any(isinstance(n, ast.Name) and n.id in ("floors", "equity_floors")
+               or isinstance(n, ast.Attribute) and n.attr in ("floors", "equity_floors")
+               for n in ast.walk(node))
+
+
+def test_floors_are_walked_at_once():
+    # the solver walks the floors as matrices. The loops over them that are
+    # left: the subset branch of the integral floor bound (municipalities of
+    # at most 12 sites), one constraint per floor on the exact path (pools of
+    # at most 24 sites), and the two checks of given floors, `Constraints`'
+    # range check and `verify_selection`, a plain loop by design
+    with open(solver.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    loops = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            loops += [func.name for node in ast.walk(func)
+                      if isinstance(node, (ast.For, ast.comprehension))
+                      and _reads_floors(node.iter)]
+    assert sorted(loops) == ["__post_init__", "_enumerate", "_floor_int_bound",
+                             "verify_selection"]
+
+
 def _shuffled(inst, seed):
     """The instance with its table rebuilt from columns in shuffled row order."""
     order = np.random.default_rng(seed).permutation(len(inst.sites))
@@ -709,6 +738,55 @@ def _check_relaxations(sites, cost, cap_obj, floors, reached):
             sites, cost, floors, v, count)
 
 
+def _scalar_floor_covers(sites, cost, floors, reached):
+    """Reference for `_floor_covers`: the per-floor loop that `_greedy` ran
+    before the floors were walked all at once, one floor of the dict
+    `floors` that 0 MW does not meet at a time, in ascending municipality
+    order. `reached` counts the covers taken as a single site."""
+    caps, ids = sites.caps, sites.ids
+    covers = []
+    for j, floor in sorted(floors.items()):
+        ge = solver._at_least(floor)
+        if ge <= 0:
+            continue
+        local = np.array(_ratio_rows(sites, cost, j))
+        chosen, cum, cost_a = [], 0.0, 0.0
+        for i in local:
+            chosen.append(i)
+            cum += caps[i]
+            cost_a += cost[i]
+            if cum >= ge:
+                break
+        if not cum >= ge:
+            raise InfeasibleError(
+                f"equity floor {floor} MW exceeds potential {cum} MW in municipality {j}")
+        # the cheapest single site that covers the floor, ties on the lower id
+        fits = local[caps[local] >= ge]
+        if fits.size:
+            single = fits[np.lexsort((ids[fits], cost[fits]))[0]]
+            if cost[single] < cost_a:
+                reached["single"] += 1
+                chosen = [single]
+        covers += chosen
+    return covers
+
+
+def _check_floor_covers(sites, cost, floors, reached):
+    """`_floor_covers` against its reference: the same rows in the order
+    they are added, or the same InfeasibleError text."""
+    problem = solver._Problem(sites, 0.0, solver._floors(sites, floors), [])
+    try:
+        expected = _scalar_floor_covers(sites, cost, floors, reached)
+    except InfeasibleError as err:
+        reached["infeasible"] += 1
+        with pytest.raises(InfeasibleError) as ours:
+            solver._floor_covers(problem, cost)
+        assert str(ours.value) == str(err)
+        return
+    reached["met"] += bool(floors)
+    assert solver._floor_covers(problem, cost).tolist() == [int(i) for i in expected]
+
+
 def _scalar_fill_and_trim(state):
     """Reference for `_State.fill` and `drop_removable`: one site at a time."""
     sites, cost, cap_obj = state.problem.sites, state.cost, state.problem.cap_obj
@@ -726,11 +804,13 @@ def _scalar_fill_and_trim(state):
 
 
 def test_block_passes_match_scalar_loops():
-    # the relaxations, the greedy fill and the trim pass take numpy blocks;
-    # every total must equal the site-by-site loop's to the last bit
+    # the relaxations, the greedy's floor pass and fill and the trim pass take
+    # numpy blocks; every total must equal the site-by-site loop's to the last
+    # bit, and the floor pass must add the same rows in the same order
     rng = np.random.default_rng(31)
     small_rng = np.random.default_rng(32)  # small municipalities, for the floor bound
     reached = collections.Counter()
+    covers = collections.Counter()  # floor passes of the greedy, by outcome
     for trial in range(120):
         n = int(rng.integers(1, 3000))
         sites, cost, raw_floors = _random_pool(rng, n)
@@ -738,10 +818,12 @@ def test_block_passes_match_scalar_loops():
         cap_obj = float(rng.uniform(0.0, 1.02)) * float(sites.caps.sum())
         order = np.lexsort((sites.ids, cost / sites.caps, sites.mun))
         _check_relaxations(sites, cost, cap_obj, raw_floors, reached)
+        _check_floor_covers(sites, cost, raw_floors, covers)
         small, small_cost, small_floors = _small_mun_pool(small_rng)
         _check_relaxations(small, small_cost,
                            float(small_rng.uniform(0.0, 1.02)) * float(small.caps.sum()),
                            small_floors, reached)
+        _check_floor_covers(small, small_cost, small_floors, covers)
         v = sites.scenicness
         specs = [("scenicness", v, float(v.sum()) * 0.3),
                  ("network_length", sites.network_length, 1e9)]
@@ -766,6 +848,43 @@ def test_block_passes_match_scalar_loops():
                 ref.obj, ref.cap_total, ref.v_totals, ref.floor_totals.tolist()), trial
     # every case of the integral floor bound was compared often enough
     assert min(reached[k] for k in ("single", "subset", "fill", "unattainable")) >= 20, reached
+    assert min(covers[k] for k in ("met", "single", "infeasible")) >= 20, covers
+
+
+def test_skewed_pool_matches_scalar_loops():
+    # one municipality of 4000 sites next to 1000 of one site and 20 of 8:
+    # the greedy and both floor bounds equal the site-by-site loops, and the
+    # width blocks pad fewer cells than they hold, so the large municipality
+    # does not pad every floor to its width
+    rng = np.random.default_rng(41)
+    mun = np.concatenate((np.zeros(4000, dtype=int), np.arange(1, 1001),
+                          np.repeat(np.arange(1001, 1021), 8)))
+    n = mun.size
+    zero = np.zeros(n)
+    sites = SiteTable.from_columns(rng.permutation(n) + 1, mun, zero, zero,
+                                   rng.choice([2.0, 3.0, 4.5, 0.7], size=n),
+                                   rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 3.0, n), zero,
+                                   rng.uniform(0.0, 50.0, n))
+    cost = np.round(sites.lcoe + 0.5 * sites.scenicness, 2)
+    floors = {j: float(rng.uniform(0.05, 0.9)) * float(sites.caps[sites.mun == j].sum())
+              for j in range(1021)}
+    problem = solver._Problem(sites, 0.6 * float(sites.caps.sum()),
+                              solver._floors(sites, floors), [])
+    blocks = problem.floors.blocks
+    assert sum(int(b.size.sum()) for b in blocks) == n
+    assert sum(b.rows.size for b in blocks) <= 2 * n
+    assert max(b.rows.shape[1] for b in blocks) == 4096
+
+    ours = solver._greedy(problem, cost)
+    ref = solver._State(problem, cost, np.array(
+        _scalar_floor_covers(sites, cost, floors, collections.Counter())))
+    _scalar_fill_and_trim(ref)
+    assert (ours.taken == ref.taken).all()
+    assert (ours.obj, ours.cap_total, ours.floor_totals.tolist()) == (
+        ref.obj, ref.cap_total, ref.floor_totals.tolist())
+    reached = collections.Counter()
+    _check_relaxations(sites, cost, problem.cap_obj, floors, reached)
+    assert min(reached[k] for k in ("single", "subset", "fill")) >= 1, reached
 
 
 def _scan_subsets(sites, cost, cap_obj, floors, cap_specs):
