@@ -13,6 +13,7 @@ from .domain import (
     Instance,
     InfeasibleError,
     Municipality,
+    MunicipalityTable,
     PlanError,
     SiteTable,
     Transformer,
@@ -30,6 +31,7 @@ __all__ = [
     "Instance",
     "InfeasibleError",
     "Municipality",
+    "MunicipalityTable",
     "PlanError",
     "SiteTable",
     "Transformer",

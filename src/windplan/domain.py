@@ -6,8 +6,11 @@ Instances are immutable.
 
 The candidate pool is `Instance.sites`, a SiteTable of read-only numpy
 columns sorted by site_id, and it has no other form: it is read, made,
-filtered, validated and written as columns. `CandidateSite` records only
-feed hand-built pools (`SiteTable.of`).
+filtered, validated and written as columns. The municipality table is
+`Instance.municipalities`, a MunicipalityTable of the same kind sorted by
+municipality id, and every per-municipality total is one np.bincount over
+its rows. `CandidateSite` and `Municipality` records only feed hand-built
+tables (`SiteTable.of`, `MunicipalityTable.of`).
 """
 
 from __future__ import annotations
@@ -116,14 +119,32 @@ _SITE_COLUMNS = ("ids", "mun", "lat", "lon", "caps", "lcoe", "scenicness",
                  "full_load_hours", "network_length")
 
 
+def _sorted_columns(values, dtypes) -> list[np.ndarray]:
+    """Read-only copies of the columns, rows in stable order of the first."""
+    cols = [np.asarray(v, dtype=t) for v, t in zip(values, dtypes)]
+    order = np.argsort(cols[0], kind="stable")
+    cols = [col[order] for col in cols]
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+def _rows(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row of each id in a sorted id column, by one np.searchsorted, and -1
+    where the id is not there."""
+    if not sorted_ids.size:
+        return np.full(ids.shape, -1)
+    at = np.searchsorted(sorted_ids, ids)
+    return np.where(sorted_ids.take(at, mode="clip") == ids, at, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class SiteTable:
     """Numpy columns of a candidate pool, one row per site, sorted by site_id.
 
     network_length is NaN where a site has no length yet. by_mun lists
-    the rows grouped by municipality (ascending within a group) and
-    mun_rows maps a municipality id to its (start, stop) slice of by_mun.
-    Columns are read-only.
+    the rows grouped by municipality (ascending within a group). Columns
+    are read-only.
     """
     ids: np.ndarray
     mun: np.ndarray
@@ -135,7 +156,6 @@ class SiteTable:
     full_load_hours: np.ndarray
     network_length: np.ndarray
     by_mun: np.ndarray
-    mun_rows: dict[int, tuple[int, int]]
 
     @classmethod
     def from_columns(cls, ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours,
@@ -143,21 +163,14 @@ class SiteTable:
         """The one constructor: rows in stable site_id order, grouped by
         municipality, every column a read-only copy. network_length
         defaults to all NaN (no lengths yet)."""
-        ids = np.asarray(ids, dtype=np.int64)
         if network_length is None:
-            network_length = np.full(ids.size, np.nan)
-        order = np.argsort(ids, kind="stable")
-        values = (ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours, network_length)
-        cols = {name: np.asarray(v, dtype=np.int64 if name in ("ids", "mun") else float)[order]
-                for name, v in zip(_SITE_COLUMNS, values)}
-        by_mun = np.argsort(cols["mun"], kind="stable")
-        keys, starts, counts = np.unique(cols["mun"][by_mun], return_index=True,
-                                         return_counts=True)
-        for arr in (*cols.values(), by_mun):
-            arr.flags.writeable = False
-        return cls(**cols, by_mun=by_mun,
-                   mun_rows={j: (a, a + k) for j, a, k in zip(keys.tolist(), starts.tolist(),
-                                                              counts.tolist())})
+            network_length = np.full(len(ids), np.nan)
+        cols = _sorted_columns(
+            (ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours, network_length),
+            (np.int64, np.int64) + (float,) * 7)
+        by_mun = np.argsort(cols[1], kind="stable")
+        by_mun.flags.writeable = False
+        return cls(*cols, by_mun=by_mun)
 
     @classmethod
     def of(cls, candidates: list[CandidateSite]) -> SiteTable:
@@ -180,10 +193,67 @@ class SiteTable:
         """Row of each site id, in the order given; an unknown id is a
         ValidationError naming it."""
         ids = np.asarray(site_ids, dtype=np.int64)
-        unknown = ids[~np.isin(ids, self.ids)]
-        if unknown.size:
-            raise ValidationError(f"unknown site ids {unknown[:5].tolist()}")
-        return np.searchsorted(self.ids, ids)
+        rows = _rows(self.ids, ids)
+        if (rows < 0).any():
+            raise ValidationError(f"unknown site ids {ids[rows < 0][:5].tolist()}")
+        return rows
+
+
+@dataclass(frozen=True, eq=False)
+class MunicipalityTable:
+    """Numpy columns of the municipality table, one row per municipality,
+    sorted by municipality id. name and region_tag hold Python strings;
+    existing_capacity is the MW of the existing turbines. Columns are
+    read-only.
+    """
+    ids: np.ndarray
+    name: np.ndarray
+    population: np.ndarray
+    region_tag: np.ndarray
+    state_id: np.ndarray
+    area: np.ndarray
+    existing_capacity: np.ndarray
+
+    @classmethod
+    def from_columns(cls, ids, name, population, region_tag, state_id, area,
+                     existing_capacity=None) -> MunicipalityTable:
+        """The one constructor: rows in stable id order, every column a
+        read-only copy. existing_capacity defaults to all zero."""
+        if existing_capacity is None:
+            existing_capacity = np.zeros(len(ids))
+        return cls(*_sorted_columns(
+            (ids, name, population, region_tag, state_id, area, existing_capacity),
+            (np.int64, object, float, object, np.int64, float, float)))
+
+    @classmethod
+    def of(cls, municipalities: list[Municipality]) -> MunicipalityTable:
+        """Table of hand-built municipality records, in any order."""
+        fields = ("municipality_id", "name", "population", "region_tag", "state_id", "area",
+                  "existing_capacity")
+        return cls.from_columns(*([getattr(m, f) for m in municipalities] for f in fields))
+
+    def with_turbines(self, turbines: list[ExistingTurbine]) -> MunicipalityTable:
+        """The table whose existing_capacity is the MW of the given turbines."""
+        return MunicipalityTable.from_columns(
+            self.ids, self.name, self.population, self.region_tag, self.state_id, self.area,
+            self.total([t.municipality_id for t in turbines], [t.capacity for t in turbines]))
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def rows(self, mun_ids) -> np.ndarray:
+        """Row of each municipality id, in the order given; -1 for an id
+        not in the table."""
+        return _rows(self.ids, np.asarray(mun_ids, dtype=np.int64))
+
+    def total(self, mun_ids, values) -> np.ndarray:
+        """Per row, the sum of the values given beside its id, added in the
+        order given by one np.bincount; a value beside an id not in the
+        table counts nowhere."""
+        rows = self.rows(mun_ids)
+        known = rows >= 0
+        return np.bincount(rows[known], weights=np.asarray(values, dtype=float)[known],
+                           minlength=len(self))
 
 
 @dataclass(frozen=True)
@@ -191,7 +261,7 @@ class Instance:
     """The candidate pool as one SiteTable, plus the municipality table,
     the existing stock and the transformer set."""
     sites: SiteTable
-    municipalities: list[Municipality]
+    municipalities: MunicipalityTable
     existing: list[ExistingTurbine] = field(default_factory=list)
     transformers: list[Transformer] = field(default_factory=list)
 
@@ -229,45 +299,29 @@ def _check_coords(report: ValidationReport, lat: float, lon: float, label: str, 
         report.add("RangeViolation", oid, f"{label} {oid}: lon {lon} outside [-180, 180]")
 
 
-def _check_number(report: ValidationReport, label: str, oid: int, name: str, value: float,
-                  out_of_range: bool, rule: str) -> None:
-    """A RangeViolation for a value outside its range (message `rule`) or,
-    failing that, for a non-finite one."""
-    if out_of_range or not math.isfinite(value):
-        report.add("RangeViolation", oid,
-                   f"{label} {oid}: {name} {value} {rule if out_of_range else 'is not finite'}")
-
-
 def _outside(column: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return ~((column >= lo) & (column <= hi))
 
 
-def _check_sites(report: ValidationReport, sites: SiteTable, mun_ids: set[int]) -> None:
-    """The per-site checks as column masks; a failing site's messages come
-    in the order of a per-site loop, sites in table order."""
-    known = np.isin(sites.mun, list(mun_ids))
-    # a NaN network length means "no length yet"
-    length = np.where(np.isnan(sites.network_length), 0.0, sites.network_length)
-    rules = [  # (name, column, out of range, range rule)
-        ("scenicness", sites.scenicness,
-         _outside(sites.scenicness, SCENICNESS_MIN, SCENICNESS_MAX), "outside [1, 9]"),
-        ("capacity", sites.caps, sites.caps <= 0, "<= 0"),
-        ("lcoe", sites.lcoe, sites.lcoe <= 0, "<= 0"),
-        ("full_load_hours", sites.full_load_hours, sites.full_load_hours < 0, "< 0"),
-        ("network_length", length, length < 0, "< 0"),
-        ("lat", sites.lat, _outside(sites.lat, -90.0, 90.0), "outside [-90, 90]"),
-        ("lon", sites.lon, _outside(sites.lon, -180.0, 180.0), "outside [-180, 180]"),
-    ]
-    failing = ~known
-    for _, column, out, _ in rules:
-        failing |= out | ~np.isfinite(column)
+def _range_check(name: str, column: np.ndarray, out: np.ndarray, rule: str) -> tuple:
+    """A RangeViolation check of a number column: a value outside its range
+    (message `rule`) or, failing that, a non-finite one."""
+    return ("RangeViolation", out | ~np.isfinite(column),
+            lambda k: f": {name} {column[k].tolist()} {rule if out[k] else 'is not finite'}")
+
+
+def _check_rows(report: ValidationReport, label: str, ids: np.ndarray, checks: list) -> None:
+    """The checks of a table as column masks, each (kind, failing mask,
+    message tail of failing row k); a failing row's messages come in check
+    order, as a per-row loop gives them, rows in table order."""
+    failing = np.zeros(ids.shape, dtype=bool)
+    for _, mask, _ in checks:
+        failing |= mask
     for k in np.flatnonzero(failing).tolist():
-        sid = sites.ids[k].tolist()
-        if not known[k]:
-            report.add("MissingReference", sid, f"site {sid} references unknown "
-                                                f"municipality {sites.mun[k].tolist()}")
-        for name, column, out, rule in rules:
-            _check_number(report, "site", sid, name, column[k].tolist(), out[k], rule)
+        oid = ids[k].tolist()
+        for kind, mask, tail in checks:
+            if mask[k]:
+                report.add(kind, oid, f"{label} {oid}{tail(k)}")
 
 
 def validate_instance(instance: Instance) -> ValidationReport:
@@ -279,18 +333,32 @@ def validate_instance(instance: Instance) -> ValidationReport:
     idempotent.
     """
     report = ValidationReport()
-    mun_ids = {m.municipality_id for m in instance.municipalities}
+    sites, muns = instance.sites, instance.municipalities
 
-    if not len(instance.sites):
+    if not len(sites):
         report.add("EmptyCandidates", None, "instance has no candidate sites")
 
-    _check_duplicates(report, instance.sites.ids.tolist(), "site_id")
-    _check_duplicates(report, (m.municipality_id for m in instance.municipalities), "municipality_id")
+    _check_duplicates(report, sites.ids.tolist(), "site_id")
+    _check_duplicates(report, muns.ids.tolist(), "municipality_id")
     _check_duplicates(report, (t.turbine_id for t in instance.existing), "turbine_id")
     _check_duplicates(report, (t.transformer_id for t in instance.transformers), "transformer_id")
 
-    _check_sites(report, instance.sites, mun_ids)
+    # a NaN network length means "no length yet"
+    length = np.where(np.isnan(sites.network_length), 0.0, sites.network_length)
+    _check_rows(report, "site", sites.ids, [
+        ("MissingReference", ~np.isin(sites.mun, muns.ids),
+         lambda k: f" references unknown municipality {sites.mun[k].tolist()}"),
+        _range_check("scenicness", sites.scenicness,
+                     _outside(sites.scenicness, SCENICNESS_MIN, SCENICNESS_MAX), "outside [1, 9]"),
+        _range_check("capacity", sites.caps, sites.caps <= 0, "<= 0"),
+        _range_check("lcoe", sites.lcoe, sites.lcoe <= 0, "<= 0"),
+        _range_check("full_load_hours", sites.full_load_hours, sites.full_load_hours < 0, "< 0"),
+        _range_check("network_length", length, length < 0, "< 0"),
+        _range_check("lat", sites.lat, _outside(sites.lat, -90.0, 90.0), "outside [-90, 90]"),
+        _range_check("lon", sites.lon, _outside(sites.lon, -180.0, 180.0), "outside [-180, 180]"),
+    ])
 
+    mun_ids = set(muns.ids.tolist())
     for t in instance.existing:
         if t.municipality_id not in mun_ids:
             report.add("MissingReference", t.turbine_id,
@@ -308,30 +376,19 @@ def validate_instance(instance: Instance) -> ValidationReport:
                        f"transformer {tr.transformer_id}: voltage {tr.voltage_kv} not in {{20, 110}}")
         _check_coords(report, tr.lat, tr.lon, "transformer", tr.transformer_id)
 
-    existing_sums = capacity_by_municipality(
-        (t.municipality_id, t.capacity) for t in instance.existing)
-    for m in instance.municipalities:
-        j = m.municipality_id
-        _check_number(report, "municipality", j, "population", m.population,
-                      m.population < 0, "< 0")
-        _check_number(report, "municipality", j, "area", m.area, m.area <= 0, "<= 0")
-        if m.region_tag not in REGION_TAGS:
-            report.add("RangeViolation", j, f"municipality {j}: region_tag {m.region_tag!r}")
-        expected = existing_sums.get(j, 0.0)
-        if abs(m.existing_capacity - expected) > 1e-9:
-            report.add("InconsistentDerived", j,
-                       f"municipality {j}: existing_capacity "
-                       f"{m.existing_capacity} != turbine sum {expected}")
+    expected = muns.with_turbines(instance.existing).existing_capacity
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite capacity is its own violation
+        inconsistent = np.abs(muns.existing_capacity - expected) > 1e-9
+    _check_rows(report, "municipality", muns.ids, [
+        _range_check("population", muns.population, muns.population < 0, "< 0"),
+        _range_check("area", muns.area, muns.area <= 0, "<= 0"),
+        ("RangeViolation", ~np.isin(muns.region_tag, REGION_TAGS),
+         lambda k: f": region_tag {muns.region_tag[k]!r}"),
+        ("InconsistentDerived", inconsistent,
+         lambda k: f": existing_capacity {muns.existing_capacity[k].tolist()} "
+                   f"!= turbine sum {expected[k].tolist()}"),
+    ])
     return report
-
-
-def capacity_by_municipality(pairs) -> dict[int, float]:
-    """MW per municipality from (municipality_id, MW) pairs: running sums in
-    pair order, keyed in order of first appearance."""
-    total: dict[int, float] = {}
-    for j, cap in pairs:
-        total[j] = total.get(j, 0.0) + cap
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +475,21 @@ def _parse(path: str, columns: dict[str, list[str]], name: str, convert=float) -
         raise ValidationError(f"{path}: column {name}: {e}") from None
 
 
+def _int64(text: str) -> int:
+    """An integer field that an int64 column can hold."""
+    x = int(text)
+    if not -2**63 <= x < 2**63:
+        raise ValueError(f"{text!r} is not within int64")
+    return x
+
+
 def _read_sites_csv(path: str) -> SiteTable:
     """candidates.csv as a SiteTable, read by the csv module. An empty
     network_length_km field (or a missing column) is NaN, so a literal
     non-finite length is rejected: the table could not tell it from a
     missing one."""
     cols = _read_columns(path, _CAND_HEADER)
-    ids = _parse(path, cols, "site_id", int)
+    ids = _parse(path, cols, "site_id", _int64)
     lengths = None
     if _LENGTH_COLUMN in cols:
         lengths = np.array(_parse(path, cols, _LENGTH_COLUMN,
@@ -434,7 +499,7 @@ def _read_sites_csv(path: str) -> SiteTable:
                 raise ValidationError(f"{path}: site {ids[k]}: {_LENGTH_COLUMN} "
                                       f"{cols[_LENGTH_COLUMN][k]!r} is not finite")
     return SiteTable.from_columns(
-        ids, _parse(path, cols, "municipality_id", int),
+        ids, _parse(path, cols, "municipality_id", _int64),
         *(_parse(path, cols, name) for name in _CAND_HEADER[2:]), network_length=lengths)
 
 
@@ -508,10 +573,12 @@ def read_instance(directory: str) -> Instance:
     if sites is None:  # the csv reader decides, and words any error
         sites = _read_sites_csv(cand_path)
     existing = [ExistingTurbine(*r) for r in _records(
-        ex_path, _EXISTING_HEADER, (int, int, float, float, float), optional=True)]
-    sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in existing)
-    municipalities = [Municipality(*r, existing_capacity=sums.get(r[0], 0.0)) for r in _records(
-        mun_path, _MUN_HEADER, (int, str, float, str, int, float))]
+        ex_path, _EXISTING_HEADER, (int, _int64, float, float, float), optional=True)]
+    cols = _read_columns(mun_path, _MUN_HEADER)
+    municipalities = MunicipalityTable.from_columns(*(
+        _parse(mun_path, cols, name, kind)
+        for name, kind in zip(_MUN_HEADER, (_int64, str, float, str, _int64, float))
+    )).with_turbines(existing)
     transformers = [Transformer(*r) for r in _records(
         tr_path, _TRANSFORMER_HEADER, (int, float, float, int), optional=True)]
     return Instance(sites=sites, municipalities=municipalities, existing=existing,
@@ -556,9 +623,11 @@ def write_instance(instance: Instance, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
     _write_sites(cand_path, instance.sites)
+    muns = instance.municipalities
     write_csv(mun_path, _MUN_HEADER,
-              ([m.municipality_id, m.name, _fnum(m.population), m.region_tag, m.state_id,
-                _fnum(m.area)] for m in instance.municipalities))
+              zip(muns.ids.tolist(), muns.name.tolist(), map(repr, muns.population.tolist()),
+                  muns.region_tag.tolist(), muns.state_id.tolist(),
+                  map(repr, muns.area.tolist())))
     write_csv(ex_path, _EXISTING_HEADER,
               ([t.turbine_id, t.municipality_id, _fnum(t.lat), _fnum(t.lon),
                 _fnum(t.capacity)] for t in instance.existing))

@@ -5,7 +5,8 @@ inhabitant across municipalities, in percent. Every municipality in the
 instance counts toward the index; zero-population municipalities are
 excluded from the per-inhabitant vector (and disclosed), since capacity
 per inhabitant is undefined there. Selected sites are read through
-`Instance.sites` and summed in ascending site-id order.
+`Instance.sites` and summed in ascending site-id order, per row of the
+municipality table by one np.bincount.
 """
 
 from __future__ import annotations
@@ -72,13 +73,15 @@ def gini_pairwise(x: np.ndarray) -> float:
 
 def _added_capacity(site_ids: Sequence[int], instance: Instance
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The municipalities of the selected sites, ascending, the MW they add
-    (running sums in ascending site-id order) and the position of each
-    one's first site in that order."""
-    sites = instance.sites
+    """The rows of the selected sites in ascending site-id order, the
+    municipality table row of each, and the MW the selection adds per
+    municipality row, summed in that order. A site whose municipality is
+    not in the table is left out."""
+    sites, muns = instance.sites, instance.municipalities
     rows = np.sort(sites.rows(site_ids))
-    mun, first, at = np.unique(sites.mun[rows], return_index=True, return_inverse=True)
-    return mun, np.bincount(at, weights=sites.caps[rows], minlength=mun.size), first
+    at = muns.rows(sites.mun[rows])
+    rows, at = rows[at >= 0], at[at >= 0]
+    return rows, at, np.bincount(at, weights=sites.caps[rows], minlength=len(muns))
 
 
 def regional_equity(site_ids: Sequence[int], instance: Instance) -> EquityReport:
@@ -86,66 +89,50 @@ def regional_equity(site_ids: Sequence[int], instance: Instance) -> EquityReport
 
     Pass site_ids=() to score the existing stock alone.
     """
-    mun, added, _ = _added_capacity(site_ids, instance)
     muns = instance.municipalities
-    ids = np.fromiter((m.municipality_id for m in muns), dtype=np.int64, count=len(muns))
-    pop = np.fromiter((m.population for m in muns), dtype=float, count=len(muns))
-    cap = np.zeros(len(muns))  # MW added per municipality
-    if mun.size:
-        at = np.minimum(np.searchsorted(mun, ids), mun.size - 1)
-        hit = mun[at] == ids
-        cap[hit] = added[at[hit]]
-    cap += np.fromiter((m.existing_capacity for m in muns), dtype=float, count=len(muns))
-    counted = ~(pop <= 0)
+    cap = _added_capacity(site_ids, instance)[2] + muns.existing_capacity
+    counted = ~(muns.population <= 0)
     if not counted.any():
         raise PlanError("no municipality has positive population")
-    ids, per_inhabitant = ids[counted], cap[counted] / pop[counted]
-    arr = per_inhabitant[np.argsort(ids)]
-    g = gini_sorted(arr)
-    return EquityReport(x=dict(zip(ids.tolist(), per_inhabitant.tolist())), gini=g,
-                        regional_equity_pct=(1.0 - g) * 100.0, n_municipalities=arr.size,
-                        excluded_zero_population=len(muns) - arr.size)
+    per_inhabitant = cap[counted] / muns.population[counted]
+    g = gini_sorted(per_inhabitant)
+    return EquityReport(x=dict(zip(muns.ids[counted].tolist(), per_inhabitant.tolist())), gini=g,
+                        regional_equity_pct=(1.0 - g) * 100.0,
+                        n_municipalities=per_inhabitant.size,
+                        excluded_zero_population=len(muns) - per_inhabitant.size)
 
 
 def south_quota(site_ids: Sequence[int], instance: Instance) -> float:
     """Percent of ADDED capacity placed in municipalities tagged South; the
     per-municipality totals are added in order of their first site."""
-    mun, added, first = _added_capacity(site_ids, instance)
-    if not mun.size:
+    _, at, added = _added_capacity(site_ids, instance)
+    if not at.size:
         return 0.0
-    south = np.fromiter((m.municipality_id for m in instance.municipalities
-                         if m.region_tag == "South"), dtype=np.int64)
-    order = np.argsort(first)
-    added, mun = added[order], mun[order]
-    return 100.0 * sum(added[np.isin(mun, south)].tolist()) / sum(added.tolist())
+    _, first = np.unique(at, return_index=True)
+    at = at[np.sort(first)]  # each municipality once, in order of its first site
+    south = instance.municipalities.region_tag[at] == "South"
+    return 100.0 * sum(added[at][south].tolist()) / sum(added[at].tolist())
 
 
 def regional_stats(site_ids: Sequence[int], instance: Instance) -> RegionalStats:
-    """Per-state turbine density, capacity share and mean scenicness."""
-    sites = instance.sites
-    rows = np.sort(sites.rows(site_ids))
-    mun_state = {m.municipality_id: m.state_id for m in instance.municipalities}
-    state_area: dict[int, float] = {}
-    for m in instance.municipalities:
-        state_area[m.state_id] = state_area.get(m.state_id, 0.0) + m.area
-
-    caps: dict[int, float] = {s: 0.0 for s in state_area}
-    scenic: dict[int, list[float]] = {s: [] for s in state_area}
-    for j, cap, scen in zip(sites.mun[rows].tolist(), sites.caps[rows].tolist(),
-                            sites.scenicness[rows].tolist()):
-        s = mun_state[j]
-        caps[s] += cap
-        scenic[s].append(scen)
-
-    total_cap = sum(caps.values())
-    per_state = []
-    for s in sorted(state_area):
-        per_state.append(StateStats(
-            state_id=s,
-            turbines_per_1000_km2=len(scenic[s]) / state_area[s] * 1000.0,
-            capacity_share_pct=100.0 * caps[s] / total_cap if total_cap else 0.0,
-            mean_scenicness=float(np.mean(scenic[s])) if scenic[s] else None,
-        ))
+    """Per-state turbine density, capacity share and mean scenicness; the
+    per-state totals are added in the order each state first appears in the
+    municipality table."""
+    sites, muns = instance.sites, instance.municipalities
+    rows, at, _ = _added_capacity(site_ids, instance)
+    states, first, state_at = np.unique(muns.state_id, return_index=True, return_inverse=True)
+    area = np.bincount(state_at, weights=muns.area, minlength=states.size)
+    site_state, scenic = state_at[at], sites.scenicness[rows]
+    count = np.bincount(site_state, minlength=states.size)
+    caps = np.bincount(site_state, weights=sites.caps[rows], minlength=states.size)
+    total_cap = sum(caps[np.argsort(first)].tolist())
+    per_state = [StateStats(
+        state_id=s,
+        turbines_per_1000_km2=n / a * 1000.0,
+        capacity_share_pct=100.0 * c / total_cap if total_cap else 0.0,
+        mean_scenicness=float(np.mean(scenic[site_state == k])) if n else None,
+    ) for k, (s, n, a, c) in enumerate(zip(states.tolist(), count.tolist(), area.tolist(),
+                                           caps.tolist()))]
     return RegionalStats(per_state=per_state,
                          south_quota_pct=south_quota(site_ids, instance))
 

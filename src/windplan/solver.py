@@ -47,8 +47,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import (InfeasibleError, Instance, Municipality, PlanError, SiteTable,
-                     ValidationError, capacity_by_municipality)
+from .domain import (InfeasibleError, Instance, MunicipalityTable, PlanError, SiteTable,
+                     ValidationError)
 from .objective import Weights, site_costs
 
 FEAS_TOL = 1e-9
@@ -1014,43 +1014,41 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
     return sel
 
 
-def equity_floors(municipalities: list[Municipality], total_target_2050: float,
-                  municipal_potentials: dict[int, float]) -> dict[int, float]:
-    """Population-share capacity floors, clamped to [0, potential].
+def equity_floors(municipalities: MunicipalityTable, total_target_2050: float,
+                  municipal_potentials: np.ndarray) -> dict[int, float]:
+    """Population-share capacity floors, clamped to [0, potential], keyed
+    by municipality id; `municipal_potentials` holds the MW per table row.
 
     floor_j = clamp(pop_j / pop_total * total_target - existing_j,
                     0, potential_j).
     """
-    pop_total = sum(m.population for m in municipalities)
+    pop_total = sum(municipalities.population.tolist())
     if pop_total <= 0:
         raise PlanError("total population must be positive for equity floors")
-    floors = {}
-    for m in municipalities:
-        share = m.population / pop_total * total_target_2050
-        raw = share - m.existing_capacity
-        potential = municipal_potentials.get(m.municipality_id, 0.0)
-        floors[m.municipality_id] = min(max(raw, 0.0), potential)
-    return floors
+    share = municipalities.population / pop_total * total_target_2050
+    floors = np.minimum(np.maximum(share - municipalities.existing_capacity, 0.0),
+                        municipal_potentials)
+    return dict(zip(municipalities.ids.tolist(), floors.tolist()))
 
 
-def municipal_potentials(instance: Instance) -> dict[int, float]:
-    """Candidate MW per municipality (zero where it has none), summed in
-    ascending site-id order."""
+def municipal_potentials(instance: Instance) -> np.ndarray:
+    """Candidate MW per municipality table row (zero where it has none),
+    summed in ascending site-id order. The sites go in `by_mun` order, which
+    keeps that order within each municipality and, its ids being sorted,
+    makes their row lookup a cheap one."""
     sites = instance.sites
-    pots = {m.municipality_id: 0.0 for m in instance.municipalities}
-    pots.update(capacity_by_municipality(zip(sites.mun.tolist(), sites.caps.tolist())))
-    return pots
+    return instance.municipalities.total(sites.mun[sites.by_mun], sites.caps[sites.by_mun])
 
 
 def target_constraints(instance: Instance, total_mw: float, equity: bool,
-                       potentials: dict[int, float] | None = None) -> Constraints:
+                       potentials: np.ndarray | None = None) -> Constraints:
     """Constraints for a national total target (existing stock included).
 
     The added capacity to cover is the total minus the existing stock;
     with `equity` the population-share floors of that total apply
     (`potentials` defaults to `municipal_potentials(instance)`).
     """
-    existing_total = sum(m.existing_capacity for m in instance.municipalities)
+    existing_total = sum(instance.municipalities.existing_capacity.tolist())
     added = total_mw - existing_total
     if added <= 0:
         raise ValidationError(

@@ -18,12 +18,11 @@ import numpy as np
 from .domain import (
     ExistingTurbine,
     Instance,
-    Municipality,
+    MunicipalityTable,
     PlanError,
     SiteTable,
     Transformer,
     ValidationError,
-    capacity_by_municipality,
     json_value,
 )
 
@@ -221,17 +220,13 @@ def generate(spec: SynthSpec) -> Instance:
         turbine_id=t + 1, municipality_id=int(ex_mun[t]) + 1,
         lat=float(ex_lat[t]), lon=float(ex_lon[t]), capacity=float(ex_cap[t]),
     ) for t in range(spec.n_existing)]
-    ex_sums = capacity_by_municipality((t.municipality_id, t.capacity) for t in existing)
 
-    municipalities = [Municipality(
-        municipality_id=j + 1,
-        name=f"mun-{j + 1:05d}",
-        population=float(populations[j]),
-        region_tag=str(region[j]),
-        state_id=int(mun_state[j]),
-        area=float(areas[j]),
-        existing_capacity=ex_sums.get(j + 1, 0.0),
-    ) for j in range(spec.n_municipalities)]
+    # municipality j + 1 is table row j, so ex_mun are the turbines' rows
+    municipalities = MunicipalityTable.from_columns(
+        ids=np.arange(1, spec.n_municipalities + 1),
+        name=[f"mun-{j:05d}" for j in range(1, spec.n_municipalities + 1)],
+        population=populations, region_tag=region, state_id=mun_state, area=areas,
+        existing_capacity=np.bincount(ex_mun, weights=ex_cap, minlength=spec.n_municipalities))
 
     transformers = [Transformer(
         transformer_id=t + 1, lat=float(tr_lat[t]), lon=float(tr_lon[t]),

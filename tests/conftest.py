@@ -8,6 +8,7 @@ from windplan.domain import (
     ExistingTurbine,
     Instance,
     Municipality,
+    MunicipalityTable,
     SiteTable,
     Transformer,
 )
@@ -32,17 +33,30 @@ SITE_COLUMNS = ("ids", "mun", "lat", "lon", "caps", "lcoe", "scenicness",
                 "full_load_hours", "network_length")
 
 
+MUN_COLUMNS = ("ids", "name", "population", "region_tag", "state_id", "area",
+               "existing_capacity")
+
+
 def same_sites(a, b):
     """Two SiteTables hold the same rows; NaN lengths compare equal."""
     return all(np.array_equal(getattr(a, c), getattr(b, c), equal_nan=True)
                for c in SITE_COLUMNS)
 
 
+def same_muns(a, b):
+    """Two MunicipalityTables hold the same rows; NaN numbers compare equal."""
+    return all(np.array_equal(getattr(a, c), getattr(b, c),
+                              equal_nan=getattr(a, c).dtype != object)
+               for c in MUN_COLUMNS)
+
+
 def mk_instance(candidates, municipalities=None, existing=None, transformers=None):
+    """Instance of hand-built records; the municipalities default to one
+    mk_mun per municipality the candidates name."""
     if municipalities is None:
-        mun_ids = sorted({c.municipality_id for c in candidates})
-        municipalities = [mk_mun(j) for j in mun_ids]
-    return Instance(sites=SiteTable.of(candidates), municipalities=municipalities,
+        municipalities = [mk_mun(j) for j in sorted({c.municipality_id for c in candidates})]
+    return Instance(sites=SiteTable.of(candidates),
+                    municipalities=MunicipalityTable.of(municipalities),
                     existing=existing or [], transformers=transformers or [])
 
 
@@ -119,5 +133,6 @@ def abc_instance():
     return mk_instance(sites)
 
 
-__all__ = ["mk_site", "mk_mun", "mk_instance", "same_sites", "subset_scan", "SITE_COLUMNS",
-           "CandidateSite", "ExistingTurbine", "Municipality", "Transformer", "Instance"]
+__all__ = ["mk_site", "mk_mun", "mk_instance", "same_sites", "same_muns", "subset_scan",
+           "SITE_COLUMNS", "MUN_COLUMNS", "CandidateSite", "ExistingTurbine", "Municipality",
+           "MunicipalityTable", "Transformer", "Instance"]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from windplan.domain import SiteTable
+from windplan.domain import MunicipalityTable, SiteTable
 from windplan.geoprep import (
     exclusion_filter,
     haversine_km,
@@ -77,7 +77,7 @@ def test_acceptance_01_oracle_equivalence():
         mode = int(rng.integers(0, 4))
         floors = None
         if mode == 1:
-            existing = sum(m.existing_capacity for m in inst.municipalities)
+            existing = sum(inst.municipalities.existing_capacity.tolist())
             floors = equity_floors(inst.municipalities,
                                    (cap_obj + existing) * 0.7,
                                    municipal_potentials(inst))
@@ -171,18 +171,18 @@ def test_acceptance_06_equity_floor_construction():
     rng = np.random.default_rng(6)
     for _ in range(100):
         m = int(rng.integers(2, 12))
-        muns = [mk_mun(j + 1, population=float(rng.uniform(0, 5000)),
-                       existing=float(rng.uniform(0, 30)))
-                for j in range(m)]
-        pots = {j + 1: float(rng.uniform(0, 60)) for j in range(m)}
+        muns = MunicipalityTable.of([mk_mun(j + 1, population=float(rng.uniform(0, 5000)),
+                                            existing=float(rng.uniform(0, 30)))
+                                     for j in range(m)])
+        pots = np.array([float(rng.uniform(0, 60)) for _ in range(m)])
         target = float(rng.uniform(10, 500))
         floors = equity_floors(muns, target, pots)
-        pop_total = sum(mn.population for mn in muns)
-        for mn in muns:
-            j = mn.municipality_id
-            share = mn.population / pop_total * target - mn.existing_capacity
-            assert 0.0 <= floors[j] <= pots[j]
-            if 0.0 <= share <= pots[j]:
+        pop_total = sum(muns.population.tolist())
+        for j, pop, existing, pot in zip(muns.ids.tolist(), muns.population.tolist(),
+                                         muns.existing_capacity.tolist(), pots.tolist()):
+            share = pop / pop_total * target - existing
+            assert 0.0 <= floors[j] <= pot
+            if 0.0 <= share <= pot:
                 assert math.isclose(floors[j], share, rel_tol=1e-12, abs_tol=1e-12)
     print("PASS criterion 6: floor clamping rule verified on 100 random tables")
 

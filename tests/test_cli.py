@@ -166,7 +166,7 @@ def test_sweep_reports_why_it_stopped(tmp_path, capsys):
     raw, prep = tmp_path / "raw", tmp_path / "prep"
     assert main(["synth", "--spec", str(spec_path), "--out", str(raw)]) == 0
     assert main(["prep", "--instance", str(raw), "--out", str(prep)]) == 0
-    existing = sum(m.existing_capacity for m in read_instance(str(prep)).municipalities)
+    existing = sum(read_instance(str(prep)).municipalities.existing_capacity.tolist())
     args = ["sweep", "--instance", str(prep), "--optimize", "lcoe", "--sweep", "scenicness",
             "--total-capacity-mw", repr(57.03099829779829 + existing)]
     capsys.readouterr()
@@ -537,6 +537,8 @@ GOLDEN = {
         "ff744011e3dd34c1e670036ecfd67ce151202ae00da8449f1209e4fb248453ac",
     "sweep/front.csv":
         "6c6f31a25055fe3fe6b988ac3e44fef77625fc84d7f07b5b67e2a5e6c1b140c5",
+    "metrics/metrics.json":
+        "82a328bc8a2af457800d34f0f83d147aae532b239c1e869703eeab02769164a3",
 }
 
 
@@ -556,9 +558,12 @@ def test_pipeline_bytes_match_golden_digests(tmp_path):
     assert main(["sweep", "--instance", str(prep), "--optimize", "lcoe", "--sweep",
                  "scenicness", "--steps", "4", "--total-capacity-mw", "130",
                  "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["metrics", "--selection", str(tmp_path / "solve" / "selection.csv"),
+                 "--instance", str(prep),
+                 "--out", str(tmp_path / "metrics" / "metrics.json")]) == 0
     digests = {f"{step}/{name}": hashlib.sha256((tmp_path / step / name).read_bytes())
                .hexdigest()
-               for step in ("raw", "prep", "grid", "solve", "sweep")
+               for step in ("raw", "prep", "grid", "solve", "sweep", "metrics")
                for name in sorted(os.listdir(tmp_path / step))
                if name != "run_manifest.json"}
     assert digests == GOLDEN

@@ -1,6 +1,8 @@
+import ast
 import csv
 import io
 import math
+import os
 import random
 import re
 import warnings
@@ -8,13 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site, same_sites
+import windplan
+from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site, same_muns, same_sites
 from windplan.cli import main
 from windplan.domain import (
     _CAND_HEADER,
     _WRITE_BLOCK,
     ExistingTurbine,
     Instance,
+    MunicipalityTable,
     SiteTable,
     Transformer,
     ValidationError,
@@ -43,7 +47,7 @@ def test_round_trip_bit_exact(tmp_path):
     write_instance(inst, str(tmp_path))
     loaded = read_instance(str(tmp_path))
     assert same_sites(loaded.sites, inst.sites)
-    assert loaded.municipalities == inst.municipalities
+    assert same_muns(loaded.municipalities, inst.municipalities)
     assert loaded.existing == inst.existing
     assert loaded.transformers == inst.transformers
     # second round trip reproduces the files byte for byte
@@ -335,6 +339,23 @@ def test_read_rejects_repeated_column(tmp_path, name, column, value):
     assert main(["scale", "--instance", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 1
 
 
+@pytest.mark.parametrize("name, column", [
+    ("candidates.csv", "site_id"), ("candidates.csv", "municipality_id"),
+    ("municipalities.csv", "municipality_id"), ("municipalities.csv", "state_id"),
+    ("existing.csv", "municipality_id"),
+])
+def test_read_rejects_integers_beyond_int64(tmp_path, name, column):
+    write_instance(_full_instance(), str(tmp_path))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[lines[0].split(",").index(column)] = str(2 ** 63)
+    path.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{name}: column {column}: '{2 ** 63}' is not within int64")):
+        read_instance(str(tmp_path))
+
+
 def _random_table(rng, n, lengths):
     """A SiteTable of n rows whose floats mix ordinary values with the edge
     cases of float text: subnormals, +-1e308, -0.0, random bit patterns and
@@ -378,7 +399,7 @@ def test_fast_reader_equals_csv_reader(tmp_path, lengths):
     for trial in range(5):
         table = _random_table(rng, 300, "none" if lengths == "empty-column" else lengths)
         out = tmp_path / str(trial)
-        write_instance(Instance(sites=table, municipalities=[]), str(out))
+        write_instance(Instance(sites=table, municipalities=MunicipalityTable.of([])), str(out))
         path = str(out / "candidates.csv")
         again = tmp_path / f"{trial}-again"
         write_instance(read_instance(str(out)), str(again))
@@ -420,7 +441,7 @@ def _csv_writer_bytes(sites):
                                         (0, "none")])
 def test_writer_matches_csv_writer(tmp_path, n, lengths):
     table = _random_table(np.random.default_rng(n), n, lengths)
-    write_instance(Instance(sites=table, municipalities=[]), str(tmp_path))
+    write_instance(Instance(sites=table, municipalities=MunicipalityTable.of([])), str(tmp_path))
     assert (tmp_path / "candidates.csv").read_bytes() == _csv_writer_bytes(table)
 
 
@@ -449,7 +470,7 @@ def test_site_table_sorts_shuffled_candidates():
     assert table.network_length[1:].tolist() == [0.4, 0.5, 0.7, 0.9]
     # rows grouped by municipality, ascending within each group
     assert table.by_mun.tolist() == [2, 1, 3, 0, 4]
-    assert table.mun_rows == {1: (0, 1), 3: (1, 3), 5: (3, 5)}
+    assert table.mun[table.by_mun].tolist() == [1, 3, 3, 5, 5]
     with pytest.raises(ValueError):
         table.caps[0] = 1.0
 
@@ -467,3 +488,74 @@ def test_site_table_rows_keep_input_order():
     for unknown in (1, 8, 10):
         with pytest.raises(ValidationError, match=rf"unknown site ids \[{unknown}\]"):
             table.rows([2, unknown, 9])
+    # in an empty table no id is known
+    nothing = SiteTable.of([])
+    assert nothing.rows(()).size == 0
+    with pytest.raises(ValidationError, match=r"unknown site ids \[3, 1\]"):
+        nothing.rows([3, 1])
+
+
+def test_municipality_table_sorts_records_and_sums_per_row():
+    muns = MunicipalityTable.of([
+        mk_mun(7, population=70.0, region="South", state=2, area=7.5, existing=1.5, name="g"),
+        mk_mun(2, population=20.0, state=3, area=2.5, name="b"),
+        mk_mun(4, population=40.0, region="South", state=2, area=4.5, name="d")])
+    assert len(muns) == 3
+    assert muns.ids.tolist() == [2, 4, 7]
+    assert muns.name.tolist() == ["b", "d", "g"]
+    assert muns.population.tolist() == [20.0, 40.0, 70.0]
+    assert muns.region_tag.tolist() == ["NonSouth", "South", "South"]
+    assert muns.state_id.tolist() == [3, 2, 2]
+    assert muns.area.tolist() == [2.5, 4.5, 7.5]
+    assert muns.existing_capacity.tolist() == [0.0, 0.0, 1.5]
+    with pytest.raises(ValueError):
+        muns.population[0] = 1.0
+    # ids not in the table have no row, below, between and above its ids
+    assert muns.rows([7, 1, 2, 3, 4, 8]).tolist() == [2, -1, 0, -1, 1, -1]
+    assert MunicipalityTable.of([]).rows([1]).tolist() == [-1]
+    # totals are added in the order given: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    total = muns.total([4, 9, 4, 2, 4], [0.1, 5.0, 0.2, 1.0, 0.3])
+    assert total.tolist() == [1.0, (0.1 + 0.2) + 0.3, 0.0]
+    assert total[1] != (0.3 + 0.2) + 0.1
+    turbines = [ExistingTurbine(turbine_id=1, municipality_id=2, lat=50.0, lon=10.0,
+                                capacity=2.5)]
+    assert muns.with_turbines(turbines).existing_capacity.tolist() == [2.5, 0.0, 0.0]
+
+
+class _MunicipalityRecordUses(ast.NodeVisitor):
+    """Every use of the Municipality record, and every loop over an
+    `.municipalities` attribute."""
+
+    def __init__(self):
+        self.found = []
+
+    def visit_Name(self, node):
+        if node.id == "Municipality":
+            self.found.append(f"line {node.lineno}: names Municipality")
+
+    def _loop(self, iterable):
+        if isinstance(iterable, ast.Attribute) and iterable.attr == "municipalities":
+            self.found.append(f"line {iterable.lineno}: iterates .municipalities")
+
+    def visit_For(self, node):
+        self._loop(node.iter)
+        self.generic_visit(node)
+
+    def visit_comprehension(self, node):
+        self._loop(node.iter)
+        self.generic_visit(node)
+
+
+def test_municipality_records_have_one_home():
+    # the municipalities are a column table: only domain, where hand-built
+    # records become a table, uses the record or walks the table's rows
+    package = os.path.dirname(windplan.__file__)
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "domain.py":
+            uses = _MunicipalityRecordUses()
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                uses.visit(ast.parse(f.read(), name))
+            if uses.found:
+                found[name] = uses.found
+    assert found == {}

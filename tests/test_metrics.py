@@ -117,6 +117,21 @@ def test_regional_stats():
     assert s2.mean_scenicness is None
 
 
+def test_regional_stats_adds_state_totals_in_order_of_first_appearance():
+    # states 1, 3, 2 first appear in that table order: (0.1 + 0.15) + 0.2 is
+    # neither the sorted order's (0.1 + 0.2) + 0.15 nor the reverse's
+    # (0.15 + 0.2) + 0.1
+    sites = [mk_site(1, mun=1, capacity=0.1), mk_site(2, mun=2, capacity=0.15),
+             mk_site(3, mun=3, capacity=0.2)]
+    inst = mk_instance(sites, municipalities=[mk_mun(1, state=1), mk_mun(2, state=3),
+                                              mk_mun(3, state=2)])
+    total = (0.1 + 0.15) + 0.2
+    for other in ((0.1 + 0.2) + 0.15, (0.15 + 0.2) + 0.1):
+        assert 100.0 * 0.1 / total != 100.0 * 0.1 / other
+    shares = {s.state_id: s.capacity_share_pct for s in regional_stats([1, 2, 3], inst).per_state}
+    assert shares == {1: 100.0 * 0.1 / total, 2: 100.0 * 0.2 / total, 3: 100.0 * 0.15 / total}
+
+
 def test_radar_two_scenarios_hit_endpoints():
     results = {
         "a": {"mean_lcoe": 4.0, "mean_scenicness": 2.0,

@@ -62,7 +62,7 @@ def test_scenario_name_fits_a_file_name():
 def test_run_grid_results_ordered_and_feasible():
     inst = small_instance()
     potential = sum(inst.sites.caps.tolist())
-    existing = sum(m.existing_capacity for m in inst.municipalities)
+    existing = sum(inst.municipalities.existing_capacity.tolist())
     scale = (existing + 0.4 * potential) / BASE_TOTAL_MW
     results = run_grid(inst, builtin_grid(), scale=scale)
     assert [r.name for r in results] == sorted(r.name for r in results)
@@ -90,7 +90,7 @@ def test_run_grid_and_solve_share_the_potential_rule():
     # a target a hair above the total potential is within the solver's tolerance
     inst = small_instance(n_sites=120)
     potential = sum(inst.sites.caps.tolist())
-    existing = sum(m.existing_capacity for m in inst.municipalities)
+    existing = sum(inst.municipalities.existing_capacity.tolist())
     total = existing + potential * (1 + 1e-11)
     weights = Weights(1.0, 0.0, 0.0)
     sel = solve(inst, weights, target_constraints(inst, total, False))

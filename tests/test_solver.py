@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site, subset_scan
 from windplan import solver
-from windplan.domain import InfeasibleError, Instance, PlanError, SiteTable
+from windplan.domain import InfeasibleError, Instance, MunicipalityTable, PlanError, SiteTable
 from windplan.geoprep import prep_instance
 from windplan.objective import Weights, site_costs
 from windplan.solver import (
@@ -98,27 +98,28 @@ def test_cap_constrained_solution_respects_cap():
 
 
 def test_equity_floor_clamping_cases():
-    muns = [mk_mun(1, population=75.0, existing=10.0),
-            mk_mun(2, population=25.0, existing=0.0)]
-    pots = {1: 1000.0, 2: 1000.0}
+    muns = MunicipalityTable.of([mk_mun(1, population=75.0, existing=10.0),
+                                 mk_mun(2, population=25.0, existing=0.0)])
+    pots = np.array([1000.0, 1000.0])
     floors = equity_floors(muns, 100.0, pots)
     assert floors == {1: 65.0, 2: 25.0}
     # existing above the share clamps to zero
-    muns = [mk_mun(1, population=50.0, existing=80.0), mk_mun(2, population=50.0)]
-    floors = equity_floors(muns, 100.0, {1: 1000.0, 2: 1000.0})
+    muns = MunicipalityTable.of([mk_mun(1, population=50.0, existing=80.0),
+                                 mk_mun(2, population=50.0)])
+    floors = equity_floors(muns, 100.0, pots)
     assert floors[1] == 0.0
     # and the potential caps the floor
-    muns = [mk_mun(1, population=40.0), mk_mun(2, population=60.0)]
-    floors = equity_floors(muns, 100.0, {1: 12.0, 2: 1000.0})
+    muns = MunicipalityTable.of([mk_mun(1, population=40.0), mk_mun(2, population=60.0)])
+    floors = equity_floors(muns, 100.0, np.array([12.0, 1000.0]))
     assert floors[1] == 12.0
 
 
 def test_floors_are_satisfied():
     inst = rand_instance(9, 16, n_muns=3)
     pots = municipal_potentials(inst)
-    total = 0.6 * sum(pots.values())
+    total = 0.6 * sum(pots.tolist())
     floors = equity_floors(inst.municipalities, total, pots)
-    existing = sum(m.existing_capacity for m in inst.municipalities)
+    existing = sum(inst.municipalities.existing_capacity.tolist())
     con = Constraints(cap_obj=max(total - existing, 0.0), equity_floors=floors)
     sel = solve(inst, W_LCOE, con)
     assert verify_selection(sel, inst, con)
@@ -180,8 +181,8 @@ def test_equity_floor_dominance():
     from windplan.metrics import regional_equity
     inst = rand_instance(33, 60, n_muns=8)
     pots = municipal_potentials(inst)
-    total = 0.5 * sum(pots.values())
-    existing = sum(m.existing_capacity for m in inst.municipalities)
+    total = 0.5 * sum(pots.tolist())
+    existing = sum(inst.municipalities.existing_capacity.tolist())
     added = max(total - existing, 1.0)
     plain = solve(inst, W_LCOE, Constraints(cap_obj=added))
     floors = equity_floors(inst.municipalities, total, pots)
@@ -322,7 +323,7 @@ def test_capped_solve_takes_multiplier_from_relaxation(monkeypatch):
     # and its multiplier lifts the bound above the uncapped one
     floored = rand_instance(47, 400, n_muns=60)
     small = 0.1 * sum(floored.sites.caps.tolist())
-    existing = sum(m.existing_capacity for m in floored.municipalities)
+    existing = sum(floored.municipalities.existing_capacity.tolist())
     con = Constraints(cap_obj=small, equity_floors=equity_floors(
         floored.municipalities, small + existing, municipal_potentials(floored)))
     limit = 0.95 * solve(floored, W_LCOE, con).totals.scenicness
@@ -423,8 +424,8 @@ def _shuffled(inst, seed):
 
 def _floored(inst, share):
     pots = municipal_potentials(inst)
-    total = share * sum(pots.values())
-    existing = sum(m.existing_capacity for m in inst.municipalities)
+    total = share * sum(pots.tolist())
+    existing = sum(inst.municipalities.existing_capacity.tolist())
     return Constraints(cap_obj=max(total - existing, 1.0),
                        equity_floors=equity_floors(inst.municipalities, total, pots))
 
@@ -484,7 +485,7 @@ def _ratio_pool(n, seed, zero_share, decimals):
     empty = np.zeros(n)
     sites = SiteTable(ids=ids, mun=np.zeros(n, dtype=np.int64), lat=empty, lon=empty,
                       caps=caps, lcoe=empty, scenicness=empty, full_load_hours=empty,
-                      network_length=empty, by_mun=np.arange(n), mun_rows={0: (0, n)})
+                      network_length=empty, by_mun=np.arange(n))
     return sites, cost
 
 
@@ -566,7 +567,7 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     inst = rand_instance(71, 3000, n_muns=40)
     sites = inst.sites
     pots = municipal_potentials(inst)
-    potential = sum(pots.values())
+    potential = sum(pots.tolist())
     floors = equity_floors(inst.municipalities, 0.1 * potential, pots)
     cap_obj = share * potential
     cost = site_costs(sites, W_LCOE)
@@ -832,8 +833,9 @@ def test_block_passes_match_scalar_loops():
         # which each floor holds its cheapest cover and up to two more sites,
         # so the trim runs into floors with little to spare
         near = rng.random(n) < rng.uniform(0.0, 1.0)
+        grouped = sites.mun[sites.by_mun]
         for j, ge in zip(floors.mun, floors.ge):
-            rows = order[slice(*sites.mun_rows[j])]
+            rows = order[np.searchsorted(grouped, j):np.searchsorted(grouped, j, "right")]
             cover = int(np.searchsorted(np.cumsum(sites.caps[rows]), ge)) + 1
             near[rows] = False
             near[rows[:cover + int(rng.integers(0, 3))]] = True
@@ -929,7 +931,7 @@ def test_enumerate_matches_plain_subset_scan():
         cap_specs = ([(sites.scenicness, float(rng.integers(0, 5 * n)))]
                      if rng.random() < 0.5 else [])
         want = _scan_subsets(sites, cost, cap_obj, floors, cap_specs)
-        if any(j not in sites.mun_rows for j in floors):
+        if not set(floors) <= set(sites.mun.tolist()):
             # a floor in a municipality without candidates
             assert want is None, trial
             with pytest.raises(InfeasibleError, match="without candidates"):
@@ -999,7 +1001,7 @@ def test_heuristic_certificate_against_exact_optimum(monkeypatch):
         mode = int(rng.integers(0, 4))  # 1: floors, 2: a cap, 3: both
         con = Constraints(cap_obj=cap_obj)
         if mode in (1, 3):
-            existing = sum(m.existing_capacity for m in inst.municipalities)
+            existing = sum(inst.municipalities.existing_capacity.tolist())
             con = replace(con, equity_floors=equity_floors(
                 inst.municipalities, (cap_obj + existing) * 0.7, municipal_potentials(inst)))
         if mode >= 2:
@@ -1042,7 +1044,7 @@ def _multi_site_pool(rng, n):
         rng.uniform(1500.0, 3000.0, n), rng.uniform(0.5, 20.0, n))
     floors = {j: float(rng.uniform(0.0, 0.5)) * float(sites.caps[sites.mun == j].sum())
               for j in np.unique(mun).tolist()}
-    return Instance(sites=sites, municipalities=[]), floors
+    return Instance(sites=sites, municipalities=MunicipalityTable.of([])), floors
 
 
 def test_bound_does_not_depend_on_floor_order():
