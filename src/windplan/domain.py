@@ -16,6 +16,7 @@ tables (`SiteTable.of`, `MunicipalityTable.of`).
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
 import os
@@ -117,6 +118,7 @@ class Municipality:
 # SiteTable columns in constructor order
 _SITE_COLUMNS = ("ids", "mun", "lat", "lon", "caps", "lcoe", "scenicness",
                  "full_load_hours", "network_length")
+_SITE_DTYPES = (np.dtype(np.int64),) * 2 + (np.dtype(np.float64),) * 7
 
 
 def _sorted_columns(values, dtypes) -> list[np.ndarray]:
@@ -167,7 +169,7 @@ class SiteTable:
             network_length = np.full(len(ids), np.nan)
         cols = _sorted_columns(
             (ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours, network_length),
-            (np.int64, np.int64) + (float,) * 7)
+            _SITE_DTYPES)
         by_mun = np.argsort(cols[1], kind="stable")
         by_mun.flags.writeable = False
         return cls(*cols, by_mun=by_mun)
@@ -285,11 +287,19 @@ class ValidationReport:
 
 
 def _check_duplicates(report: ValidationReport, ids, label: str) -> None:
+    """One DuplicateId per repeated occurrence of an id, in the order given."""
     seen: set[int] = set()
     for i in ids:
         if i in seen:
             report.add("DuplicateId", i, f"duplicate {label} {i}")
         seen.add(i)
+
+
+def _check_sorted_duplicates(report: ValidationReport, ids: np.ndarray, label: str) -> None:
+    """_check_duplicates for an id column in sorted order, where each repeated
+    occurrence is a row equal to the one before it."""
+    for i in ids[1:][ids[1:] == ids[:-1]].tolist():
+        report.add("DuplicateId", i, f"duplicate {label} {i}")
 
 
 def _check_coords(report: ValidationReport, lat: float, lon: float, label: str, oid: int) -> None:
@@ -338,8 +348,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
     if not len(sites):
         report.add("EmptyCandidates", None, "instance has no candidate sites")
 
-    _check_duplicates(report, sites.ids.tolist(), "site_id")
-    _check_duplicates(report, muns.ids.tolist(), "municipality_id")
+    _check_sorted_duplicates(report, sites.ids, "site_id")
+    _check_sorted_duplicates(report, muns.ids, "municipality_id")
     _check_duplicates(report, (t.turbine_id for t in instance.existing), "turbine_id")
     _check_duplicates(report, (t.transformer_id for t in instance.transformers), "transformer_id")
 
@@ -404,8 +414,16 @@ def validate_instance(instance: Instance) -> ValidationReport:
 # write (its fields are numbers, which never need quoting). The csv module
 # reads the three small files, and re-reads candidates.csv wherever loadtxt
 # declines it, so that it decides those inputs and words every error.
+#
+# Beside candidates.csv, write_instance saves its columns to candidates.npz
+# together with the sha256 of the CSV bytes, and read_instance loads them
+# instead of parsing the CSV while that digest still matches the file. The
+# CSV stays the source of truth: the column file is written only for a table
+# that reads back from the CSV as itself, holds the table that parsing those
+# exact bytes gives, and is ignored when missing, stale or malformed.
 
 CANDIDATES_FILE = "candidates.csv"
+CANDIDATES_COLUMN_FILE = "candidates.npz"
 MUNICIPALITIES_FILE = "municipalities.csv"
 EXISTING_FILE = "existing.csv"
 TRANSFORMERS_FILE = "transformers.csv"
@@ -423,6 +441,10 @@ _TRANSFORMER_HEADER = ["transformer_id", "lat", "lon", "voltage_kv"]
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 # candidates.csv rows formatted per write; bounds the strings held at once
 _WRITE_BLOCK = 1 << 14
+# bytes read at once when checking or hashing candidates.csv
+_READ_BLOCK = 1 << 20
+# the column file's entry holding the sha256 of the CSV bytes, as 32 uint8
+_DIGEST_KEY = "csv_sha256"
 
 
 def instance_files(directory: str) -> list[str]:
@@ -521,7 +543,7 @@ def _load_sites(path: str) -> SiteTable | None:
     try:
         with open(path, "rb") as f:
             if any(chunk.translate(None, _PLAIN_BYTES)
-                   for chunk in iter(lambda: f.read(1 << 20), b"")):
+                   for chunk in iter(lambda: f.read(_READ_BLOCK), b"")):
                 return None
         with open(path, newline="", encoding="utf-8") as f:
             header = next(csv.reader(f), [])
@@ -550,6 +572,37 @@ def _load_sites(path: str) -> SiteTable | None:
                                   network_length=column.get(_LENGTH_COLUMN))
 
 
+def file_sha256(path: str) -> str:
+    """Hex sha256 of a file's bytes, read a block at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_READ_BLOCK), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _saved_sites(directory: str) -> SiteTable | None:
+    """The SiteTable saved in the column file of a directory, or None unless
+    the file holds the sha256 of candidates.csv as it is now and the nine
+    columns, each of its dtype and all of one length. Nothing in the file is
+    unpickled, and any failure to read it is None."""
+    try:
+        # opened here, since np.load leaves open a file it fails to read as a zip
+        with open(os.path.join(directory, CANDIDATES_COLUMN_FILE), "rb") as f:
+            digest = bytes.fromhex(file_sha256(os.path.join(directory, CANDIDATES_FILE)))
+            with np.load(f, allow_pickle=False) as saved:
+                stored = saved[_DIGEST_KEY]
+                if stored.dtype != np.uint8 or stored.tobytes() != digest:
+                    return None
+                cols = [saved[name] for name in _SITE_COLUMNS]
+    except Exception:  # no file, or a foreign or damaged one, whatever it raises
+        return None
+    if any(col.dtype != t or col.ndim != 1 or col.size != cols[0].size
+           for col, t in zip(cols, _SITE_DTYPES)):
+        return None
+    return SiteTable.from_columns(*cols)
+
+
 def _records(path: str, header: list[str], types: tuple, optional: bool = False) -> list:
     """The rows of a small CSV as tuples of Python values in header order,
     stably sorted by the id in the first column; an optional file that does
@@ -566,10 +619,14 @@ def read_instance(directory: str) -> Instance:
 
     The optional network_length_km column in candidates.csv is honored;
     existing_capacity on municipalities is derived from existing.csv.
-    Municipalities, turbines and transformers come sorted by id.
+    Municipalities, turbines and transformers come sorted by id. The pool
+    comes from candidates.npz where that holds the digest of candidates.csv,
+    which then gives the table that parsing the CSV would.
     """
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
-    sites = _load_sites(cand_path)
+    sites = _saved_sites(directory)
+    if sites is None:
+        sites = _load_sites(cand_path)
     if sites is None:  # the csv reader decides, and words any error
         sites = _read_sites_csv(cand_path)
     existing = [ExistingTurbine(*r) for r in _records(
@@ -594,10 +651,11 @@ def write_csv(path: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _write_sites(path: str, sites: SiteTable) -> None:
+def _write_sites(path: str, sites: SiteTable) -> bytes:
     """candidates.csv in table order, byte for byte what csv.writer writes
     for the same rows: ids by str, floats by repr, the network_length_km
-    column only when some site has a length, and empty where it has none."""
+    column only when some site has a length, and empty where it has none.
+    Returns the sha256 of the bytes written."""
     columns = [sites.ids, sites.mun, sites.lat, sites.lon, sites.caps, sites.lcoe,
                sites.scenicness, sites.full_load_hours]
     header = list(_CAND_HEADER)
@@ -605,8 +663,15 @@ def _write_sites(path: str, sites: SiteTable) -> None:
     if with_lengths:
         header.append(_LENGTH_COLUMN)
         columns.append(sites.network_length)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(header) + "\r\n")
+    h = hashlib.sha256()
+    with open(path, "wb") as f:
+
+        def write(text: str) -> None:
+            data = text.encode()
+            h.update(data)
+            f.write(data)
+
+        write(",".join(header) + "\r\n")
         for start in range(0, len(sites), _WRITE_BLOCK):
             block = [col[start:start + _WRITE_BLOCK] for col in columns]
             fields = [list(map(str, col.tolist())) for col in block[:2]]
@@ -614,15 +679,36 @@ def _write_sites(path: str, sites: SiteTable) -> None:
             if with_lengths:
                 for k in np.flatnonzero(np.isnan(block[-1])).tolist():
                     fields[-1][k] = ""
-            f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+            write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+    return h.digest()
+
+
+def _save_sites(path: str, sites: SiteTable, digest: bytes) -> None:
+    """The column file of a candidates.csv just written with this sha256,
+    by uncompressed np.savez, whose bytes depend on the table alone. Every
+    NaN is saved as the NaN the reader makes of "nan" or an empty length. A
+    table with an infinite network length does not read back from the CSV,
+    so it gets no column file, and any left in place is removed."""
+    if np.isinf(sites.network_length).any():
+        if os.path.exists(path):
+            os.remove(path)
+        return
+    cols = {name: getattr(sites, name) for name in _SITE_COLUMNS}
+    for name in _SITE_COLUMNS[2:]:
+        nan = np.isnan(cols[name])
+        if nan.any():
+            cols[name] = np.where(nan, np.nan, cols[name])
+    np.savez(path, **{_DIGEST_KEY: np.frombuffer(digest, dtype=np.uint8)}, **cols)
 
 
 def write_instance(instance: Instance, directory: str) -> None:
     """Write the four instance CSVs in table and list order; the
-    network_length_km column only when some site has a length."""
+    network_length_km column only when some site has a length. The pool's
+    columns also go to candidates.npz with the digest of candidates.csv."""
     os.makedirs(directory, exist_ok=True)
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
-    _write_sites(cand_path, instance.sites)
+    digest = _write_sites(cand_path, instance.sites)
+    _save_sites(os.path.join(directory, CANDIDATES_COLUMN_FILE), instance.sites, digest)
     muns = instance.municipalities
     write_csv(mun_path, _MUN_HEADER,
               zip(muns.ids.tolist(), muns.name.tolist(), map(repr, muns.population.tolist()),

@@ -8,7 +8,6 @@ in the run manifest, never in result files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -16,7 +15,7 @@ import weakref
 from dataclasses import asdict
 
 from . import __version__
-from .domain import Instance, SiteTable, ValidationError, write_csv
+from .domain import Instance, SiteTable, ValidationError, file_sha256, write_csv
 from .metrics import RADAR_AXES, RadarValues
 from .scenarios import ScenarioResult
 from .solver import Means, ParetoFront, Selection, Totals
@@ -161,20 +160,12 @@ def write_radar_csv(radar: RadarValues, path: str) -> None:
                for name in sorted(radar.values)))
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def write_manifest(out_dir: str, inputs: list[str], config: dict,
                    timings_s: dict[str, float], stats: dict | None = None) -> None:
     """run_manifest.json; `stats` (solver statistics) is written only when given."""
     doc = {
         "tool_version": __version__,
-        "inputs": {os.path.basename(p): _sha256(p) for p in sorted(inputs)
+        "inputs": {os.path.basename(p): file_sha256(p) for p in sorted(inputs)
                    if os.path.isfile(p)},
         "config": config,
         "timings_s": timings_s,

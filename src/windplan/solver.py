@@ -670,8 +670,8 @@ def _make_selection(sites: SiteTable, rows, weights_cost: np.ndarray,
                     lower_bound: float | None) -> Selection:
     """The selection of `rows`; a `lower_bound` of None marks it optimal,
     so that its objective is its own bound."""
-    idx = np.array(sorted(rows), dtype=np.int64)
-    ids = tuple(int(i) for i in sites.ids[idx])
+    idx = np.sort(np.asarray(rows, dtype=np.int64))
+    ids = tuple(sites.ids[idx].tolist())
     if idx.size:
         cap = float(np.sum(sites.caps[idx]))
         t_lcoe = float(np.sum(sites.lcoe[idx]))

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -314,6 +315,51 @@ def test_exit_code_validation(prepped, tmp_path):
     assert code == 1
 
 
+def _stale_copy(src, dst, column, edit):
+    """Copy of a whole instance directory, candidates.npz included, whose
+    candidates.csv then has the field of `column` in its first row replaced
+    by edit(field), every other byte kept; the site id and the new field."""
+    shutil.copytree(src, dst)
+    path = dst / "candidates.csv"
+    data = path.read_bytes()
+    start = data.index(b"\r\n") + 2
+    end = data.index(b"\r\n", start)
+    fields = data[start:end].split(b",")
+    k = data[:start].decode().rstrip().split(",").index(column)
+    fields[k] = edit(fields[k])
+    path.write_bytes(data[:start] + b",".join(fields) + data[end:])
+    return int(fields[0]), fields[k].decode()
+
+
+def test_stale_column_file_gives_way_to_edited_csv(prepped, tmp_path):
+    _, prep = prepped
+    copy = tmp_path / "copy"
+    # the last digit of a capacity changed in place: same size, same mtime
+    site, text = _stale_copy(prep, copy, "capacity_mw",
+                             lambda f: f[:-1] + (b"2" if f.endswith(b"1") else b"1"))
+    original = prep / "candidates.csv"
+    os.utime(copy / "candidates.csv", ns=(original.stat().st_atime_ns,
+                                         original.stat().st_mtime_ns))
+    assert (copy / "candidates.csv").stat().st_size == original.stat().st_size
+    assert (copy / "candidates.npz").read_bytes() == (prep / "candidates.npz").read_bytes()
+    sites = read_instance(str(copy)).sites
+    before = read_instance(str(prep)).sites
+    row = sites.rows([site])[0]
+    assert sites.caps[row] == float(text) != before.caps[row]
+    assert sites.caps[:row].tolist() + sites.caps[row + 1:].tolist() == \
+        before.caps[:row].tolist() + before.caps[row + 1:].tolist()
+
+
+def test_stale_column_file_does_not_hide_invalid_csv(prepped, tmp_path):
+    # as test_exit_code_validation, with the column file copied beside the CSV
+    root, prep = prepped
+    _stale_copy(prep, tmp_path / "bad", "scenicness", lambda f: b"99.0")
+    scenario = _scenario_file(root, 120.0)
+    code = main(["solve", "--instance", str(tmp_path / "bad"), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+
+
 def _corrupted_copy(src, dst, column, value):
     """Copy of an instance directory with one candidate field replaced; the
     site id of the changed row."""
@@ -481,6 +527,8 @@ def test_bad_input_is_one_line_validation_error(prepped, tmp_path, capsys, argv,
 GOLDEN = {
     "raw/candidates.csv":
         "7f9288aaad0df1d1b9b7c9f5f63cfb69c6bd90f40b1fac9f0206f1f06fd02e96",
+    "raw/candidates.npz":
+        "ff495c6163e3f469eacfd293cabaff8b0d6cc63d1159c7b76ad01afe15b57b26",
     "raw/existing.csv":
         "f52d853137e690794a5239cabf2dd27a5de3b01802d04544f65f9d2ef86c598f",
     "raw/municipalities.csv":
@@ -489,6 +537,8 @@ GOLDEN = {
         "73fb536b3616362335f84e645d6c5b09ae31928a0194eaf6b22a346d5b17ac08",
     "prep/candidates.csv":
         "64366616bbb596403e77f24170a49d8408c0e49699f88c231466b524a2e79c11",
+    "prep/candidates.npz":
+        "e291ed0080afa6c92a786772646e22a6acf827b04fa5f5eda46227c2af676312",
     "prep/exclusion_report.json":
         "02b8ff39fc304a1127194d3de04090cadc968bc9eceb9b8ed3c7ed700f026eb0",
     "prep/existing.csv":

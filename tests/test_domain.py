@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import pickle
 import random
 import re
 import warnings
@@ -16,6 +17,7 @@ from windplan.cli import main
 from windplan.domain import (
     _CAND_HEADER,
     _WRITE_BLOCK,
+    CANDIDATES_COLUMN_FILE,
     ExistingTurbine,
     Instance,
     MunicipalityTable,
@@ -24,10 +26,14 @@ from windplan.domain import (
     ValidationError,
     _load_sites,
     _read_sites_csv,
+    _saved_sites,
     read_instance,
     validate_instance,
+    with_network_lengths,
     write_instance,
 )
+from windplan.geoprep import prep_instance
+from windplan.synth import SynthSpec, generate
 
 
 def _full_instance():
@@ -73,6 +79,47 @@ def test_validate_duplicate_ids():
     rep = validate_instance(inst)
     assert any(v.kind == "DuplicateId" and v.offending_id == 1
                for v in rep.violations)
+
+
+def _duplicates_by_set_walk(ids, label):
+    """Test-local reference: one DuplicateId per repeated occurrence, found
+    by a set walk over the ids in the order given."""
+    seen, found = set(), []
+    for i in ids:
+        if i in seen:
+            found.append(("DuplicateId", i, f"duplicate {label} {i}"))
+        seen.add(i)
+    return found
+
+
+def test_validate_duplicate_ids_match_set_walk():
+    # ids that repeat three times, and at both ends of each sorted table
+    site_ids = [9, 3, 1, 3, 5, 9, 8, 1, 3, 8, 9]
+    mun_ids = [7, 2, 4, 7, 2, 7]
+    turbines = [ExistingTurbine(turbine_id=t, municipality_id=2, lat=50.0, lon=10.0,
+                                capacity=1.0) for t in (6, 6, 1, 6)]
+    transformers = [Transformer(transformer_id=t, lat=50.0, lon=10.0, voltage_kv=20)
+                    for t in (4, 2, 4)]
+    inst = mk_instance([mk_site(i, mun=2) for i in site_ids],
+                       municipalities=[mk_mun(j) for j in mun_ids],
+                       existing=turbines, transformers=transformers)
+    expected = (_duplicates_by_set_walk(inst.sites.ids.tolist(), "site_id")
+                + _duplicates_by_set_walk(inst.municipalities.ids.tolist(), "municipality_id")
+                + _duplicates_by_set_walk([t.turbine_id for t in turbines], "turbine_id")
+                + _duplicates_by_set_walk([t.transformer_id for t in transformers],
+                                          "transformer_id"))
+    found = [(v.kind, v.offending_id, v.message)
+             for v in validate_instance(inst).violations if v.kind == "DuplicateId"]
+    assert found == expected
+    assert [i for _, i, _ in found] == [1, 3, 3, 8, 9, 9, 2, 7, 7, 6, 6, 4]
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        ids = rng.integers(-3, 4, int(rng.integers(0, 30))).tolist()
+        table_ids = SiteTable.of([mk_site(i) for i in ids]).ids.tolist()
+        found = [(v.kind, v.offending_id, v.message)
+                 for v in validate_instance(mk_instance([mk_site(i) for i in ids])).violations
+                 if v.kind == "DuplicateId"]
+        assert found == _duplicates_by_set_walk(table_ids, "site_id")
 
 
 def test_validate_missing_municipality_reference():
@@ -559,3 +606,143 @@ def test_municipality_records_have_one_home():
             if uses.found:
                 found[name] = uses.found
     assert found == {}
+
+
+# -- the column file beside candidates.csv --------------------------------------
+
+SPEC = SynthSpec(seed=404, n_sites=250, n_municipalities=12, n_states=3, n_transformers=6,
+                 n_existing=5)
+
+
+def _pool(kind):
+    """An instance whose pool is of the given kind."""
+    if kind == "synth":
+        return generate(SPEC)
+    if kind == "prepped":
+        return prep_instance(generate(SPEC))[0]
+    if kind == "negative-zero":
+        sites = SiteTable.of([mk_site(1, lat=-0.0, lon=-0.0, length=-0.0),
+                              mk_site(2, lcoe=-0.0, flh=-0.0, length=None)])
+    elif kind == "empty":
+        sites = SiteTable.of([])
+    else:
+        sites = _random_table(np.random.default_rng(11), 300,
+                              "mixed" if kind == "nan-lengths" else "none")
+        if kind == "nan-lengths":
+            # NaNs that are not the reader's: the sign bit set, another payload
+            nan = np.isnan(sites.network_length)
+            lat = sites.lat.copy()
+            lat[:3] = np.array([0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0000,
+                                0x7FF0_0000_0000_0002], dtype=np.uint64).view(np.float64)
+            sites = SiteTable.from_columns(
+                sites.ids, sites.mun, lat, sites.lon, sites.caps, sites.lcoe,
+                sites.scenicness, sites.full_load_hours,
+                np.where(nan, -np.nan, sites.network_length))
+    return Instance(sites=sites, municipalities=MunicipalityTable.of([mk_mun(1)]))
+
+
+@pytest.mark.parametrize("kind", ["synth", "prepped", "nan-lengths", "negative-zero",
+                                  "no-lengths", "empty"])
+def test_column_file_read_equals_csv_read(tmp_path, kind):
+    """A read through candidates.npz gives, bit for bit, the table that
+    parsing candidates.csv gives once the column file is deleted."""
+    write_instance(_pool(kind), str(tmp_path))
+    assert _saved_sites(str(tmp_path)) is not None
+    from_file = read_instance(str(tmp_path)).sites
+    os.remove(tmp_path / CANDIDATES_COLUMN_FILE)
+    assert _saved_sites(str(tmp_path)) is None
+    from_csv = read_instance(str(tmp_path)).sites
+    assert same_bits(from_file, from_csv)
+    assert from_file.by_mun.tobytes() == from_csv.by_mun.tobytes()
+
+
+_UNPICKLED = []
+
+
+def _unpickle_tripwire(*args):
+    _UNPICKLED.append(args)
+
+
+class _Tripwire:
+    """An object whose unpickling is recorded in _UNPICKLED."""
+
+    def __reduce__(self):
+        return _unpickle_tripwire, ("unpickled",)
+
+
+def _resaved(edit):
+    """A column-file edit that re-saves its entries as edit(entries) gives them."""
+    def apply(path):
+        with np.load(path) as saved:
+            entries = dict(saved)
+        np.savez(path, **edit(entries))
+    return apply
+
+
+def _replaced(name, value):
+    return _resaved(lambda e: {**e, name: value(e[name])})
+
+
+def _overwritten(data):
+    """A column-file edit that replaces its bytes by data(bytes)."""
+    def apply(path):
+        with open(path, "rb") as f:
+            saved = f.read()
+        with open(path, "wb") as f:
+            f.write(data(saved))
+    return apply
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(_overwritten(lambda b: b[:len(b) // 2]), id="truncated"),
+    pytest.param(_overwritten(lambda b: b[:-1]), id="last-byte-cut"),
+    pytest.param(_overwritten(lambda b: bytes(range(256)) * 40), id="garbage"),
+    pytest.param(_overwritten(lambda b: b""), id="empty-file"),
+    pytest.param(_overwritten(lambda b: pickle.dumps(_Tripwire())), id="pickle"),
+    pytest.param(_replaced("lcoe", lambda c: c.astype(np.float32)), id="float32-column"),
+    pytest.param(_replaced("ids", lambda c: c.astype(">i8")), id="big-endian-ids"),
+    pytest.param(_replaced("network_length", lambda c: c[:-1]), id="short-column"),
+    pytest.param(_replaced("caps", lambda c: c.reshape(1, -1)), id="matrix-column"),
+    pytest.param(_resaved(lambda e: {k: v for k, v in e.items() if k != "scenicness"}),
+                 id="missing-column"),
+    pytest.param(_replaced("lcoe", lambda c: np.array([_Tripwire()] * c.size, dtype=object)),
+                 id="object-column"),
+    pytest.param(_replaced("csv_sha256", lambda d: np.array([_Tripwire()], dtype=object)),
+                 id="object-digest"),
+    pytest.param(_replaced("csv_sha256", lambda d: d[::-1]), id="other-digest"),
+])
+def test_damaged_column_file_is_ignored(tmp_path, damage):
+    """A column file that is not what write_instance saves for this CSV
+    gives way to the CSV: nothing raises and nothing is unpickled."""
+    write_instance(_full_instance(), str(tmp_path))
+    damage(str(tmp_path / CANDIDATES_COLUMN_FILE))
+    _UNPICKLED.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _saved_sites(str(tmp_path)) is None
+        sites = read_instance(str(tmp_path)).sites
+    assert same_bits(sites, _read_sites_csv(str(tmp_path / "candidates.csv")))
+    assert same_bits(sites, _full_instance().sites)
+    assert _UNPICKLED == []
+
+
+@pytest.mark.parametrize("length", [math.inf, -math.inf])
+def test_infinite_length_leaves_no_column_file(tmp_path, length):
+    write_instance(_full_instance(), str(tmp_path))
+    assert (tmp_path / CANDIDATES_COLUMN_FILE).is_file()
+    write_instance(with_network_lengths(_full_instance(), [length, math.nan]), str(tmp_path))
+    assert not (tmp_path / CANDIDATES_COLUMN_FILE).exists()
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"site 1: network_length_km '{length!r}' is not finite")):
+        read_instance(str(tmp_path))
+
+
+def test_column_file_bytes_depend_on_the_table_alone(tmp_path):
+    inst = _pool("prepped")
+    path = tmp_path / "a" / CANDIDATES_COLUMN_FILE
+    write_instance(inst, str(tmp_path / "a"))
+    first = path.read_bytes()
+    write_instance(inst, str(tmp_path / "a"))
+    assert path.read_bytes() == first
+    write_instance(read_instance(str(tmp_path / "a")), str(tmp_path / "b"))
+    assert (tmp_path / "b" / CANDIDATES_COLUMN_FILE).read_bytes() == first
