@@ -20,7 +20,6 @@ import hashlib
 import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -407,13 +406,11 @@ def validate_instance(instance: Instance) -> ValidationReport:
 # All files UTF-8, '.' decimal separator, floats written with repr() so that
 # a read/write round trip reproduces every numeric field bit-exactly.
 #
-# candidates.csv holds the whole pool (160k rows at desk scale), so no Python
-# string per field is made for it. It is read by one np.loadtxt call, whose C
-# parsers agree with int() and float() on plain ASCII text, and written a
-# block of rows at a time, joined by hand into the bytes csv.writer would
-# write (its fields are numbers, which never need quoting). The csv module
-# reads the three small files, and re-reads candidates.csv wherever loadtxt
-# declines it, so that it decides those inputs and words every error.
+# The csv module reads every instance CSV (_read_columns), so that it decides
+# each input and words every error. candidates.csv holds the whole pool (160k
+# rows at desk scale), so it is written a block of rows at a time, joined by
+# hand into the bytes csv.writer would write (its fields are numbers, which
+# never need quoting).
 #
 # Beside candidates.csv, write_instance saves its columns to candidates.npz
 # together with the sha256 of the CSV bytes, and read_instance loads them
@@ -436,12 +433,9 @@ _MUN_HEADER = ["municipality_id", "name", "population", "region_tag", "state_id"
 _EXISTING_HEADER = ["turbine_id", "municipality_id", "lat", "lon", "capacity_mw"]
 _TRANSFORMER_HEADER = ["transformer_id", "lat", "lon", "voltage_kv"]
 
-# The bytes loadtxt may parse: printable ASCII, tab and line ends. Its number
-# parsers accept some other characters that int() and float() reject.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 # candidates.csv rows formatted per write; bounds the strings held at once
 _WRITE_BLOCK = 1 << 14
-# bytes read at once when checking or hashing candidates.csv
+# bytes read at once when hashing candidates.csv
 _READ_BLOCK = 1 << 20
 # the column file's entry holding the sha256 of the CSV bytes, as 32 uint8
 _DIGEST_KEY = "csv_sha256"
@@ -465,9 +459,19 @@ def _check_header(path: str, header: list[str], required: list[str]) -> None:
         raise ValidationError(f"{path}: repeated columns {repeated}")
 
 
+def csv_error(where: str, e: UnicodeDecodeError | csv.Error, line: int) -> ValidationError:
+    """The ValidationError of a CSV file, named by `where`, that is not UTF-8
+    text, or that the csv module rejects at `line` (say a field over its size
+    limit)."""
+    if isinstance(e, UnicodeDecodeError):
+        return ValidationError(f"{where}: not UTF-8 text: {e.reason} {e.object[e.start:e.end]!r}")
+    return ValidationError(f"{where}, line {line}: {e}")
+
+
 def _read_columns(path: str, required: list[str]) -> dict[str, list[str]]:
     """The columns of a CSV file by header name; blank lines are skipped, and
-    a row whose field count differs from the header's is a ValidationError."""
+    a row whose field count differs from the header's, a file that is not
+    UTF-8 text or one the csv module rejects is a ValidationError."""
 
     def rows(reader, width):
         for row in reader:
@@ -487,6 +491,8 @@ def _read_columns(path: str, required: list[str]) -> dict[str, list[str]]:
             fields = list(itertools.chain.from_iterable(rows(reader, len(header))))
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise csv_error(path, e, reader.line_num) from None
     return {name: fields[k::len(header)] for k, name in enumerate(header)}
 
 
@@ -523,53 +529,6 @@ def _read_sites_csv(path: str) -> SiteTable:
     return SiteTable.from_columns(
         ids, _parse(path, cols, "municipality_id", _int64),
         *(_parse(path, cols, name) for name in _CAND_HEADER[2:]), network_length=lengths)
-
-
-def _length(text: str) -> float:
-    """A network_length_km field: empty is NaN, and a literal non-finite
-    value raises (the csv reader then words the error)."""
-    if not text:
-        return math.nan
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text!r} is not finite")
-    return x
-
-
-def _load_sites(path: str) -> SiteTable | None:
-    """candidates.csv as a SiteTable by one np.loadtxt call, with the rules
-    of _read_sites_csv, or None where loadtxt declines the file: text other
-    than _PLAIN_BYTES, or anything it cannot read, rejects or warns about."""
-    try:
-        with open(path, "rb") as f:
-            if any(chunk.translate(None, _PLAIN_BYTES)
-                   for chunk in iter(lambda: f.read(_READ_BLOCK), b"")):
-                return None
-        with open(path, newline="", encoding="utf-8") as f:
-            header = next(csv.reader(f), [])
-            _check_header(path, header, _CAND_HEADER)
-            # one field per header column, so that a row of another width
-            # fails; a column the table does not use is parsed into zero bytes
-            kinds = (dict.fromkeys(_CAND_HEADER[:2], np.int64)
-                     | dict.fromkeys(_CAND_HEADER[2:] + [_LENGTH_COLUMN], np.float64))
-            dtype = np.dtype([(f"c{k}", kinds.get(name, "S0")) for k, name in enumerate(header)])
-            converters = ({header.index(_LENGTH_COLUMN): _length} if _LENGTH_COLUMN in header
-                          else None)
-            with warnings.catch_warnings():
-                # a header-only file is an empty table
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                # numpy 1.23-1.26 read a float text such as "2.9" in an int
-                # column by truncating it, with only this warning; int() rejects it
-                warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
-                                        DeprecationWarning)
-                data = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None,
-                                  quotechar='"', converters=converters, ndmin=1)
-    except (OSError, ValueError, DeprecationWarning):
-        return None
-    column = {name: data[f"c{k}"] for k, name in enumerate(header)}
-    return SiteTable.from_columns(*(column[name] for name in _CAND_HEADER),
-                                  network_length=column.get(_LENGTH_COLUMN))
 
 
 def file_sha256(path: str) -> str:
@@ -626,8 +585,6 @@ def read_instance(directory: str) -> Instance:
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
     sites = _saved_sites(directory)
     if sites is None:
-        sites = _load_sites(cand_path)
-    if sites is None:  # the csv reader decides, and words any error
         sites = _read_sites_csv(cand_path)
     existing = [ExistingTurbine(*r) for r in _records(
         ex_path, _EXISTING_HEADER, (int, _int64, float, float, float), optional=True)]

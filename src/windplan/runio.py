@@ -15,7 +15,7 @@ import weakref
 from dataclasses import asdict
 
 from . import __version__
-from .domain import Instance, SiteTable, ValidationError, file_sha256, write_csv
+from .domain import Instance, SiteTable, ValidationError, csv_error, file_sha256, write_csv
 from .metrics import RADAR_AXES, RadarValues
 from .scenarios import ScenarioResult
 from .solver import Means, ParetoFront, Selection, Totals
@@ -101,23 +101,29 @@ def write_selection_csv(selection: Selection, instance: Instance, path: str) -> 
 
 
 def read_selection_csv(path: str) -> list[int]:
-    """Site ids of a selection CSV in file order; a missing site_id column or
-    a non-integer or repeated id is a ValidationError naming the file and line."""
+    """Site ids of a selection CSV in file order; a missing site_id column, a
+    non-integer or repeated id, text that is not UTF-8 or a row the csv module
+    rejects is a ValidationError naming the file (and the line, where known)."""
+    where = f"selection {path}"
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        if "site_id" not in (reader.fieldnames or []):
-            raise ValidationError(f"selection {path}: missing column 'site_id'")
         lines: dict[int, int] = {}  # site id -> line it is on
-        for r in reader:
-            try:
-                sid = int(r["site_id"])
-            except (TypeError, ValueError):
-                raise ValidationError(f"selection {path}, line {reader.line_num}: "
-                                      f"site_id {r['site_id']!r} is not an integer") from None
-            if sid in lines:
-                raise ValidationError(f"selection {path}, line {reader.line_num}: "
-                                      f"duplicate site_id {sid} (first on line {lines[sid]})")
-            lines[sid] = reader.line_num
+        try:
+            if "site_id" not in (reader.fieldnames or []):
+                raise ValidationError(f"{where}: missing column 'site_id'")
+            for r in reader:
+                try:
+                    sid = int(r["site_id"])
+                except (TypeError, ValueError):
+                    raise ValidationError(f"{where}, line {reader.line_num}: "
+                                          f"site_id {r['site_id']!r} is not an integer") from None
+                if sid in lines:
+                    raise ValidationError(f"{where}, line {reader.line_num}: "
+                                          f"duplicate site_id {sid} (first on line {lines[sid]})")
+                lines[sid] = reader.line_num
+        except (UnicodeDecodeError, csv.Error) as e:
+            # DictReader counts a line only once its row is read
+            raise csv_error(where, e, reader.reader.line_num) from None
     return list(lines)
 
 

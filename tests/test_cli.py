@@ -271,12 +271,15 @@ def test_metrics_writes_into_new_directory(prepped, tmp_path):
     (["site_id", "1", "x7"], "line 3: site_id 'x7' is not an integer"),
     (["site_id", "1", "2", "1"], "line 4: duplicate site_id 1 (first on line 2)"),
     (["site_id", "999999"], "unknown site ids [999999]"),
+    (["site_id", "1", "\udcff"], ": not UTF-8 text: invalid start byte b'\\xff'"),
+    (["site_id", "1" * (csv.field_size_limit() + 1)], "line 2: field larger than field limit"),
 ])
 def test_metrics_malformed_selection_is_validation_error(prepped, tmp_path, capsys,
                                                          rows, message):
     root, prep = prepped
     path = tmp_path / "selection.csv"
-    path.write_text("\n".join(rows) + "\n")
+    # a lone surrogate stands for the byte it escapes
+    path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
     code = main(["metrics", "--selection", str(path), "--instance", str(prep),
                  "--out", str(tmp_path / "m.json")])
     assert code == 1

@@ -24,7 +24,6 @@ from windplan.domain import (
     SiteTable,
     Transformer,
     ValidationError,
-    _load_sites,
     _read_sites_csv,
     _saved_sites,
     read_instance,
@@ -345,30 +344,6 @@ def test_read_malformed_candidate_rows(tmp_path, edit, message):
             read_instance(str(tmp_path))
 
 
-@pytest.mark.parametrize("action", ["ignore", "error"])
-def test_read_int_via_float_warning_declines_fast_path(tmp_path, monkeypatch, action):
-    """numpy 1.23-1.26 read "2.9" in an int column as 2 with only a
-    DeprecationWarning; whatever the warning filters, the csv reader must
-    then decide and reject the file."""
-    write_instance(_full_instance(), str(tmp_path))
-    path = tmp_path / "candidates.csv"
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join([lines[0], lines[1], "2,2.9" + lines[2][3:]]) + "\n")
-    loadtxt = np.loadtxt
-
-    def truncating_loadtxt(f, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning)
-        return loadtxt(io.StringIO(f.read().replace("2,2.9,", "2,2,")), **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
-    with warnings.catch_warnings():
-        warnings.simplefilter(action)
-        with pytest.raises(ValidationError, match=re.escape(
-                "column municipality_id: invalid literal for int() with base 10: '2.9'")):
-            read_instance(str(tmp_path))
-
-
 @pytest.mark.parametrize("name, column, value", [
     ("candidates.csv", "capacity_mw", "99.0"),
     ("municipalities.csv", "population", "1.0"),
@@ -384,6 +359,21 @@ def test_read_rejects_repeated_column(tmp_path, name, column, value):
     with pytest.raises(ValidationError, match=re.escape(f"{name}: repeated columns ['{column}']")):
         read_instance(str(tmp_path))
     assert main(["scale", "--instance", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 1
+
+
+@pytest.mark.parametrize("fault, message", [
+    (b"\xff", ": not UTF-8 text: invalid start byte b'\\xff'"),
+    (b"9" * (csv.field_size_limit() + 1), ", line 2: field larger than field limit"),
+], ids=["not-utf-8", "oversized-field"])
+@pytest.mark.parametrize("name", ["candidates.csv", "municipalities.csv", "existing.csv",
+                                  "transformers.csv"])
+def test_non_utf8_or_oversized_field_is_validation_error(tmp_path, capsys, name, fault, message):
+    write_instance(_full_instance(), str(tmp_path))
+    path = tmp_path / name
+    header, first, rest = path.read_bytes().split(b"\r\n", 2)
+    path.write_bytes(b"\r\n".join([header, first + fault, rest]))
+    assert main(["scale", "--instance", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 1
+    assert f"{path}{message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, column", [
@@ -438,16 +428,18 @@ def _rewrite_csv(path, edit):
 
 @pytest.mark.parametrize("lengths", ["all", "mixed", "none", "empty-column"])
 def test_fast_reader_equals_csv_reader(tmp_path, lengths):
-    """loadtxt parses written tables, and a reordered header with an
-    unknown column, into what the csv reader reads, bit for bit; written
-    tables survive write -> read -> write byte for byte. "none" writes no
-    length column, "empty-column" adds one with every field empty."""
+    """The column file and the csv reader read written tables as written,
+    and the csv reader a reordered header with an unknown quoted column,
+    bit for bit; written tables survive write -> read -> write byte for
+    byte. "none" writes no length column, "empty-column" adds one with
+    every field empty."""
     rng = np.random.default_rng(len(lengths))
     for trial in range(5):
         table = _random_table(rng, 300, "none" if lengths == "empty-column" else lengths)
         out = tmp_path / str(trial)
         write_instance(Instance(sites=table, municipalities=MunicipalityTable.of([])), str(out))
         path = str(out / "candidates.csv")
+        assert same_bits(_saved_sites(str(out)), table)
         again = tmp_path / f"{trial}-again"
         write_instance(read_instance(str(out)), str(again))
         assert (again / "candidates.csv").read_bytes() == (out / "candidates.csv").read_bytes()
@@ -460,10 +452,7 @@ def test_fast_reader_equals_csv_reader(tmp_path, lengths):
                 order = rng.permutation(width)
                 _rewrite_csv(path, lambda row: [(row + ["note" if row[0] == "site_id"
                                                         else f"a,b {row[0]}"])[k] for k in order])
-            loaded = _load_sites(path)
-            assert loaded is not None
-            assert same_bits(loaded, _read_sites_csv(path))
-            assert same_bits(loaded, table)
+            assert same_bits(_read_sites_csv(path), table)
 
 
 def _csv_writer_bytes(sites):
