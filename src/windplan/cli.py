@@ -51,12 +51,15 @@ EXIT_IO = 3
 
 
 def _load_validated(directory: str):
-    instance = read_instance(directory)
+    """The validated instance of a directory, and the hex sha256 of each
+    file hashed while reading it, by path, for the run manifest."""
+    digests: dict[str, str] = {}
+    instance = read_instance(directory, digests)
     report = validate_instance(instance)
     if not report.ok():
         lines = "\n".join(f"  {v.kind}: {v.message}" for v in report.violations[:20])
         raise ValidationError(f"instance {directory} is invalid:\n{lines}")
-    return instance
+    return instance, digests
 
 
 @click.group(name="plan")
@@ -95,14 +98,14 @@ def synth_cmd(spec_path, seed, out_dir):
 def prep_cmd(instance_dir, buffer_m, out_dir):
     """Exclusion filter + nearest-transformer network lengths."""
     t0 = time.perf_counter()
-    instance = _load_validated(instance_dir)
+    instance, digests = _load_validated(instance_dir)
     prepped, report = prep_instance(instance, buffer_m)
     os.makedirs(out_dir, exist_ok=True)
     write_instance(prepped, out_dir)
     write_json(os.path.join(out_dir, "exclusion_report.json"), asdict(report))
     write_manifest(out_dir, instance_files(instance_dir),
                    {"command": "prep", "buffer_m": buffer_m},
-                   {"prep": time.perf_counter() - t0})
+                   {"prep": time.perf_counter() - t0}, digests=digests)
     click.echo(f"excluded {report.excluded_count} candidates "
                f"({report.excluded_share_count:.1%} of sites, "
                f"{report.excluded_share_capacity:.1%} of capacity)")
@@ -116,7 +119,7 @@ def prep_cmd(instance_dir, buffer_m, out_dir):
 def scale_cmd(instance_dir, out_path, bins):
     """Emit the scaled-equalized criterion value distributions."""
     t0 = time.perf_counter()
-    instance = _load_validated(instance_dir)
+    instance, digests = _load_validated(instance_dir)
     scaled = scale_candidates(instance.sites)
     arrays = {"lcoe": scaled.lcoe, "scenicness": scaled.scenicness,
               "network_length": scaled.network_length}
@@ -134,7 +137,7 @@ def scale_cmd(instance_dir, out_path, bins):
     write_csv(out_path, ["criterion", "bin_left", "bin_right", "count", "mean"], rows)
     write_manifest(out_dir, instance_files(instance_dir),
                    {"command": "scale", "bins": bins},
-                   {"scale": time.perf_counter() - t0})
+                   {"scale": time.perf_counter() - t0}, digests=digests)
     click.echo(f"wrote scaled histograms to {out_path}")
 
 
@@ -157,7 +160,7 @@ def _read_json(path: str, what: str):
 def solve_cmd(instance_dir, scenario_path, scale, out_dir):
     """Solve one scenario; writes selection.csv/.geojson and summary.json."""
     t0 = time.perf_counter()
-    instance = _load_validated(instance_dir)
+    instance, digests = _load_validated(instance_dir)
     sc = _read_json(scenario_path, "scenario")
     try:
         cfg = scenario_from_row(sc)
@@ -171,7 +174,7 @@ def solve_cmd(instance_dir, scenario_path, scale, out_dir):
     write_summary_json(sel, os.path.join(out_dir, "summary.json"))
     write_manifest(out_dir, instance_files(instance_dir) + [scenario_path],
                    {"command": "solve", "scenario": sc, "scale": scale},
-                   {"solve": time.perf_counter() - t0})
+                   {"solve": time.perf_counter() - t0}, digests=digests)
     click.echo(f"selected {sel.n_sites} sites, objective {sel.objective_value:.6g}, "
                f"gap {sel.gap:.2%}")
 
@@ -193,7 +196,7 @@ def sweep_cmd(instance_dir, optimize, sweep_crit, steps, factor,
               total_capacity_mw, scale, equity, out_dir):
     """Epsilon-constraint Pareto sweep between two criteria."""
     t0 = time.perf_counter()
-    instance = _load_validated(instance_dir)
+    instance, digests = _load_validated(instance_dir)
     constraints = target_constraints(instance, total_capacity_mw * scale, equity)
     front = pareto_sweep(instance, optimize, sweep_crit, constraints,
                          steps=steps, step_factor=factor)
@@ -207,7 +210,7 @@ def sweep_cmd(instance_dir, optimize, sweep_crit, steps, factor,
                              "bound": front.stop_bound}},
                    {"sweep": time.perf_counter() - t0},
                    stats={"points": [{"step": p.step, **p.selection.stats}
-                                     for p in front.points]})
+                                     for p in front.points]}, digests=digests)
     note = ""
     if front.truncated:
         bound = "unknown" if front.stop_bound is None else f"{front.stop_bound:.6g}"
@@ -229,7 +232,7 @@ def sweep_cmd(instance_dir, optimize, sweep_crit, steps, factor,
 def scenarios_cmd(instance_dir, grid_spec, scale, out_dir):
     """Run a scenario grid; writes results.csv, radar.csv and GeoJSONs."""
     t0 = time.perf_counter()
-    instance = _load_validated(instance_dir)
+    instance, digests = _load_validated(instance_dir)
     if grid_spec == "builtin":
         grid = builtin_grid()
         inputs = instance_files(instance_dir)
@@ -260,7 +263,8 @@ def scenarios_cmd(instance_dir, grid_spec, scale, out_dir):
     write_manifest(out_dir, inputs,
                    {"command": "scenarios", "grid": grid_spec, "scale": scale},
                    {"scenarios": time.perf_counter() - t0,
-                    **{f"scenario:{r.name}": r.runtime_s for r in results}})
+                    **{f"scenario:{r.name}": r.runtime_s for r in results}},
+                   digests=digests)
     failures = [r.name for r in results if r.error is not None]
     click.echo(f"ran {len(results)} scenarios" +
                (f", failures: {failures}" if failures else ""))
@@ -274,7 +278,7 @@ def metrics_cmd(selection_path, instance_dir, out_path):
     """Equity / south-quota / per-state statistics for a saved selection."""
     t0 = time.perf_counter()
     site_ids = read_selection_csv(selection_path)
-    instance = _load_validated(instance_dir)
+    instance, digests = _load_validated(instance_dir)
     eq = regional_equity(site_ids, instance)
     stats = regional_stats(site_ids, instance)
     doc = {
@@ -289,7 +293,7 @@ def metrics_cmd(selection_path, instance_dir, out_path):
     write_json(out_path, doc)
     write_manifest(out_dir, instance_files(instance_dir) + [selection_path],
                    {"command": "metrics"},
-                   {"metrics": time.perf_counter() - t0})
+                   {"metrics": time.perf_counter() - t0}, digests=digests)
     click.echo(f"equity {eq.regional_equity_pct:.1f}%, "
                f"south quota {doc['south_quota_pct']:.1f}%")
 

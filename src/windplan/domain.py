@@ -471,7 +471,8 @@ def csv_error(where: str, e: UnicodeDecodeError | csv.Error, line: int) -> Valid
 def _read_columns(path: str, required: list[str]) -> dict[str, list[str]]:
     """The columns of a CSV file by header name; blank lines are skipped, and
     a row whose field count differs from the header's, a file that is not
-    UTF-8 text or one the csv module rejects is a ValidationError."""
+    UTF-8 text or one the csv module rejects is a ValidationError. A file
+    that cannot be opened or read is an OSError naming its path."""
 
     def rows(reader, width):
         for row in reader:
@@ -489,8 +490,9 @@ def _read_columns(path: str, required: list[str]) -> dict[str, list[str]]:
             _check_header(path, header, required)
             # one flat list of fields, row after row, sliced into columns
             fields = list(itertools.chain.from_iterable(rows(reader, len(header))))
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
+    except OSError as e:  # an I/O error, not a validation one; named even if raised mid-read
+        e.filename = e.filename or path
+        raise
     except (UnicodeDecodeError, csv.Error) as e:
         raise csv_error(path, e, reader.line_num) from None
     return {name: fields[k::len(header)] for k, name in enumerate(header)}
@@ -540,18 +542,22 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _saved_sites(directory: str) -> SiteTable | None:
+def _saved_sites(directory: str, digests: dict[str, str] | None = None) -> SiteTable | None:
     """The SiteTable saved in the column file of a directory, or None unless
     the file holds the sha256 of candidates.csv as it is now and the nine
     columns, each of its dtype and all of one length. Nothing in the file is
-    unpickled, and any failure to read it is None."""
+    unpickled, and any failure to read it is None. The hex sha256 of
+    candidates.csv, once computed, goes into `digests` under its path."""
     try:
         # opened here, since np.load leaves open a file it fails to read as a zip
         with open(os.path.join(directory, CANDIDATES_COLUMN_FILE), "rb") as f:
-            digest = bytes.fromhex(file_sha256(os.path.join(directory, CANDIDATES_FILE)))
+            path = os.path.join(directory, CANDIDATES_FILE)
+            digest = file_sha256(path)
+            if digests is not None:
+                digests[path] = digest
             with np.load(f, allow_pickle=False) as saved:
                 stored = saved[_DIGEST_KEY]
-                if stored.dtype != np.uint8 or stored.tobytes() != digest:
+                if stored.dtype != np.uint8 or stored.tobytes().hex() != digest:
                     return None
                 cols = [saved[name] for name in _SITE_COLUMNS]
     except Exception:  # no file, or a foreign or damaged one, whatever it raises
@@ -573,17 +579,21 @@ def _records(path: str, header: list[str], types: tuple, optional: bool = False)
                   key=lambda r: r[0])
 
 
-def read_instance(directory: str) -> Instance:
+def read_instance(directory: str, digests: dict[str, str] | None = None) -> Instance:
     """Load the four instance CSVs from a directory.
 
     The optional network_length_km column in candidates.csv is honored;
     existing_capacity on municipalities is derived from existing.csv.
     Municipalities, turbines and transformers come sorted by id. The pool
     comes from candidates.npz where that holds the digest of candidates.csv,
-    which then gives the table that parsing the CSV would.
+    which then gives the table that parsing the CSV would. `digests`, when
+    given, receives the hex sha256 of each file hashed on the way, by path
+    (candidates.csv whenever there is a column file to check), so that a
+    run manifest need not hash it again. A file that cannot be opened or
+    read is an OSError naming its path.
     """
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
-    sites = _saved_sites(directory)
+    sites = _saved_sites(directory, digests)
     if sites is None:
         sites = _read_sites_csv(cand_path)
     existing = [ExistingTurbine(*r) for r in _records(

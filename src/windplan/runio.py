@@ -167,12 +167,16 @@ def write_radar_csv(radar: RadarValues, path: str) -> None:
 
 
 def write_manifest(out_dir: str, inputs: list[str], config: dict,
-                   timings_s: dict[str, float], stats: dict | None = None) -> None:
-    """run_manifest.json; `stats` (solver statistics) is written only when given."""
+                   timings_s: dict[str, float], stats: dict | None = None,
+                   digests: dict[str, str] | None = None) -> None:
+    """run_manifest.json; `stats` (solver statistics) is written only when
+    given. An input whose path is in `digests` (as `read_instance` fills
+    it) takes its hex sha256 from there instead of being hashed again."""
+    digests = digests or {}
     doc = {
         "tool_version": __version__,
-        "inputs": {os.path.basename(p): file_sha256(p) for p in sorted(inputs)
-                   if os.path.isfile(p)},
+        "inputs": {os.path.basename(p): digests.get(p) or file_sha256(p)
+                   for p in sorted(inputs) if os.path.isfile(p)},
         "config": config,
         "timings_s": timings_s,
         "warnings": [],

@@ -23,10 +23,11 @@ The pool is the instance's SiteTable, `Instance.sites`; a row index is a
 position in that table (site_id order).
 
 A heuristic run sorts only the prefix of the global ratio order that its
-greedy fill and polish rounds read (`_RatioOrder`), takes that order and
-the selection in numpy blocks (running totals are sequential cumsums, so
-they add as a site-by-site loop would), and polish tests all swap
-candidates of a site in one vectorised check, so its cost follows the
+greedy fill and polish rounds read (`_RatioOrder`; the prefix ends at a
+threshold ratio taken from a strided sample of the pool), takes that order
+and the selection in numpy blocks (running totals are sequential cumsums,
+so they add as a site-by-site loop would), and polish tests every swap of
+a round in one outs × ins boolean matrix, so its cost follows the
 selection size rather than the pool size.
 
 The equity floors are walked all at once: the rows of their municipalities
@@ -146,12 +147,17 @@ class _RatioOrder:
     """Rows by ascending cost/capacity ratio, ties on the lower site id.
 
     Iterating yields the rows of `np.lexsort((ids, cost / caps))` but
-    sorts only the prefix read so far: the rows with a ratio at most the
-    m-th smallest form an exact prefix of that order, ties included.
-    m starts at _FIRST_BLOCK and grows 4x whenever a reader runs past the
-    sorted part; the full sort is the fallback once m reaches the pool
-    size or the m-th ratio is not finite. Any number of iterations may
-    run, interleaved, over one object.
+    sorts only the prefix read so far: the rows with a ratio at most any
+    finite threshold t form an exact prefix of that order, ties included.
+    t is a sampled threshold, about the m-th smallest ratio: the
+    (m // step)-th smallest of every step-th ratio, with step = n // (8m),
+    so that the selection runs over about 8m ratios instead of the whole
+    pool of n (a pool under 8m rows takes step 1, the exact m-th smallest).
+    Only the size of the sorted block depends on t, never the order. m
+    starts at _FIRST_BLOCK and grows 4x whenever a reader runs past the
+    sorted part, which may hold fewer than m rows; the full sort is the
+    fallback once m reaches the pool size or t is not finite. Any number
+    of iterations may run, interleaved, over one object.
     """
 
     _FIRST_BLOCK = 1024
@@ -167,7 +173,9 @@ class _RatioOrder:
         self._m *= 4
         ratio, ids = self._ratio, self._ids
         if self._m < ratio.size:
-            t = np.partition(ratio, self._m)[self._m]
+            step = max(1, ratio.size // (8 * self._m))
+            k = self._m // step
+            t = np.partition(ratio[::step], k)[k]
             if np.isfinite(t):
                 block = np.flatnonzero(ratio <= t)
                 self._sorted = block[np.lexsort((ids[block], ratio[block]))]
@@ -470,6 +478,12 @@ def _polish(state: _State) -> None:
     cheapest-ratio unselected sites (every site of a pool of up to 400,
     else 120) and makes the first strictly improving feasible swap it finds
     for that `out`.
+
+    The swap rule of `_ge`/`_le` is tested for all outs × ins of a round in
+    one boolean matrix: the first row with a feasible swap gives the out,
+    its first column the in. After that swap only the rows below it are
+    tested again, against the new totals, so each out sees the totals the
+    swaps before it left, as in a loop over the outs.
     """
     problem, cost = state.problem, state.cost
     caps, of_site, ge = problem.sites.caps, problem.floors.of_site, problem.floors.ge
@@ -478,28 +492,37 @@ def _polish(state: _State) -> None:
     cap_max = [_at_most(limit) for _, _, limit in problem.caps]
     for _ in range(_POLISH_ROUNDS):
         improved = state.drop_removable()
-        outs = state.costliest_first()[:neighborhood].tolist()
+        outs = state.costliest_first()[:neighborhood]
         ins = state.first_unselected(neighborhood)
-        # the swap rule of `_ge`/`_le`, evaluated for all `ins` at once
-        cost_in, caps_in, floor_in = cost[ins], caps[ins], of_site[ins]
+        caps_in, caps_out = caps[ins], caps[outs]
         v_in = [v[ins] for _, v, _ in problem.caps]
-        taken = np.zeros(ins.size, dtype=bool)
-        for out in outs:
-            ok = ~taken & ~(cost_in - cost[out] >= -1e-12)
-            ok &= state.cap_total - caps[out] + caps_in >= cover_min
-            ko = of_site[out]
-            if ko >= 0:
-                t = state.floor_totals[ko] - caps[out] + np.where(floor_in == ko, caps_in, 0.0)
-                ok &= t >= ge[ko]
-            for k, (_, v, _) in enumerate(problem.caps):
-                ok &= state.v_totals[k] - v[out] + v_in[k] <= cap_max[k]
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                p = int(hit[0])
-                state.remove(out)
-                state.add_rows(ins[p:p + 1])
-                taken[p] = True
-                improved = True
+        v_out = [v[outs] for _, v, _ in problem.caps]
+        # the tests that the totals do not enter; a column swapped in is
+        # cleared, so no later out is offered it
+        free = ~(cost[ins] - cost[outs][:, None] >= -1e-12)
+        if problem.floors:
+            ko = of_site[outs]
+            unfloored, ge_out = (ko < 0)[:, None], ge[ko][:, None]
+            floor_in = np.where(of_site[ins] == ko[:, None], caps_in, 0.0)
+        r = 0
+        while r < outs.size:
+            ok = free[r:] & ((state.cap_total - caps_out[r:])[:, None] + caps_in >= cover_min)
+            if problem.floors:
+                t = (state.floor_totals[ko[r:]] - caps_out[r:])[:, None] + floor_in[r:]
+                ok &= unfloored[r:] | (t >= ge_out[r:])
+            for k, total in enumerate(state.v_totals):
+                ok &= (total - v_out[k][r:])[:, None] + v_in[k] <= cap_max[k]
+            hit = ok.any(axis=1)
+            row = int(hit.argmax())
+            if not hit[row]:
+                break
+            p = int(ok[row].argmax())
+            r += row
+            state.remove(int(outs[r]))
+            state.add_rows(ins[p:p + 1])
+            free[:, p] = False
+            improved = True
+            r += 1
         if not improved:
             return
 

@@ -11,7 +11,7 @@ import pytest
 
 import windplan
 from windplan.cli import main
-from windplan.domain import read_instance
+from windplan.domain import file_sha256, read_instance
 
 SPEC = {"seed": 404, "n_sites": 250, "n_municipalities": 12, "n_states": 3,
         "n_transformers": 6, "n_existing": 5}
@@ -403,6 +403,41 @@ def test_exit_code_io(prepped, tmp_path):
     code = main(["metrics", "--selection", str(tmp_path / "nope.csv"),
                  "--instance", str(prep), "--out", str(tmp_path / "m.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("name", ["municipalities.csv", "candidates.csv"])
+def test_missing_instance_file_is_io_error(prepped, tmp_path, capsys, name):
+    # a missing instance CSV exits as a missing selection or scenario file does
+    _, prep = prepped
+    copy = tmp_path / "copy"
+    shutil.copytree(prep, copy)
+    (copy / name).unlink()
+    code = main(["scale", "--instance", str(copy), "--out", str(tmp_path / "h.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(copy / name) in err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_manifest_takes_the_digest_read_instance_computed(prepped, tmp_path, monkeypatch):
+    # candidates.csv is hashed once per command, and the manifest records
+    # the sha256 of every input's bytes
+    _, prep = prepped
+    hashed = []
+
+    def counting(path):
+        hashed.append(os.path.basename(path))
+        return file_sha256(path)
+
+    monkeypatch.setattr(windplan.domain, "file_sha256", counting)
+    monkeypatch.setattr(windplan.runio, "file_sha256", counting)
+    out = tmp_path / "h.csv"
+    assert main(["scale", "--instance", str(prep), "--out", str(out), "--bins", "4"]) == 0
+    assert hashed.count("candidates.csv") == 1
+    inputs = json.loads((tmp_path / "run_manifest.json").read_text())["inputs"]
+    assert inputs == {name: hashlib.sha256((prep / name).read_bytes()).hexdigest()
+                      for name in ("candidates.csv", "existing.csv", "municipalities.csv",
+                                   "transformers.csv")}
 
 
 def test_exit_code_usage():

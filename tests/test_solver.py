@@ -489,23 +489,30 @@ def _ratio_pool(n, seed, zero_share, decimals):
     return sites, cost
 
 
-@settings(deadline=None, max_examples=60)
-@given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
-       zero_share=st.sampled_from([0.0, 0.05, 0.5]), decimals=st.integers(0, 2))
-def test_ratio_order_is_exact_full_lexsort(n, seed, zero_share, decimals):
-    sites, cost = _ratio_pool(n, seed, zero_share, decimals)
+def _assert_exact_order(sites, cost, prefixes):
+    """`_RatioOrder` yields the full lexsort: read to each of `prefixes`,
+    read whole (twice over one object), and by readers that pause while
+    others grow the sorted prefix."""
     full = np.lexsort((sites.ids, cost / sites.caps)).tolist()
-    for rows in (1, 1024, 1025):
+    for rows in prefixes:
         assert list(itertools.islice(solver._RatioOrder(sites, cost), rows)) == full[:rows]
     order = solver._RatioOrder(sites, cost)
     assert list(order) == full
     assert list(order) == full  # a second iteration of the same object
-    # a reader paused while another one grows the sorted prefix
     shared = solver._RatioOrder(sites, cost)
-    early = iter(shared)
+    early, middle = iter(shared), iter(shared)
     head = list(itertools.islice(early, 1100))
+    assert list(itertools.islice(middle, 4500)) == full[:4500]
     assert list(shared) == full
     assert head + list(early) == full
+    assert list(middle) == full[4500:]
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.05, 0.5]), decimals=st.integers(0, 2))
+def test_ratio_order_is_exact_full_lexsort(n, seed, zero_share, decimals):
+    _assert_exact_order(*_ratio_pool(n, seed, zero_share, decimals), (1, 1024, 1025))
 
 
 def test_ratio_order_infinite_ratio_takes_full_sort():
@@ -515,6 +522,43 @@ def test_ratio_order_infinite_ratio_takes_full_sort():
     assert next(iter(order)) == np.lexsort((sites.ids, cost / sites.caps))[0]
     assert order._complete and order._sorted.size == 3000
     assert list(order) == np.lexsort((sites.ids, cost / sites.caps)).tolist()
+
+
+def _tied_ratios(n, seed, zero_share, decimals):
+    """A `_ratio_pool` whose costs also hold inf and NaN, so that some
+    ratios are inf or NaN."""
+    sites, cost = _ratio_pool(n, seed, zero_share, decimals)
+    rng = np.random.default_rng(seed + 1)
+    odd = rng.random(n)
+    cost[odd < 0.01] = np.inf
+    cost[odd > 0.99] = np.nan
+    return sites, cost
+
+
+@settings(deadline=None, max_examples=12)
+@given(n=st.integers(10_000, 40_000), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.05, 0.5]), decimals=st.integers(0, 2))
+def test_sampled_ratio_order_is_exact_full_lexsort(n, seed, zero_share, decimals):
+    # pools of at least 8 * 1024 rows take the threshold from a strided sample
+    _assert_exact_order(*_tied_ratios(n, seed, zero_share, decimals), (1, 1024, 1025, 5000))
+
+
+def test_sampled_threshold_short_of_the_block_grows_again():
+    # at the first grow of a 20,000-row pool the sample is every second
+    # ratio; the odd rows rank last, so its 512th smallest ratio bounds
+    # only about 512 rows and a reader of 1024 rows must grow again
+    n = 20_000
+    sites, _ = _ratio_pool(n, 11, 0.0, 2)
+    ratio = np.where(np.arange(n) % 2 == 0, np.arange(n) // 2, n + np.arange(n)) / 7.0
+    cost = ratio * sites.caps
+    full = np.lexsort((sites.ids, cost / sites.caps)).tolist()
+    order = solver._RatioOrder(sites, cost)
+    reader = iter(order)
+    assert next(reader) == full[0]
+    assert 0 < order._sorted.size < 1024
+    assert [full[0]] + list(itertools.islice(reader, 1024)) == full[:1025]
+    assert order._sorted.size >= 1025 and not order._complete
+    assert list(order) == full
 
 
 def _scalar_polish(state, max_rounds=60):
@@ -587,6 +631,84 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     sel = solve(inst, W_LCOE, con)
     assert verify_selection(sel, inst, con)
     assert sel.lower_bound <= sel.objective_value
+
+
+def _counting_swaps(state):
+    """The number of swaps of each polish round of `state`, as a list that
+    grows while it is polished."""
+    rounds = []
+    first_unselected, add_rows = state.first_unselected, state.add_rows
+
+    def new_round(count):
+        rounds.append(0)
+        return first_unselected(count)
+
+    def swap(rows):
+        rounds[-1] += 1
+        add_rows(rows)
+
+    state.first_unselected, state.add_rows = new_round, swap
+    return rounds
+
+
+@pytest.mark.parametrize("seed", [73, 75])
+def test_matrix_polish_matches_scalar_rule_front_shape(seed):
+    # the shape of a capped sweep solve: over 400 sites, so 120 outs
+    # against 120 ins, no floors and two caps; a round makes several swaps
+    inst = rand_instance(seed, 1200, n_muns=10)
+    sites = inst.sites
+    cap_obj = 0.5 * sum(sites.caps.tolist())
+    cost = site_costs(sites, Weights(1.0, 0.3, 0.0))
+    free = solver._Problem(sites, cap_obj, solver._floors(sites, None), [])
+    taken = solver._greedy(free, cost).taken
+    capped = replace(free, caps=[
+        ("scenicness", sites.scenicness, 1.001 * float(np.sum(sites.scenicness[taken]))),
+        ("network_length", sites.network_length,
+         1.001 * float(np.sum(sites.network_length[taken])))])
+    start = solver._greedy(capped, cost)
+    ours, ref = copy.deepcopy(start), copy.deepcopy(start)
+    rounds = _counting_swaps(ours)
+    solver._polish(ours)
+    _scalar_polish(ref)
+    assert max(rounds) >= 3
+    assert (ours.taken == ref.taken).all()
+    assert ours.obj == ref.obj and ours.cap_total == ref.cap_total
+    assert ours.v_totals == ref.v_totals
+
+
+def test_matrix_polish_matches_scalar_rule_random_pools():
+    # floors, caps and ties in random pools small and large
+    rng = np.random.default_rng(2024)
+    swapped = 0
+    for _ in range(40):
+        n = int(rng.integers(30, 700))
+        sites, cost, floors = _random_pool(rng, n)
+        caps = [("scenicness", sites.scenicness, 0.0), ("network_length", sites.network_length, 0.0)]
+        cap_obj = float(rng.uniform(0.1, 0.6)) * sum(sites.caps.tolist())
+        free = solver._Problem(sites, cap_obj, solver._floors(sites, floors), [])
+        taken = solver._greedy(free, cost).taken
+        limits = [float(rng.uniform(0.95, 1.2)) * float(np.sum(v[taken])) for _, v, _ in caps]
+        problem = replace(free, caps=[(name, v, m) for (name, v, _), m in zip(
+            caps[:int(rng.integers(0, 3))], limits)])
+        start = solver._greedy(problem, cost)
+        ours, ref = copy.deepcopy(start), copy.deepcopy(start)
+        solver._polish(ours)
+        _scalar_polish(ref)
+        swapped += int((ours.taken != start.taken).any())
+        assert (ours.taken == ref.taken).all()
+        assert ours.obj == ref.obj and ours.v_totals == ref.v_totals
+        assert ours.floor_totals.tolist() == ref.floor_totals.tolist()
+    assert swapped >= 10
+
+
+def test_polish_has_no_loop_over_outs():
+    # a polish round tests all its swaps in one matrix, not out by out
+    with open(solver.__file__, encoding="utf-8") as f:
+        polish = next(node for node in ast.walk(ast.parse(f.read()))
+                      if isinstance(node, ast.FunctionDef) and node.name == "_polish")
+    loops = [ast.unparse(node.iter) for node in ast.walk(polish)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert not [it for it in loops if "outs" in it], loops
 
 
 def _random_pool(rng, n, n_muns=6):
