@@ -16,11 +16,12 @@ tables (`SiteTable.of`, `MunicipalityTable.of`).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -144,8 +145,9 @@ class SiteTable:
     """Numpy columns of a candidate pool, one row per site, sorted by site_id.
 
     network_length is NaN where a site has no length yet. by_mun lists
-    the rows grouped by municipality (ascending within a group). Columns
-    are read-only.
+    the rows grouped by municipality (ascending within a group); it is
+    sorted on first use, since only the equity floors and the municipal
+    potentials read it. Columns are read-only.
     """
     ids: np.ndarray
     mun: np.ndarray
@@ -156,22 +158,23 @@ class SiteTable:
     scenicness: np.ndarray
     full_load_hours: np.ndarray
     network_length: np.ndarray
-    by_mun: np.ndarray
 
     @classmethod
     def from_columns(cls, ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours,
                      network_length=None) -> SiteTable:
-        """The one constructor: rows in stable site_id order, grouped by
-        municipality, every column a read-only copy. network_length
-        defaults to all NaN (no lengths yet)."""
+        """The one constructor: rows in stable site_id order, every column a
+        read-only copy. network_length defaults to all NaN (no lengths yet)."""
         if network_length is None:
             network_length = np.full(len(ids), np.nan)
-        cols = _sorted_columns(
+        return cls(*_sorted_columns(
             (ids, mun, lat, lon, caps, lcoe, scenicness, full_load_hours, network_length),
-            _SITE_DTYPES)
-        by_mun = np.argsort(cols[1], kind="stable")
+            _SITE_DTYPES))
+
+    @functools.cached_property
+    def by_mun(self) -> np.ndarray:
+        by_mun = np.argsort(self.mun, kind="stable")
         by_mun.flags.writeable = False
-        return cls(*cols, by_mun=by_mun)
+        return by_mun
 
     @classmethod
     def of(cls, candidates: list[CandidateSite]) -> SiteTable:
@@ -406,18 +409,19 @@ def validate_instance(instance: Instance) -> ValidationReport:
 # All files UTF-8, '.' decimal separator, floats written with repr() so that
 # a read/write round trip reproduces every numeric field bit-exactly.
 #
-# The csv module reads every instance CSV (_read_columns), so that it decides
-# each input and words every error. candidates.csv holds the whole pool (160k
+# The csv module reads every instance CSV that has no matching column file
+# (_read_columns), so that it decides each input and words every error. candidates.csv holds the whole pool (160k
 # rows at desk scale), so it is written a block of rows at a time, joined by
 # hand into the bytes csv.writer would write (its fields are numbers, which
 # never need quoting).
 #
-# Beside candidates.csv, write_instance saves its columns to candidates.npz
-# together with the sha256 of the CSV bytes, and read_instance loads them
-# instead of parsing the CSV while that digest still matches the file. The
-# CSV stays the source of truth: the column file is written only for a table
-# that reads back from the CSV as itself, holds the table that parsing those
-# exact bytes gives, and is ignored when missing, stale or malformed.
+# Beside each instance CSV, write_instance saves its table's columns to a
+# column file (candidates.npz and so on) together with the sha256 of the CSV
+# bytes, and read_instance loads them instead of parsing the CSV while that
+# digest still matches the file. The CSV stays the source of truth: a column
+# file is written only for a table that reads back from the CSV as itself,
+# holds the table that parsing those exact bytes gives, and is ignored when
+# missing, stale or malformed.
 
 CANDIDATES_FILE = "candidates.csv"
 CANDIDATES_COLUMN_FILE = "candidates.npz"
@@ -435,7 +439,7 @@ _TRANSFORMER_HEADER = ["transformer_id", "lat", "lon", "voltage_kv"]
 
 # candidates.csv rows formatted per write; bounds the strings held at once
 _WRITE_BLOCK = 1 << 14
-# bytes read at once when hashing candidates.csv
+# bytes read at once when hashing a file
 _READ_BLOCK = 1 << 20
 # the column file's entry holding the sha256 of the CSV bytes, as 32 uint8
 _DIGEST_KEY = "csv_sha256"
@@ -542,41 +546,125 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _saved_sites(directory: str, digests: dict[str, str] | None = None) -> SiteTable | None:
-    """The SiteTable saved in the column file of a directory, or None unless
-    the file holds the sha256 of candidates.csv as it is now and the nine
-    columns, each of its dtype and all of one length. Nothing in the file is
-    unpickled, and any failure to read it is None. The hex sha256 of
-    candidates.csv, once computed, goes into `digests` under its path."""
+def _column_file(csv_path: str) -> str:
+    """The column file beside an instance CSV: its path with .npz for .csv."""
+    return os.path.splitext(csv_path)[0] + ".npz"
+
+
+def _same_dtype(col: np.ndarray, dtype: np.dtype) -> bool:
+    """A saved column has the dtype of its schema; a text column is any U array."""
+    return col.dtype.kind == "U" if dtype.kind == "U" else col.dtype == dtype
+
+
+def _saved_columns(csv_path: str, schema: tuple, digests: dict[str, str] | None
+                   ) -> list[np.ndarray] | None:
+    """The columns saved beside an instance CSV, in `schema` order (name,
+    dtype and maybe more per column), or None unless the column file holds the sha256 of
+    the CSV as it is now and every column, each of its dtype, one dimension
+    and all of one length. Nothing in the file is unpickled, and any failure
+    to read it, or the CSV, is None. The hex sha256 of the CSV, once
+    computed, goes into `digests` under its path."""
     try:
         # opened here, since np.load leaves open a file it fails to read as a zip
-        with open(os.path.join(directory, CANDIDATES_COLUMN_FILE), "rb") as f:
-            path = os.path.join(directory, CANDIDATES_FILE)
-            digest = file_sha256(path)
+        with open(_column_file(csv_path), "rb") as f:
+            digest = file_sha256(csv_path)
             if digests is not None:
-                digests[path] = digest
+                digests[csv_path] = digest
             with np.load(f, allow_pickle=False) as saved:
                 stored = saved[_DIGEST_KEY]
                 if stored.dtype != np.uint8 or stored.tobytes().hex() != digest:
                     return None
-                cols = [saved[name] for name in _SITE_COLUMNS]
+                cols = [saved[name] for name, *_ in schema]
     except Exception:  # no file, or a foreign or damaged one, whatever it raises
         return None
-    if any(col.dtype != t or col.ndim != 1 or col.size != cols[0].size
-           for col, t in zip(cols, _SITE_DTYPES)):
+    if any(not _same_dtype(col, t) or col.ndim != 1 or col.size != cols[0].size
+           for col, (_, t, *_) in zip(cols, schema)):
         return None
-    return SiteTable.from_columns(*cols)
+    return cols
 
 
-def _records(path: str, header: list[str], types: tuple, optional: bool = False) -> list:
-    """The rows of a small CSV as tuples of Python values in header order,
-    stably sorted by the id in the first column; an optional file that does
-    not exist has none."""
-    if optional and not os.path.exists(path):
+def _save_columns(csv_path: str, digest: str, columns: dict[str, np.ndarray] | None) -> None:
+    """The column file of an instance CSV just written with this hex sha256,
+    by uncompressed np.savez, whose bytes depend on the columns alone. Every
+    NaN is saved as the NaN the reader makes of "nan" or an empty length.
+    `columns` is None for a table that does not read back from the CSV as
+    itself: it gets no column file, and any left in place is removed."""
+    path = _column_file(csv_path)
+    if columns is None:
+        if os.path.exists(path):
+            os.remove(path)
+        return
+    cols = {}
+    for name, col in columns.items():
+        if col.dtype.kind == "f":
+            nan = np.isnan(col)
+            if nan.any():
+                col = np.where(nan, np.nan, col)
+        cols[name] = col
+    np.savez(path, **{_DIGEST_KEY: np.frombuffer(bytes.fromhex(digest), dtype=np.uint8)},
+             **cols)
+
+
+def _int_column(values: list) -> np.ndarray | None:
+    """Integers as an int64 column; None if one is not an integer within
+    int64, which an int64 column cannot hold as the reader gives it."""
+    try:
+        col = np.array(values)
+    except (OverflowError, ValueError):
+        return None
+    if not col.size:
+        return np.zeros(0, dtype=np.int64)
+    return col.astype(np.int64) if col.dtype.kind == "i" else None
+
+
+def _text_column(values: list) -> np.ndarray | None:
+    """Strings as a U column; None unless it reads back as the same strings
+    (numpy drops trailing NULs, and a non-string is written as its text)."""
+    col = np.array(values, dtype=str)
+    return col if col.astype(object).tolist() == values else None
+
+
+# the saved columns of the pool as (name, dtype), and of each small CSV as
+# (header name, dtype, the reader's parse of a field), in CSV column order
+_INT64, _FLOAT64, _TEXT = np.dtype(np.int64), np.dtype(np.float64), np.dtype(str)
+_SITE_SCHEMA = tuple(zip(_SITE_COLUMNS, _SITE_DTYPES))
+_MUN_SCHEMA = tuple(zip(_MUN_HEADER, (_INT64, _TEXT, _FLOAT64, _TEXT, _INT64, _FLOAT64),
+                        (_int64, str, float, str, _int64, float)))
+_EXISTING_SCHEMA = tuple(zip(_EXISTING_HEADER, (_INT64, _INT64) + (_FLOAT64,) * 3,
+                             (int, _int64, float, float, float)))
+_TRANSFORMER_SCHEMA = tuple(zip(_TRANSFORMER_HEADER, (_INT64, _FLOAT64, _FLOAT64, _INT64),
+                                (int, float, float, int)))
+_COLUMN = {_INT64: _int_column, _FLOAT64: lambda v: np.array(v, dtype=float),
+           _TEXT: _text_column}
+
+
+def _table_columns(schema: tuple, values: list[list]) -> dict[str, np.ndarray] | None:
+    """The columns of a small table as its reader gives them, rows stably
+    sorted by the id in the first; None if one does not read back as itself."""
+    cols = [_COLUMN[t](v) for (_, t, _), v in zip(schema, values)]
+    if any(col is None for col in cols):
+        return None
+    order = np.argsort(cols[0], kind="stable")
+    return {name: col[order] for (name, _, _), col in zip(schema, cols)}
+
+
+def _parsed(path: str, schema: tuple) -> list[list]:
+    """The columns of a small CSV parsed by the csv module, in schema order."""
+    cols = _read_columns(path, [name for name, _, _ in schema])
+    return [_parse(path, cols, name, parse) for name, _, parse in schema]
+
+
+def _records(path: str, schema: tuple, digests: dict[str, str] | None) -> list:
+    """The rows of a turbine or transformer CSV as tuples of Python values in
+    header order, stably sorted by the id in the first column, from its
+    column file while that holds the CSV's digest; a file that does not
+    exist has none."""
+    cols = _saved_columns(path, schema, digests)
+    if cols is not None:
+        return list(zip(*(col.tolist() for col in cols)))
+    if not os.path.exists(path):
         return []
-    cols = _read_columns(path, header)
-    return sorted(zip(*(_parse(path, cols, name, t) for name, t in zip(header, types))),
-                  key=lambda r: r[0])
+    return sorted(zip(*_parsed(path, schema)), key=lambda r: r[0])
 
 
 def read_instance(directory: str, digests: dict[str, str] | None = None) -> Instance:
@@ -584,27 +672,24 @@ def read_instance(directory: str, digests: dict[str, str] | None = None) -> Inst
 
     The optional network_length_km column in candidates.csv is honored;
     existing_capacity on municipalities is derived from existing.csv.
-    Municipalities, turbines and transformers come sorted by id. The pool
-    comes from candidates.npz where that holds the digest of candidates.csv,
-    which then gives the table that parsing the CSV would. `digests`, when
-    given, receives the hex sha256 of each file hashed on the way, by path
-    (candidates.csv whenever there is a column file to check), so that a
-    run manifest need not hash it again. A file that cannot be opened or
-    read is an OSError naming its path.
+    Municipalities, turbines and transformers come sorted by id. Each table
+    comes from its column file (candidates.npz beside candidates.csv, and
+    so on) where that holds the digest of its CSV, which then gives the
+    table that parsing the CSV would. `digests`, when given, receives the
+    hex sha256 of each file hashed on the way, by path (each CSV whenever
+    there is a column file to check), so that a run manifest need not hash
+    it again. A file that cannot be opened or read is an OSError naming its
+    path.
     """
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
-    sites = _saved_sites(directory, digests)
-    if sites is None:
-        sites = _read_sites_csv(cand_path)
-    existing = [ExistingTurbine(*r) for r in _records(
-        ex_path, _EXISTING_HEADER, (int, _int64, float, float, float), optional=True)]
-    cols = _read_columns(mun_path, _MUN_HEADER)
+    cols = _saved_columns(cand_path, _SITE_SCHEMA, digests)
+    sites = _read_sites_csv(cand_path) if cols is None else SiteTable.from_columns(*cols)
+    existing = [ExistingTurbine(*r) for r in _records(ex_path, _EXISTING_SCHEMA, digests)]
+    # from_columns turns the U columns of names and region tags into Python strings
     municipalities = MunicipalityTable.from_columns(*(
-        _parse(mun_path, cols, name, kind)
-        for name, kind in zip(_MUN_HEADER, (_int64, str, float, str, _int64, float))
+        _saved_columns(mun_path, _MUN_SCHEMA, digests) or _parsed(mun_path, _MUN_SCHEMA)
     )).with_turbines(existing)
-    transformers = [Transformer(*r) for r in _records(
-        tr_path, _TRANSFORMER_HEADER, (int, float, float, int), optional=True)]
+    transformers = [Transformer(*r) for r in _records(tr_path, _TRANSFORMER_SCHEMA, digests)]
     return Instance(sites=sites, municipalities=municipalities, existing=existing,
                     transformers=transformers)
 
@@ -618,11 +703,11 @@ def write_csv(path: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _write_sites(path: str, sites: SiteTable) -> bytes:
+def _write_sites(path: str, sites: SiteTable) -> str:
     """candidates.csv in table order, byte for byte what csv.writer writes
     for the same rows: ids by str, floats by repr, the network_length_km
     column only when some site has a length, and empty where it has none.
-    Returns the sha256 of the bytes written."""
+    Returns the hex sha256 of the bytes written."""
     columns = [sites.ids, sites.mun, sites.lat, sites.lon, sites.caps, sites.lcoe,
                sites.scenicness, sites.full_load_hours]
     header = list(_CAND_HEADER)
@@ -647,46 +732,40 @@ def _write_sites(path: str, sites: SiteTable) -> bytes:
                 for k in np.flatnonzero(np.isnan(block[-1])).tolist():
                     fields[-1][k] = ""
             write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
-    return h.digest()
-
-
-def _save_sites(path: str, sites: SiteTable, digest: bytes) -> None:
-    """The column file of a candidates.csv just written with this sha256,
-    by uncompressed np.savez, whose bytes depend on the table alone. Every
-    NaN is saved as the NaN the reader makes of "nan" or an empty length. A
-    table with an infinite network length does not read back from the CSV,
-    so it gets no column file, and any left in place is removed."""
-    if np.isinf(sites.network_length).any():
-        if os.path.exists(path):
-            os.remove(path)
-        return
-    cols = {name: getattr(sites, name) for name in _SITE_COLUMNS}
-    for name in _SITE_COLUMNS[2:]:
-        nan = np.isnan(cols[name])
-        if nan.any():
-            cols[name] = np.where(nan, np.nan, cols[name])
-    np.savez(path, **{_DIGEST_KEY: np.frombuffer(digest, dtype=np.uint8)}, **cols)
+    return h.hexdigest()
 
 
 def write_instance(instance: Instance, directory: str) -> None:
     """Write the four instance CSVs in table and list order; the
-    network_length_km column only when some site has a length. The pool's
-    columns also go to candidates.npz with the digest of candidates.csv."""
+    network_length_km column only when some site has a length. Each CSV's
+    table also goes to its column file with the CSV's digest, unless it
+    does not read back from the CSV as itself (an infinite network length,
+    which the reader rejects, a string numpy would change, or an id beyond
+    int64)."""
     os.makedirs(directory, exist_ok=True)
     cand_path, mun_path, ex_path, tr_path = instance_files(directory)
-    digest = _write_sites(cand_path, instance.sites)
-    _save_sites(os.path.join(directory, CANDIDATES_COLUMN_FILE), instance.sites, digest)
-    muns = instance.municipalities
+    sites, muns = instance.sites, instance.municipalities
+    _save_columns(cand_path, _write_sites(cand_path, sites),
+                  None if np.isinf(sites.network_length).any()
+                  else {name: getattr(sites, name) for name in _SITE_COLUMNS})
+    mun_cols = [muns.ids, muns.name.tolist(), muns.population, muns.region_tag.tolist(),
+                muns.state_id, muns.area]
     write_csv(mun_path, _MUN_HEADER,
-              zip(muns.ids.tolist(), muns.name.tolist(), map(repr, muns.population.tolist()),
-                  muns.region_tag.tolist(), muns.state_id.tolist(),
-                  map(repr, muns.area.tolist())))
+              zip(muns.ids.tolist(), mun_cols[1], map(repr, muns.population.tolist()),
+                  mun_cols[3], muns.state_id.tolist(), map(repr, muns.area.tolist())))
     write_csv(ex_path, _EXISTING_HEADER,
               ([t.turbine_id, t.municipality_id, _fnum(t.lat), _fnum(t.lon),
                 _fnum(t.capacity)] for t in instance.existing))
     write_csv(tr_path, _TRANSFORMER_HEADER,
               ([t.transformer_id, _fnum(t.lat), _fnum(t.lon), t.voltage_kv]
                for t in instance.transformers))
+    for path, schema, cols in (
+            (mun_path, _MUN_SCHEMA, mun_cols),
+            (ex_path, _EXISTING_SCHEMA, [[getattr(t, f.name) for t in instance.existing]
+                                         for f in fields(ExistingTurbine)]),
+            (tr_path, _TRANSFORMER_SCHEMA, [[getattr(t, f.name) for t in instance.transformers]
+                                            for f in fields(Transformer)])):
+        _save_columns(path, file_sha256(path), _table_columns(schema, cols))
 
 
 def with_network_lengths(instance: Instance, lengths) -> Instance:

@@ -71,12 +71,16 @@ def gini_pairwise(x: np.ndarray) -> float:
     return float(np.abs(x[:, None] - x[None, :]).sum()) / (2.0 * m * m * mean)
 
 
-def _added_capacity(site_ids: Sequence[int], instance: Instance
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+Added = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def added_capacity(site_ids: Sequence[int], instance: Instance) -> Added:
     """The rows of the selected sites in ascending site-id order, the
     municipality table row of each, and the MW the selection adds per
     municipality row, summed in that order. A site whose municipality is
-    not in the table is left out."""
+    not in the table is left out. `regional_equity` and `south_quota`
+    take it as `added`, so that a caller of both looks the selection up
+    once."""
     sites, muns = instance.sites, instance.municipalities
     rows = np.sort(sites.rows(site_ids))
     at = muns.rows(sites.mun[rows])
@@ -84,13 +88,16 @@ def _added_capacity(site_ids: Sequence[int], instance: Instance
     return rows, at, np.bincount(at, weights=sites.caps[rows], minlength=len(muns))
 
 
-def regional_equity(site_ids: Sequence[int], instance: Instance) -> EquityReport:
+def regional_equity(site_ids: Sequence[int], instance: Instance,
+                    added: Added | None = None) -> EquityReport:
     """Equity of the existing plus added capacity distribution.
 
     Pass site_ids=() to score the existing stock alone.
     """
     muns = instance.municipalities
-    cap = _added_capacity(site_ids, instance)[2] + muns.existing_capacity
+    if added is None:
+        added = added_capacity(site_ids, instance)
+    cap = added[2] + muns.existing_capacity
     counted = ~(muns.population <= 0)
     if not counted.any():
         raise PlanError("no municipality has positive population")
@@ -102,16 +109,17 @@ def regional_equity(site_ids: Sequence[int], instance: Instance) -> EquityReport
                         excluded_zero_population=len(muns) - per_inhabitant.size)
 
 
-def south_quota(site_ids: Sequence[int], instance: Instance) -> float:
+def south_quota(site_ids: Sequence[int], instance: Instance,
+                added: Added | None = None) -> float:
     """Percent of ADDED capacity placed in municipalities tagged South; the
     per-municipality totals are added in order of their first site."""
-    _, at, added = _added_capacity(site_ids, instance)
+    _, at, mw = added_capacity(site_ids, instance) if added is None else added
     if not at.size:
         return 0.0
     _, first = np.unique(at, return_index=True)
     at = at[np.sort(first)]  # each municipality once, in order of its first site
     south = instance.municipalities.region_tag[at] == "South"
-    return 100.0 * sum(added[at][south].tolist()) / sum(added[at].tolist())
+    return 100.0 * sum(mw[at][south].tolist()) / sum(mw[at].tolist())
 
 
 def regional_stats(site_ids: Sequence[int], instance: Instance) -> RegionalStats:
@@ -119,7 +127,8 @@ def regional_stats(site_ids: Sequence[int], instance: Instance) -> RegionalStats
     per-state totals are added in the order each state first appears in the
     municipality table."""
     sites, muns = instance.sites, instance.municipalities
-    rows, at, _ = _added_capacity(site_ids, instance)
+    added = added_capacity(site_ids, instance)
+    rows, at, _ = added
     states, first, state_at = np.unique(muns.state_id, return_index=True, return_inverse=True)
     area = np.bincount(state_at, weights=muns.area, minlength=states.size)
     site_state, scenic = state_at[at], sites.scenicness[rows]
@@ -134,7 +143,7 @@ def regional_stats(site_ids: Sequence[int], instance: Instance) -> RegionalStats
     ) for k, (s, n, a, c) in enumerate(zip(states.tolist(), count.tolist(), area.tolist(),
                                            caps.tolist()))]
     return RegionalStats(per_state=per_state,
-                         south_quota_pct=south_quota(site_ids, instance))
+                         south_quota_pct=south_quota(site_ids, instance, added))
 
 
 @dataclass

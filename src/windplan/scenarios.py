@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .domain import Instance, PlanError, ValidationError, json_value
-from .metrics import regional_equity, south_quota
+from .metrics import added_capacity, regional_equity, south_quota
 from .objective import Weights
 from .solver import (Constraints, Selection, municipal_potentials, require_potential, solve,
                      target_constraints)
@@ -153,9 +153,10 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
         t_start = time.perf_counter()
         try:
             sel = solve(instance, cfg.weights, constraints)
-            result = ScenarioResult(*row, sel,
-                                    regional_equity(sel.site_ids, instance).regional_equity_pct,
-                                    south_quota(sel.site_ids, instance))
+            added = added_capacity(sel.site_ids, instance)
+            result = ScenarioResult(
+                *row, sel, regional_equity(sel.site_ids, instance, added).regional_equity_pct,
+                south_quota(sel.site_ids, instance, added))
         except PlanError as e:
             result = ScenarioResult(*row, None, error=str(e))
         result.runtime_s = time.perf_counter() - t_start

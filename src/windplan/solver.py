@@ -22,6 +22,14 @@ bound (gap 0). Larger pools use a certified heuristic:
 The pool is the instance's SiteTable, `Instance.sites`; a row index is a
 position in that table (site_id order).
 
+Each solve allocates its pool-length scratch vectors once (`_Workspace`,
+owned by its `_Problem`): the cost/capacity ratios of every `_RatioOrder`,
+the penalised cost of every multiplier trial and bracket run, and the
+fractions of the floor relaxations. An order, state or penalised cost built
+on the workspace is valid only until the next one of the same solve; the
+solve reads only the selection and totals of a finished run, and reading
+on through a stale order raises instead of using another cost's ratios.
+
 A heuristic run sorts only the prefix of the global ratio order that its
 greedy fill and polish rounds read (`_RatioOrder`; the prefix ends at a
 threshold ratio taken from a strided sample of the pool), takes that order
@@ -162,14 +170,21 @@ class _RatioOrder:
 
     _FIRST_BLOCK = 1024
 
-    def __init__(self, sites: SiteTable, cost: np.ndarray):
+    def __init__(self, sites: SiteTable, cost: np.ndarray, work: _Workspace | None = None):
         self._ids = sites.ids
-        self._ratio = cost / sites.caps
+        self._work = work
+        if work is None:
+            self._ratio = cost / sites.caps
+        else:
+            self._ratio = np.divide(cost, sites.caps, out=work.ratio)
+            work.ratio_owner = self
         self._m = self._FIRST_BLOCK // 4
         self._sorted = np.empty(0, dtype=np.intp)
         self._complete = False
 
     def _grow(self) -> None:
+        if self._work is not None and self._work.ratio_owner is not self:
+            raise RuntimeError("stale ratio order: its solve has built another since")
         self._m *= 4
         ratio, ids = self._ratio, self._ids
         if self._m < ratio.size:
@@ -301,13 +316,37 @@ def _floors(sites: SiteTable, equity_floors: dict[int, float] | None) -> _Floors
     return _Floors(mun, mw, _at_least(mw), of_site, blocks)
 
 
+class _Workspace:
+    """The pool-length scratch vectors of one solve, allocated once for it.
+
+    `ratio` holds the cost/capacity ratios of the solve's latest
+    `_RatioOrder` (`ratio_owner`), which makes any earlier order of the
+    solve stale; `pen` the latest penalised cost (`penalised`); `used` the
+    fractions taken by the latest floor relaxation."""
+
+    def __init__(self, n: int):
+        self.ratio = np.empty(n)
+        self.pen = np.empty(n)
+        self.used = np.empty(n)
+        self.ratio_owner: _RatioOrder | None = None
+
+    def penalised(self, base: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
+        """`base + lam * v` in `pen`, by the same two roundings in the same order."""
+        np.multiply(v, lam, out=self.pen)
+        return np.add(base, self.pen, out=self.pen)
+
+
 @dataclass(frozen=True)
 class _Problem:
-    """The pool, cover target, floors and caps of one solve."""
+    """The pool, cover target, floors and caps of one solve, and its workspace."""
     sites: SiteTable
     cap_obj: float  # MW of added capacity to cover
     floors: _Floors
     caps: list[tuple[str, np.ndarray, float]]  # (criterion, per-site values, limit) per cap
+    work: _Workspace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "work", _Workspace(len(self.sites)))
 
 
 class _State:
@@ -323,7 +362,7 @@ class _State:
         self.obj = 0.0
         self.floor_totals = np.zeros(len(problem.floors))  # selected MW per floor
         self.v_totals = [0.0] * len(problem.caps)  # per cap
-        self.order = _RatioOrder(problem.sites, cost)
+        self.order = _RatioOrder(problem.sites, cost, problem.work)
         self.add_rows(np.asarray(rows, dtype=np.intp))
 
     def add_rows(self, rows: np.ndarray) -> None:
@@ -570,11 +609,12 @@ def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[floa
     infeasible relaxation gives (inf, inf).
     """
     sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
-    used = np.zeros(len(sites))  # fraction of each site already committed
+    used = problem.work.used  # fraction of each site already committed, with floors
     total_cost = 0.0
     floor_cap = 0.0
     v_total = 0.0
     if floors:
+        used.fill(0)
         parts = [_fill(block, floors.mw[block.floors], caps, cost, used)
                  for block in floors.blocks]
         if None in parts:
@@ -587,8 +627,9 @@ def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[floa
         # take each site's available capacity in ratio order until the
         # residual is <= 1e-15, the last one only in part; every running sum
         # is a sequential cumsum, so it adds in the order of a scalar loop
-        for rows in _RatioOrder(sites, cost).blocks():
-            avail = caps[rows] * (1.0 - used[rows])
+        for rows in _RatioOrder(sites, cost, problem.work).blocks():
+            # without floors nothing is committed, and caps * (1.0 - 0.0) is caps
+            avail = caps[rows] * (1.0 - used[rows]) if floors else caps[rows]
             rows, avail = rows[avail > 0], avail[avail > 0]
             left = np.cumsum(np.concatenate(([residual], -avail)))  # residual after each
             done = np.flatnonzero(left[1:] <= 1e-15)
@@ -620,7 +661,8 @@ def _floor_int_bound(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tupl
     An unattainable floor gives (inf, inf).
     """
     floors, caps = problem.floors, problem.sites.caps
-    used = np.zeros(len(problem.sites))  # fractional fills
+    used = problem.work.used  # fractional fills
+    used.fill(0)
     parts, v_parts = [], []  # cost and v terms, per block and kind of floor
     for block in floors.blocks:
         mw = floors.mw[block.floors]
@@ -665,14 +707,14 @@ def _relaxations(problem: _Problem) -> list[Callable[..., tuple[float, float]]]:
 
 
 def _floor_bound(problem: _Problem, cost: np.ndarray) -> float:
-    zeros = np.zeros(len(problem.sites))
+    zeros = np.broadcast_to(0.0, len(problem.sites))  # no v total wanted; a view, not a vector
     return max(relax(problem, cost, zeros)[0] for relax in _relaxations(problem))
 
 
 def _lower_bound(problem: _Problem, cost: np.ndarray, lambdas: list[float]) -> float:
     bound = _floor_bound(problem, cost)
     if any(l > 0 for l in lambdas):
-        pen = cost.copy()
+        pen = cost
         offset = 0.0
         for (_, v, limit), lam in zip(problem.caps, lambdas):
             pen = pen + lam * v
@@ -844,8 +886,8 @@ def _lambda_scale(cost: np.ndarray, v: np.ndarray) -> float:
     return max(1.0, float(cost.max()) / max(float(pos.min()), 1e-12)) if pos.size else 1.0
 
 
-def _multiplier(relax: Callable[[np.ndarray], tuple[float, float]], base: np.ndarray,
-                v: np.ndarray, limit: float) -> tuple[float, float, float]:
+def _multiplier(relax: Callable[[np.ndarray], tuple[float, float]], work: _Workspace,
+                base: np.ndarray, v: np.ndarray, limit: float) -> tuple[float, float, float]:
     """Where the Lagrangian bound of one relaxation is largest, for the cap
     `v <= limit` priced into `base + lam * v`.
 
@@ -861,10 +903,11 @@ def _multiplier(relax: Callable[[np.ndarray], tuple[float, float]], base: np.nda
     [lo, hi], on the breakpoint once both touch the pieces next to it.
     Each trial is that crossing, or the midpoint after a trial that did
     not halve the interval. At the breakpoint itself the relaxation ties,
-    so its v-total may read either way, but L is largest there.
+    so its v-total may read either way, but L is largest there. Each
+    trial's penalised cost is the solve's `work.pen`.
     """
     def tangent(lam: float) -> tuple[float, float]:
-        value, v_total = relax(base + lam * v)
+        value, v_total = relax(work.penalised(base, lam, v))
         return value - lam * v_total, v_total  # intercept and slope
 
     lo, (c_lo, s_lo) = 0.0, tangent(0.0)
@@ -980,19 +1023,19 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
                     f"{vmin:.6f}, and the lower bound {bound:.6f} does not rule the "
                     f"cap out", proven=False, bound=bound)
 
-            base = cost.copy()
+            base = cost
             for kk, (_, vv, _) in enumerate(problem.caps):
                 if lambdas[kk] > 0 and kk != k:
                     base = base + lambdas[kk] * vv
             # the multiplier of the relaxation with the larger bound
             lambdas[k], at_break[k], _ = max(
-                (_multiplier(functools.partial(relax, problem, v=v), base, v, limit)
+                (_multiplier(functools.partial(relax, problem, v=v), problem.work, base, v, limit)
                  for relax in _relaxations(problem)),
                 key=lambda m: m[2])
 
             def meets(lam: float) -> bool:
                 nonlocal state
-                s = heuristic(base + lam * v)
+                s = heuristic(problem.work.penalised(base, lam, v))
                 if not _le(s.v_totals[k], limit):
                     return False
                 state = s

@@ -1,7 +1,20 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
+
+# Hypothesis imports this module to report a failing @given test, and it
+# imports libcst, whose import warns (DeprecationWarning from
+# mypy_extensions). Under filterwarnings = error that warning would end the
+# whole session as an INTERNALERROR, so it is imported once here, with that
+# warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from windplan.domain import (
     CandidateSite,

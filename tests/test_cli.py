@@ -569,10 +569,16 @@ GOLDEN = {
         "ff495c6163e3f469eacfd293cabaff8b0d6cc63d1159c7b76ad01afe15b57b26",
     "raw/existing.csv":
         "f52d853137e690794a5239cabf2dd27a5de3b01802d04544f65f9d2ef86c598f",
+    "raw/existing.npz":
+        "ffce3ed3501df78302d536c167be8ff5f73fd334fefcc603b42261d2094b9e16",
     "raw/municipalities.csv":
         "101920d5588ad6bb1fdd7f8ba03f401f2057ac005073346ef132ea30df414400",
+    "raw/municipalities.npz":
+        "75f0b6923330813f4404d8bda67803116cd8a8a5bd20b0273bc2cb672321293c",
     "raw/transformers.csv":
         "73fb536b3616362335f84e645d6c5b09ae31928a0194eaf6b22a346d5b17ac08",
+    "raw/transformers.npz":
+        "858950a7cd82e7bacc3d797adc8784597e1a4527e44ed7f41278f66fee69c9fe",
     "prep/candidates.csv":
         "64366616bbb596403e77f24170a49d8408c0e49699f88c231466b524a2e79c11",
     "prep/candidates.npz":
@@ -581,10 +587,16 @@ GOLDEN = {
         "02b8ff39fc304a1127194d3de04090cadc968bc9eceb9b8ed3c7ed700f026eb0",
     "prep/existing.csv":
         "f52d853137e690794a5239cabf2dd27a5de3b01802d04544f65f9d2ef86c598f",
+    "prep/existing.npz":
+        "ffce3ed3501df78302d536c167be8ff5f73fd334fefcc603b42261d2094b9e16",
     "prep/municipalities.csv":
         "101920d5588ad6bb1fdd7f8ba03f401f2057ac005073346ef132ea30df414400",
+    "prep/municipalities.npz":
+        "75f0b6923330813f4404d8bda67803116cd8a8a5bd20b0273bc2cb672321293c",
     "prep/transformers.csv":
         "73fb536b3616362335f84e645d6c5b09ae31928a0194eaf6b22a346d5b17ac08",
+    "prep/transformers.npz":
+        "858950a7cd82e7bacc3d797adc8784597e1a4527e44ed7f41278f66fee69c9fe",
     "grid/radar.csv":
         "16de00e903186ff8d6f38b6703692e016dd88da42e8584ab585d4efd1acbea06",
     "grid/results.csv":

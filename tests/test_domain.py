@@ -6,16 +6,23 @@ import os
 import pickle
 import random
 import re
+import shutil
+import struct
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import windplan
-from conftest import SITE_COLUMNS, mk_instance, mk_mun, mk_site, same_muns, same_sites
+from conftest import MUN_COLUMNS, SITE_COLUMNS, mk_instance, mk_mun, mk_site, same_muns, same_sites
 from windplan.cli import main
 from windplan.domain import (
     _CAND_HEADER,
+    _EXISTING_SCHEMA,
+    _MUN_SCHEMA,
+    _SITE_SCHEMA,
+    _TRANSFORMER_SCHEMA,
     _WRITE_BLOCK,
     CANDIDATES_COLUMN_FILE,
     ExistingTurbine,
@@ -25,7 +32,8 @@ from windplan.domain import (
     Transformer,
     ValidationError,
     _read_sites_csv,
-    _saved_sites,
+    _saved_columns,
+    file_sha256,
     read_instance,
     validate_instance,
     with_network_lengths,
@@ -281,6 +289,13 @@ def test_read_missing_column(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError):
         read_instance(str(tmp_path))
+
+
+def _saved_sites(directory):
+    """The pool that candidates.npz alone gives, or None where read_instance
+    would parse candidates.csv instead."""
+    cols = _saved_columns(os.path.join(directory, "candidates.csv"), _SITE_SCHEMA, None)
+    return None if cols is None else SiteTable.from_columns(*cols)
 
 
 def same_bits(a, b):
@@ -735,3 +750,165 @@ def test_column_file_bytes_depend_on_the_table_alone(tmp_path):
     assert path.read_bytes() == first
     write_instance(read_instance(str(tmp_path / "a")), str(tmp_path / "b"))
     assert (tmp_path / "b" / CANDIDATES_COLUMN_FILE).read_bytes() == first
+
+
+# -- the column files beside the three small CSVs ---------------------------------
+
+_SMALL = {"municipalities": _MUN_SCHEMA, "existing": _EXISTING_SCHEMA,
+          "transformers": _TRANSFORMER_SCHEMA}
+_NANS = np.array([0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000, 0x7FF0_0000_0000_0002],
+                 dtype=np.uint64).view(np.float64).tolist()  # the reader's NaN, then two others
+
+
+def _small_instance(name="a,b", region="South", turbine_id=7, transformer_id=3, voltage=110):
+    """An instance whose small tables hold names that need quoting or are
+    not ASCII, an empty name, NaNs of several kinds, -0.0, and records out
+    of id order with a repeated id."""
+    muns = MunicipalityTable.from_columns(
+        [3, 1, 2, 4, 5], [name, 'say "hi"', "Köln – 東京 ß", "", "x\r\ny"],
+        [_NANS[1], -0.0, 1e300, 5e-324, 2.5], [region, "NonSouth", "South", "NonSouth", "South"],
+        [1, 2, 1, 2, 3], [12.5, _NANS[2], -0.0, 1.0, math.inf])
+    existing = [ExistingTurbine(turbine_id, 1, _NANS[1], -0.0, 1.5),
+                ExistingTurbine(2, 2, 50.0, _NANS[2], 2.0),
+                ExistingTurbine(2, 3, -0.0, 9.9, 0.5)]
+    transformers = [Transformer(transformer_id, _NANS[1], -0.0, voltage),
+                    Transformer(1, -0.0, _NANS[2], 20),
+                    Transformer(1, 47.0, 8.0, 110)]
+    return Instance(sites=SiteTable.of([mk_site(1), mk_site(2, mun=2)]),
+                    municipalities=muns.with_turbines(existing), existing=existing,
+                    transformers=transformers)
+
+
+def _small_saved(directory, name):
+    """The columns that the small table's column file alone gives, or None
+    where read_instance would parse the CSV instead."""
+    return _saved_columns(os.path.join(directory, f"{name}.csv"), _SMALL[name], None)
+
+
+def _bits(x):
+    """A value as its type and, for a float, its 8 bytes, NaN and -0.0 included."""
+    return type(x), struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def _small_bits(inst):
+    muns = inst.municipalities
+    return ([list(map(_bits, getattr(muns, c).tolist())) for c in MUN_COLUMNS],
+            [tuple(map(_bits, astuple(t))) for t in inst.existing],
+            [tuple(map(_bits, astuple(t))) for t in inst.transformers])
+
+
+def _csv_read(directory):
+    """The instance that parsing the CSVs alone gives."""
+    for name in _SMALL:
+        path = os.path.join(directory, f"{name}.npz")
+        if os.path.exists(path):
+            os.remove(path)
+    return read_instance(directory)
+
+
+def test_small_column_files_read_equals_csv_read(tmp_path, monkeypatch):
+    """A read through the three column files gives, bit for bit, the tables
+    that parsing the CSVs gives, and parses no CSV; every NaN comes back as
+    the reader's NaN."""
+    write_instance(_small_instance(), str(tmp_path))
+    assert all(_small_saved(str(tmp_path), name) is not None for name in _SMALL)
+    parsed = []
+    monkeypatch.setattr(windplan.domain, "_read_columns", lambda *a: parsed.append(a))
+    from_files = read_instance(str(tmp_path))
+    assert parsed == []
+    monkeypatch.undo()
+    from_csv = _csv_read(str(tmp_path))
+    assert _small_bits(from_files) == _small_bits(from_csv)
+    assert from_csv.municipalities.name.tolist() == [
+        'say "hi"', "Köln – 東京 ß", "a,b", "", "x\r\ny"]
+    assert [t.turbine_id for t in from_csv.existing] == [2, 2, 7]
+    assert [t.municipality_id for t in from_csv.existing] == [2, 3, 1]
+    nan_bits = {_bits(x) for x in (from_csv.municipalities.population[2].item(),
+                                   from_csv.existing[2].lat, from_csv.transformers[2].lat)}
+    assert nan_bits == {_bits(_NANS[0])}
+
+
+_OTHER = {"municipalities": "existing", "existing": "transformers",
+          "transformers": "municipalities"}
+
+
+def _append_first_row(path):
+    """The CSV with its first row, a one-line one, written again at its end."""
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "ab") as f:
+        f.write(data.splitlines(keepends=True)[1])
+
+
+def _foreign_with_digest(path, name):
+    """The columns of another table saved with this table's CSV digest."""
+    csv_path = os.path.splitext(path)[0] + ".csv"
+    with np.load(os.path.join(os.path.dirname(path), f"{_OTHER[name]}.npz")) as saved:
+        entries = dict(saved)
+    entries["csv_sha256"] = np.frombuffer(bytes.fromhex(file_sha256(csv_path)), dtype=np.uint8)
+    np.savez(path, **entries)
+
+
+@pytest.mark.parametrize("name", list(_SMALL))
+@pytest.mark.parametrize("change", ["edited-csv", "truncated", "foreign", "foreign-digest"])
+def test_small_column_file_falls_back_to_csv(tmp_path, name, change):
+    """An edited CSV, a damaged column file or a foreign one gives way to
+    the CSV, without a warning."""
+    write_instance(_small_instance(), str(tmp_path))
+    path = str(tmp_path / f"{name}.npz")
+    if change == "edited-csv":
+        _append_first_row(str(tmp_path / f"{name}.csv"))
+    elif change == "truncated":
+        _overwritten(lambda b: b[:len(b) // 2])(path)
+    elif change == "foreign":
+        shutil.copy(tmp_path / f"{_OTHER[name]}.npz", path)
+    else:
+        _foreign_with_digest(path, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _small_saved(str(tmp_path), name) is None
+        loaded = read_instance(str(tmp_path))
+    assert _small_bits(loaded) == _small_bits(_csv_read(str(tmp_path)))
+    if change == "edited-csv":  # the row written again is read twice
+        assert len(loaded.municipalities) + len(loaded.existing) + len(loaded.transformers) == 12
+
+
+@pytest.mark.parametrize("name, instance, kept", [
+    ("municipalities", _small_instance(name="abc\x00"),
+     lambda inst: "abc\x00" in inst.municipalities.name.tolist()),
+    ("municipalities", _small_instance(region="South\x00"),
+     lambda inst: "South\x00" in inst.municipalities.region_tag.tolist()),
+    ("existing", _small_instance(turbine_id=2**63),
+     lambda inst: inst.existing[-1].turbine_id == 2**63),
+    ("transformers", _small_instance(transformer_id=-2**63 - 1),
+     lambda inst: inst.transformers[0].transformer_id == -2**63 - 1),
+    ("transformers", _small_instance(voltage=2**64),
+     lambda inst: inst.transformers[-1].voltage_kv == 2**64),
+    ("existing", _small_instance(turbine_id=1.0), None),
+], ids=["nul-name", "nul-region", "turbine-id-beyond-int64", "transformer-id-beyond-int64",
+        "voltage-beyond-int64", "float-turbine-id"])
+def test_small_table_that_does_not_round_trip_gets_no_column_file(tmp_path, name, instance,
+                                                                  kept):
+    """A string numpy would shorten, an integer beyond int64 or a value the
+    reader rejects leaves no column file, and removes an old one, so the
+    read takes the CSV as it is: the value is kept, or the error is the
+    CSV's."""
+    write_instance(_small_instance(), str(tmp_path))
+    assert (tmp_path / f"{name}.npz").is_file()
+    write_instance(instance, str(tmp_path))
+    assert not (tmp_path / f"{name}.npz").exists()
+    assert all((tmp_path / f"{other}.npz").is_file() for other in _SMALL if other != name)
+    if kept is None:
+        with pytest.raises(ValidationError, match="column turbine_id"):
+            read_instance(str(tmp_path))
+    else:
+        assert kept(read_instance(str(tmp_path)))
+
+
+def test_missing_existing_csv_ignores_leftover_column_file(tmp_path):
+    write_instance(_small_instance(), str(tmp_path))
+    os.remove(tmp_path / "existing.csv")
+    loaded = read_instance(str(tmp_path))
+    assert loaded.existing == []
+    assert loaded.municipalities.existing_capacity.tolist() == [0.0] * 5
+    assert len(loaded.transformers) == 3

@@ -1,7 +1,10 @@
 import pytest
 
+import windplan.metrics
+import windplan.scenarios
 from windplan.domain import InfeasibleError, PlanError, ValidationError
 from windplan.geoprep import prep_instance
+from windplan.metrics import regional_equity, south_quota
 from windplan.objective import Weights
 from windplan.scenarios import (
     BASE_TOTAL_MW,
@@ -59,12 +62,22 @@ def test_scenario_name_fits_a_file_name():
             scenario_from_row({**row, "name": name})
 
 
-def test_run_grid_results_ordered_and_feasible():
+def test_run_grid_results_ordered_and_feasible(monkeypatch):
     inst = small_instance()
     potential = sum(inst.sites.caps.tolist())
     existing = sum(inst.municipalities.existing_capacity.tolist())
     scale = (existing + 0.4 * potential) / BASE_TOTAL_MW
+    lookups = []
+    added_capacity = windplan.metrics.added_capacity
+
+    def counting(*args):
+        lookups.append(args)
+        return added_capacity(*args)
+
+    for module in (windplan.metrics, windplan.scenarios):
+        monkeypatch.setattr(module, "added_capacity", counting)
     results = run_grid(inst, builtin_grid(), scale=scale)
+    assert len(lookups) == 14  # one selection lookup per scenario for both figures
     assert [r.name for r in results] == sorted(r.name for r in results)
     assert len(results) == 14
     for r in results:
@@ -72,6 +85,9 @@ def test_run_grid_results_ordered_and_feasible():
         assert r.selection is not None
         assert r.selection.totals.capacity_mw >= r.added_target_mw - 1e-9
         assert r.selection.gap >= 0.0
+        ids = r.selection.site_ids
+        assert r.equity_pct == regional_equity(ids, inst).regional_equity_pct
+        assert r.south_quota_pct == south_quota(ids, inst)
 
 
 def test_run_grid_target_below_existing_errors():

@@ -485,7 +485,7 @@ def _ratio_pool(n, seed, zero_share, decimals):
     empty = np.zeros(n)
     sites = SiteTable(ids=ids, mun=np.zeros(n, dtype=np.int64), lat=empty, lon=empty,
                       caps=caps, lcoe=empty, scenicness=empty, full_load_hours=empty,
-                      network_length=empty, by_mun=np.arange(n))
+                      network_length=empty)
     return sites, cost
 
 
@@ -559,6 +559,78 @@ def test_sampled_threshold_short_of_the_block_grows_again():
     assert [full[0]] + list(itertools.islice(reader, 1024)) == full[:1025]
     assert order._sorted.size >= 1025 and not order._complete
     assert list(order) == full
+
+
+def _problem_of(sites, cap_obj=0.0):
+    return solver._Problem(sites, cap_obj, solver._floors(sites, None), [])
+
+
+def test_stale_ratio_order_raises():
+    # an order built on the workspace reads on only while it is the solve's
+    # latest; a later one has overwritten its ratios
+    sites, cost = _ratio_pool(5000, 3, 0.05, 2)
+    work = _problem_of(sites).work
+    first = solver._RatioOrder(sites, cost, work)
+    head = list(itertools.islice(first, 10))
+    second = solver._RatioOrder(sites, 2.0 * cost + 1.0, work)
+    assert list(itertools.islice(first, 10)) == head  # its sorted prefix is its own
+    with pytest.raises(RuntimeError, match="stale ratio order"):
+        list(first)
+    assert list(second) == np.lexsort((sites.ids, (2.0 * cost + 1.0) / sites.caps)).tolist()
+    # an order without a workspace has ratios of its own
+    own = solver._RatioOrder(sites, cost)
+    solver._RatioOrder(sites, cost + 1.0, work)
+    assert list(own) == np.lexsort((sites.ids, cost / sites.caps)).tolist()
+
+
+@pytest.mark.parametrize("equity", [False, True])
+def test_every_order_of_a_solve_shares_one_ratio_buffer(monkeypatch, equity):
+    inst = rand_instance(43, 150, n_muns=10)
+    cap_obj = 0.35 * sum(inst.sites.caps.tolist())
+    con = Constraints(cap_obj=cap_obj)
+    if equity:
+        existing = sum(inst.municipalities.existing_capacity.tolist())
+        con = replace(con, equity_floors=equity_floors(
+            inst.municipalities, cap_obj + existing, municipal_potentials(inst)))
+    con = replace(con, m_s=0.95 * solve(inst, W_LCOE, con).totals.scenicness)
+    ratios = []
+    init = solver._RatioOrder.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        ratios.append(self._ratio)
+
+    monkeypatch.setattr(solver._RatioOrder, "__init__", recording)
+    sel = solve(inst, W_LCOE, con)
+    assert sel.stats["lambda"]["scenicness"] > 0
+    assert verify_selection(sel, inst, con)
+    # the heuristic runs, the LP trials and the final states
+    assert len(ratios) > sel.stats["heuristic_runs"] + 5
+    assert all(np.shares_memory(r, ratios[0]) for r in ratios)
+    assert ratios[0].size == len(inst.sites)
+
+
+def test_penalised_cost_equals_base_plus_lam_v_bit_for_bit():
+    rng = np.random.default_rng(5)
+    n = 4000
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+                        1.7976931348623157e308, -1.7976931348623157e308, 1e-300])
+
+    def vector():
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        pick = rng.random(n) < 0.2
+        x[pick] = rng.choice(special, int(pick.sum()))
+        return x
+
+    work = solver._Workspace(n)
+    for lam in [0.0, 5e-324, 1e-3, 0.7, 3.0, 1e150, 1e300, 1.7976931348623157e308,
+                *rng.uniform(0.0, 100.0, 5).tolist()]:
+        base, v = vector(), vector()
+        with np.errstate(all="ignore"):  # inf - inf and overflow, the same in both
+            want = base + lam * v
+            got = work.penalised(base, lam, v)
+        assert got is work.pen
+        assert got.tobytes() == want.tobytes(), lam
 
 
 def _scalar_polish(state, max_rounds=60):
