@@ -264,6 +264,7 @@ def scenarios_cmd(instance_dir, grid_spec, scale, out_dir):
                    {"command": "scenarios", "grid": grid_spec, "scale": scale},
                    {"scenarios": time.perf_counter() - t0,
                     **{f"scenario:{r.name}": r.runtime_s for r in results}},
+                   stats={r.name: r.selection.stats for r in results if r.selection is not None},
                    digests=digests)
     failures = [r.name for r in results if r.error is not None]
     click.echo(f"ran {len(results)} scenarios" +

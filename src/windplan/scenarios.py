@@ -132,8 +132,10 @@ def run_grid(instance: Instance, grid: list[ScenarioConfig],
     instance-wide infeasibility (capacity target above total potential)
     aborts with the offending scenario named.
     """
-    pots = municipal_potentials(instance)
-    # one Constraints per (target, equity), so each floor table is built once
+    # the potentials sort the pool by municipality, which only floors need
+    pots = municipal_potentials(instance) if any(c.equity for c in grid) else None
+    # one Constraints per (target, equity), so each floor dict is made once; the
+    # solver builds the municipality blocks of the floors once per pool
     cache: dict[tuple[float, bool], Constraints] = {}
     jobs = []
     for cfg in sorted(grid, key=lambda c: c.name):

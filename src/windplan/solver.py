@@ -39,10 +39,11 @@ a round in one outs × ins boolean matrix, so its cost follows the
 selection size rather than the pool size.
 
 The equity floors are walked all at once: the rows of their municipalities
-sit in padded matrices, one per power-of-two width (`_FloorBlock`), and a
-stable row-wise sort, row-wise cumsums and a masked row-wise argmin give
-every floor's cover, fractional fill and bound terms. The terms are added
-floor after floor and site by site, as the scalar loops add them.
+sit in padded matrices, one per power-of-two width (`_FloorBlock`, cut from
+blocks built once per SiteTable), sorted per cost only where the first site
+by ratio does not settle the floor (`_FloorOrder`); row-wise cumsums and a
+masked row-wise argmin give every floor's cover, fill and bound terms,
+added floor after floor and site by site, as the scalar loops add them.
 
 Everything is deterministic; ties break on the lowest site id.
 """
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -240,22 +242,39 @@ class _FloorBlock:
     """The floors whose municipalities have more than W/2 and at most W
     sites, W a power of two, with their rows in a floors x W matrix: each
     floor's rows ascending, then padding (copies of its first row). A row
-    holds fewer padded cells than real ones."""
+    holds fewer padded cells than real ones. A `_FloorOrder` adds the rest."""
     floors: np.ndarray  # the block's floors, ascending
     rows: np.ndarray  # floors x W
     real: np.ndarray  # floors x W, False on the padding; a prefix of each row
     size: np.ndarray  # sites per floor
+    caps: np.ndarray  # floors x W, the capacity of each cell
+    min_cap: np.ndarray  # the least capacity of each floor's sites
+    cost: np.ndarray | None = None
+    by_ratio: np.ndarray | None = None
 
     def take(self, keep: np.ndarray) -> _FloorBlock:
-        """The block of the floors where `keep` is True."""
-        return _FloorBlock(self.floors[keep], self.rows[keep], self.real[keep], self.size[keep])
+        """The block of the floors that `keep` selects."""
+        return _FloorBlock(*(a if a is None else a[keep] for a in vars(self).values()))
 
-    def by_ratio(self, cost: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        """`rows` with each floor's sites by ascending cost/capacity and the
-        padding last; the sort is stable, so ties stay on the lower row,
-        which is the lower site id."""
-        ratio = np.where(self.real, cost[self.rows] / caps[self.rows], np.nan)
-        return np.take_along_axis(self.rows, np.argsort(ratio, axis=1, kind="stable"), axis=1)
+
+_MUNS: weakref.WeakKeyDictionary[SiteTable, tuple] = weakref.WeakKeyDictionary()
+
+
+def _mun_blocks(sites: SiteTable) -> tuple[np.ndarray, np.ndarray, list[_FloorBlock]]:
+    """Once per table (`_MUNS`): the municipality ids, each site's position
+    among them, and the blocks of every municipality, its position as floor."""
+    ids, of_site, size = np.unique(sites.mun, return_inverse=True, return_counts=True)
+    start = np.cumsum(size) - size  # each municipality's first position in `by_mun`
+    # a municipality of s sites goes to the block of width 2**e, e the bit length of s - 1
+    width_exp = np.frexp(size - 1)[1]
+    blocks = []
+    for e in np.unique(width_exp).tolist():
+        k = np.flatnonzero(width_exp == e)
+        real = np.arange(1 << e) < size[k, None]
+        rows = sites.by_mun[start[k, None] + real * np.arange(1 << e)]
+        c = sites.caps[rows]
+        blocks.append(_FloorBlock(k, rows, real, size[k], c, np.where(real, c, np.inf).min(1)))
+    return ids, of_site, blocks
 
 
 @dataclass(frozen=True)
@@ -294,26 +313,17 @@ def _floors(sites: SiteTable, equity_floors: dict[int, float] | None) -> _Floors
     keep = _at_least(mw) > 0
     order = np.argsort(mun[keep])
     mun, mw = mun[keep][order], mw[keep][order]
-    of_site = np.full(len(sites), -1, dtype=np.int32)
     if not mun.size:
-        return _Floors(mun, mw, _at_least(mw), of_site, [])
-    grouped = sites.mun[sites.by_mun]  # municipality of each by_mun position, ascending
-    start = np.searchsorted(grouped, mun)
-    size = np.searchsorted(grouped, mun, side="right") - start
-    if not size.all():
-        raise InfeasibleError(
-            f"equity floors in municipalities without candidates: {mun[size == 0].tolist()}")
-    # a floor of s sites goes to the block of width 2**e, e the bit length of s - 1
-    width_exp = np.frexp(size - 1)[1]
-    blocks = []
-    for e in np.unique(width_exp).tolist():
-        k = np.flatnonzero(width_exp == e)
-        cols = np.arange(1 << e)
-        real = cols < size[k, None]
-        rows = sites.by_mun[start[k, None] + np.where(real, cols, 0)]
-        of_site[rows[real]] = np.repeat(k, size[k])
-        blocks.append(_FloorBlock(k, rows, real, size[k]))
-    return _Floors(mun, mw, _at_least(mw), of_site, blocks)
+        return _Floors(mun, mw, _at_least(mw), np.full(len(sites), -1, dtype=np.int32), [])
+    ids, of_site, pool = _MUNS.get(sites) or _MUNS.setdefault(sites, _mun_blocks(sites))
+    if not np.isin(mun, ids).all():
+        raise InfeasibleError("equity floors in municipalities without candidates: "
+                              f"{mun[~np.isin(mun, ids)].tolist()}")
+    floor_of = np.full(ids.size, -1, dtype=np.int32)  # per municipality, its floor or -1
+    floor_of[np.searchsorted(ids, mun)] = np.arange(mun.size)
+    blocks = [replace(b.take(k >= 0), floors=k[k >= 0]) for b in pool
+              if ((k := floor_of[b.floors]) >= 0).any()]
+    return _Floors(mun, mw, _at_least(mw), floor_of[of_site], blocks)
 
 
 class _Workspace:
@@ -455,19 +465,43 @@ def _running_sum(start: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.append(start, values))[-1])
 
 
-def _floor_covers(problem: _Problem, cost: np.ndarray) -> np.ndarray:
+class _FloorOrder:
+    """The floor blocks under one cost (never NaN), with each cell's `cost` and
+    `by_ratio`: each floor's first site by ratio in front (ties on the lower
+    row, as in a stable sort), the rest sorted only where that site holds less."""
+
+    def __init__(self, problem: _Problem, cost: np.ndarray):
+        self.cost, self.blocks = cost, []
+        for block in problem.floors.blocks:
+            ratio = np.where(block.real, (c := cost[block.rows]) / block.caps, np.inf)
+            first, at = ratio.argmin(axis=1), np.arange(c.shape[0])
+            rows = block.rows.copy()
+            rows[at, first], rows[:, 0] = block.rows[:, 0], block.rows[at, first]
+            s = np.flatnonzero(block.caps[at, first] < problem.floors.mw[block.floors])
+            rows[s] = np.take_along_axis(block.rows[s], ratio[s].argsort(axis=1, kind="stable"), 1)
+            self.blocks.append(replace(block, cost=c, by_ratio=rows))
+
+
+def _floor_covers(problem: _Problem, order: _FloorOrder) -> np.ndarray:
     """The rows that cover the floors, floor after floor: for each, the
     shortest prefix of its municipality's ratio order that meets it, or the
     cheapest single site that meets it alone (ties on the lower id) when
-    that costs less.
+    that costs less; a floor that its first site meets reads no further.
 
     Every running total is a row-wise cumsum, so it adds in the order of a
     site-by-site loop."""
-    floors, caps = problem.floors, problem.sites.caps
+    floors, caps, cost = problem.floors, problem.sites.caps, order.cost
     parts, short = [], []
-    for block in floors.blocks:
-        rows = block.by_ratio(cost, caps)
-        ge = floors.ge[block.floors]
+    for block in order.blocks:
+        first, ge = block.by_ratio[:, 0], floors.ge[block.floors]
+        alone = np.where(block.real & (block.caps >= ge[:, None]), block.cost, np.inf)
+        at, p = np.arange(ge.size), alone.argmin(axis=1)
+        single, alone = block.rows[at, p], alone[at, p]  # the cheapest site alone, its cost
+        met = caps[first] >= ge
+        parts.append((block.floors[met], np.ones((met.sum(), 1), dtype=bool),
+                      np.where(alone < cost[first], single, first)[met, None]))
+        block, ge, single, alone = block.take(~met), ge[~met], single[~met], alone[~met]
+        rows = block.by_ratio
         cum = np.cumsum(np.where(block.real, caps[rows], 0.0), axis=1)  # MW after each site
         covered = cum >= ge[:, None]
         n = covered.argmax(axis=1)  # the last site of each cover
@@ -475,11 +509,9 @@ def _floor_covers(problem: _Problem, cost: np.ndarray) -> np.ndarray:
         met = covered[at, n]
         short += zip(block.floors[~met].tolist(), cum[~met, -1].tolist())
         cost_a = np.cumsum(np.where(block.real, cost[rows], 0.0), axis=1)[at, n]
-        alone = np.where(block.real & (caps[block.rows] >= ge[:, None]), cost[block.rows], np.inf)
-        p = alone.argmin(axis=1)
-        single = alone[at, p] < cost_a
-        rows[single, 0] = block.rows[single, p[single]]
-        n[single] = 0
+        cheaper = alone < cost_a
+        rows[cheaper, 0] = single[cheaper]
+        n[cheaper] = 0
         parts.append((block.floors, np.arange(rows.shape[1]) <= n[:, None], rows))
     if short:
         k, cum = min(short)
@@ -488,14 +520,14 @@ def _floor_covers(problem: _Problem, cost: np.ndarray) -> np.ndarray:
     return floors.in_order(parts)
 
 
-def _greedy(problem: _Problem, cost: np.ndarray) -> _State:
+def _greedy(problem: _Problem, order: _FloorOrder) -> _State:
     """Floor-first then global ratio greedy, followed by a trim pass.
 
     A floor only takes sites of its own municipality, so none of them is
     selected before that floor's turn."""
-    state = _State(problem, cost)
+    state = _State(problem, order.cost)
     if problem.floors:
-        state.add_rows(_floor_covers(problem, cost))
+        state.add_rows(_floor_covers(problem, order))
 
     state.fill()
     cap_obj = problem.cap_obj
@@ -572,17 +604,25 @@ def _feasible(state: _State) -> bool:
 
 
 def _fill(block: _FloorBlock, need: np.ndarray, caps: np.ndarray, cost: np.ndarray,
-          used: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+          used: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
     """Cover each floor of `block`, `need` MW, fractionally along its
     municipality's ratio order, as a site-by-site loop does: take
-    min(capacity, need) of each site until the need is at most 1e-15.
+    min(capacity, need) of each site until the need is at most 1e-15; a
+    floor that its first site brings there reads no further.
 
     Sets the fraction taken of each site in `used` and returns the cost
-    of each take as a part of `_Floors.in_order`; None when a floor ends
+    of each take as parts of `_Floors.in_order`; None when a floor ends
     with a need above 1e-9 (is not met). The need after each site is a
     row-wise cumsum, so it subtracts in the loop's order.
     """
-    rows = block.by_ratio(cost, caps)
+    first = block.by_ratio[:, 0]
+    alone = need - caps[first] <= 1e-15
+    frac = np.minimum(caps[first[alone]], need[alone]) / caps[first[alone]]
+    used[first[alone]] = frac
+    parts = [(block.floors[alone], np.ones((frac.size, 1), dtype=bool),
+              (frac * cost[first[alone]])[:, None])]
+    block, need = block.take(~alone), need[~alone]
+    rows = block.by_ratio
     c = caps[rows]
     left = np.cumsum(np.concatenate((need[:, None], np.where(block.real, -c, 0.0)), axis=1),
                      axis=1)  # the need before each site, and after the last
@@ -595,10 +635,10 @@ def _fill(block: _FloorBlock, need: np.ndarray, caps: np.ndarray, cost: np.ndarr
     used[rows[taken]] = frac
     terms = np.zeros(rows.shape)
     terms[taken] = frac * cost[rows[taken]]
-    return block.floors, taken, terms
+    return parts + [(block.floors, taken, terms)]
 
 
-def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+def _lp_nested(problem: _Problem, order: _FloorOrder, v: np.ndarray) -> tuple[float, float]:
     """Exact optimum of the fractional relaxation (floors + covering), and
     the total of `v` over that fractional solution.
 
@@ -608,7 +648,7 @@ def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[floa
     Marginal cost curves are convex, so this greedy is LP-optimal. An
     infeasible relaxation gives (inf, inf).
     """
-    sites, floors, caps = problem.sites, problem.floors, problem.sites.caps
+    sites, floors, caps, cost = problem.sites, problem.floors, problem.sites.caps, order.cost
     used = problem.work.used  # fraction of each site already committed, with floors
     total_cost = 0.0
     floor_cap = 0.0
@@ -616,10 +656,10 @@ def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[floa
     if floors:
         used.fill(0)
         parts = [_fill(block, floors.mw[block.floors], caps, cost, used)
-                 for block in floors.blocks]
+                 for block in order.blocks]
         if None in parts:
             return np.inf, np.inf
-        total_cost = _running_sum(0.0, floors.in_order(parts))
+        total_cost = _running_sum(0.0, floors.in_order(sum(parts, [])))
         floor_cap = _running_sum(0.0, floors.mw)
         v_total = float(np.sum(used * v))
     residual = problem.cap_obj - floor_cap
@@ -649,7 +689,8 @@ def _lp_nested(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[floa
     return total_cost, v_total
 
 
-def _floor_int_bound(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+def _floor_int_bound(problem: _Problem, order: _FloorOrder, v: np.ndarray
+                     ) -> tuple[float, float]:
     """Lower bound keeping floor coverage integral per municipality, and
     the total of `v` over the covers it takes.
 
@@ -660,25 +701,24 @@ def _floor_int_bound(problem: _Problem, cost: np.ndarray, v: np.ndarray) -> tupl
     after floor. Ignores the global constraint, which only relaxes further.
     An unattainable floor gives (inf, inf).
     """
-    floors, caps = problem.floors, problem.sites.caps
+    floors, caps, cost = problem.floors, problem.sites.caps, order.cost
     used = problem.work.used  # fractional fills
     used.fill(0)
     parts, v_parts = [], []  # cost and v terms, per block and kind of floor
-    for block in floors.blocks:
+    for block in order.blocks:
         mw = floors.mw[block.floors]
-        single = mw <= np.where(block.real, caps[block.rows], np.inf).min(axis=1) + 1e-15
+        single = mw <= block.min_cap + 1e-15
         if single.any():
-            b = block.take(single)
-            cheapest = np.where(b.real, cost[b.rows], np.inf).argmin(axis=1)
-            p = b.rows[np.arange(cheapest.size), cheapest]
+            p = block.rows[single, np.where(block.real, block.cost, np.inf)[single].argmin(axis=1)]
             one = np.ones((p.size, 1), dtype=bool)
-            parts.append((b.floors, one, cost[p, None]))
-            v_parts.append((b.floors, one, v[p, None]))
+            parts.append((block.floors[single], one, cost[p, None]))
+            v_parts.append((block.floors[single], one, v[p, None]))
         fill = ~single & (block.size > 12)
         if fill.any():
-            parts.append(_fill(block.take(fill), mw[fill], caps, cost, used))
-            if parts[-1] is None:
+            filled = _fill(block.take(fill), mw[fill], caps, cost, used)
+            if filled is None:
                 return np.inf, np.inf
+            parts += filled
         small = ~single & ~fill
         if small.any():
             b = block.take(small)
@@ -706,20 +746,20 @@ def _relaxations(problem: _Problem) -> list[Callable[..., tuple[float, float]]]:
     return [_lp_nested, _floor_int_bound] if problem.floors else [_lp_nested]
 
 
-def _floor_bound(problem: _Problem, cost: np.ndarray) -> float:
+def _floor_bound(problem: _Problem, order: _FloorOrder) -> float:
     zeros = np.broadcast_to(0.0, len(problem.sites))  # no v total wanted; a view, not a vector
-    return max(relax(problem, cost, zeros)[0] for relax in _relaxations(problem))
+    return max(relax(problem, order, zeros)[0] for relax in _relaxations(problem))
 
 
-def _lower_bound(problem: _Problem, cost: np.ndarray, lambdas: list[float]) -> float:
-    bound = _floor_bound(problem, cost)
+def _lower_bound(problem: _Problem, order: _FloorOrder, lambdas: list[float]) -> float:
+    bound = _floor_bound(problem, order)
     if any(l > 0 for l in lambdas):
-        pen = cost
+        pen = order.cost
         offset = 0.0
         for (_, v, limit), lam in zip(problem.caps, lambdas):
             pen = pen + lam * v
             offset += lam * limit
-        bound = max(bound, _floor_bound(problem, pen) - offset)
+        bound = max(bound, _floor_bound(problem, _FloorOrder(problem, pen)) - offset)
     return float(bound) if np.isfinite(bound) else 0.0
 
 
@@ -784,8 +824,8 @@ def _problem(instance: Instance, weights: Weights, constraints: Constraints
     return _Problem(sites, cap_obj, _floors(sites, constraints.equity_floors), caps), cost
 
 
-def _run_heuristic(problem: _Problem, cost: np.ndarray) -> _State:
-    state = _greedy(problem, cost)
+def _run_heuristic(problem: _Problem, order: _FloorOrder) -> _State:
+    state = _greedy(problem, order)
     _polish(state)
     return state
 
@@ -886,18 +926,18 @@ def _lambda_scale(cost: np.ndarray, v: np.ndarray) -> float:
     return max(1.0, float(cost.max()) / max(float(pos.min()), 1e-12)) if pos.size else 1.0
 
 
-def _multiplier(relax: Callable[[np.ndarray], tuple[float, float]], work: _Workspace,
+def _multiplier(relax: Callable[[_FloorOrder], tuple[float, float]], problem: _Problem,
                 base: np.ndarray, v: np.ndarray, limit: float) -> tuple[float, float, float]:
     """Where the Lagrangian bound of one relaxation is largest, for the cap
     `v <= limit` priced into `base + lam * v`.
 
-    `relax(cost)` gives the relaxation's optimum and the total of `v` over
-    its solution; the optimum is concave and piecewise linear in lam with
-    that total as its slope, so L(lam) = relax(base + lam * v)[0] -
-    lam * limit is largest where the slope crosses the limit. Returns the
-    smallest lam >= 0 found at which the slope meets the limit (to a
-    relative FEAS_TOL), the breakpoint it approaches from above, where the
-    bound is taken, and L at the former.
+    `relax(order)` gives the relaxation's optimum under `order.cost` and the
+    total of `v` over its solution; the optimum at `base + lam * v` is
+    concave and piecewise linear in lam with that total as its slope, so
+    L(lam), that optimum less lam * limit, is largest where the slope
+    crosses the limit. Returns the smallest lam >= 0 found at which the
+    slope meets the limit (to a relative FEAS_TOL), the breakpoint it
+    approaches from above, where the bound is taken, and L at the former.
 
     The tangents at a missing `lo` and a meeting `hi` cross inside
     [lo, hi], on the breakpoint once both touch the pieces next to it.
@@ -907,7 +947,7 @@ def _multiplier(relax: Callable[[np.ndarray], tuple[float, float]], work: _Works
     trial's penalised cost is the solve's `work.pen`.
     """
     def tangent(lam: float) -> tuple[float, float]:
-        value, v_total = relax(work.penalised(base, lam, v))
+        value, v_total = relax(_FloorOrder(problem, problem.work.penalised(base, lam, v)))
         return value - lam * v_total, v_total  # intercept and slope
 
     lo, (c_lo, s_lo) = 0.0, tangent(0.0)
@@ -995,12 +1035,12 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
     at_break = [0.0] * len(problem.caps)  # the bound's multipliers
     runs = 0
 
-    def heuristic(c: np.ndarray) -> _State:
+    def heuristic(order: _FloorOrder) -> _State:
         nonlocal runs
         runs += 1
-        return _run_heuristic(problem, c)
+        return _run_heuristic(problem, order)
 
-    state = heuristic(cost)
+    state = heuristic(order := _FloorOrder(problem, cost))  # the bound reads `order` again
     if not state.caps_ok():
         feasible: list[np.ndarray] = []  # selected rows of each run that meets everything
         for k, (name, v, limit) in enumerate(problem.caps):
@@ -1009,11 +1049,11 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
             if _le(state.v_totals[k], limit):
                 continue
             # is the cap attainable at all? check the min-v solution
-            vmin = float(np.sum(v[heuristic(v).taken]))
+            vmin = float(np.sum(v[heuristic(_FloorOrder(problem, v)).taken]))
             if not _le(vmin, limit):
                 # the heuristic's minimum proves nothing; only the relaxation
                 # bound on the minimum can rule the cap out
-                bound = _floor_bound(problem, v)
+                bound = _floor_bound(problem, _FloorOrder(problem, v))
                 if not _le(bound, limit):
                     raise InfeasibleError(
                         f"cap on total {name} ({limit}) below the minimum achievable, "
@@ -1029,13 +1069,13 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
                     base = base + lambdas[kk] * vv
             # the multiplier of the relaxation with the larger bound
             lambdas[k], at_break[k], _ = max(
-                (_multiplier(functools.partial(relax, problem, v=v), problem.work, base, v, limit)
+                (_multiplier(functools.partial(relax, problem, v=v), problem, base, v, limit)
                  for relax in _relaxations(problem)),
                 key=lambda m: m[2])
 
             def meets(lam: float) -> bool:
                 nonlocal state
-                s = heuristic(problem.work.penalised(base, lam, v))
+                s = heuristic(_FloorOrder(problem, problem.work.penalised(base, lam, v)))
                 if not _le(s.v_totals[k], limit):
                     return False
                 state = s
@@ -1050,7 +1090,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
             repair_cost = np.zeros(len(sites))
             for _, v, _ in problem.caps:
                 repair_cost = repair_cost + v
-            state = heuristic(repair_cost)
+            state = heuristic(_FloorOrder(problem, repair_cost))
             if not _feasible(state):
                 bad = [name for (name, _, limit), t in zip(problem.caps, state.v_totals)
                        if not _le(t, limit)]
@@ -1073,7 +1113,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
             if state is None or final.obj < state.obj:
                 state = final
 
-    bound = _lower_bound(problem, cost, at_break)
+    bound = _lower_bound(problem, order, at_break)
     sel = _make_selection(sites, np.flatnonzero(state.taken), cost, bound)
     sel.stats = {"heuristic_runs": runs,
                  "lambda": {name: float(lam) for (name, _, _), lam in zip(problem.caps, lambdas)}}

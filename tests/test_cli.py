@@ -218,6 +218,10 @@ def test_scenarios_grid(prepped):
     assert (out / "selection_a.geojson").exists()
     assert (out / "selection_b.geojson").exists()
     assert (out / "radar.csv").exists()
+    # the manifest holds the solver stats of each scenario, by name
+    stats = json.loads((out / "run_manifest.json").read_text())["stats"]
+    assert sorted(stats) == ["a", "b"]
+    assert all(set(s) == {"heuristic_runs", "lambda"} for s in stats.values()), stats
 
 
 def test_scenarios_failed_rows(prepped, tmp_path, capsys):
@@ -239,6 +243,7 @@ def test_scenarios_failed_rows(prepped, tmp_path, capsys):
         "lower_bound,gap,error",
         "a,1.0,0.0,0.0,0,120.0" + failed,
         "b,0.0,1.0,0.0,1,120.0" + failed]
+    assert json.loads((out / "run_manifest.json").read_text())["stats"] == {}
 
 
 def test_metrics_command(prepped):

@@ -334,7 +334,8 @@ def test_capped_solve_takes_multiplier_from_relaxation(monkeypatch):
     assert verify_selection(sel, floored, con)
     assert sel.stats["lambda"]["scenicness"] > 0
     cost = site_costs(floored.sites, W_LCOE)
-    plain = solver._floor_bound(solver._problem(floored, W_LCOE, replace(con, m_s=None))[0], cost)
+    problem = solver._problem(floored, W_LCOE, replace(con, m_s=None))[0]
+    plain = solver._floor_bound(problem, solver._FloorOrder(problem, cost))
     assert plain < sel.lower_bound <= sel.objective_value
     # two caps together
     free = solve(inst, W_LCOE, Constraints(cap_obj=cap_obj))
@@ -688,9 +689,10 @@ def test_vector_swap_scan_matches_scalar_rule_mid_size(share):
     cap_obj = share * potential
     cost = site_costs(sites, W_LCOE)
     free = solver._Problem(sites, cap_obj, solver._floors(sites, floors), [])
-    m_s = 1.002 * float(np.sum(sites.scenicness[solver._greedy(free, cost).taken]))
+    taken = solver._greedy(free, solver._FloorOrder(free, cost)).taken
+    m_s = 1.002 * float(np.sum(sites.scenicness[taken]))
     capped = replace(free, caps=[("scenicness", sites.scenicness, m_s)])
-    start = solver._greedy(capped, cost)
+    start = solver._greedy(capped, solver._FloorOrder(capped, cost))
     ours, ref = copy.deepcopy(start), copy.deepcopy(start)
     solver._polish(ours)
     _scalar_polish(ref)
@@ -732,12 +734,12 @@ def test_matrix_polish_matches_scalar_rule_front_shape(seed):
     cap_obj = 0.5 * sum(sites.caps.tolist())
     cost = site_costs(sites, Weights(1.0, 0.3, 0.0))
     free = solver._Problem(sites, cap_obj, solver._floors(sites, None), [])
-    taken = solver._greedy(free, cost).taken
+    taken = solver._greedy(free, solver._FloorOrder(free, cost)).taken
     capped = replace(free, caps=[
         ("scenicness", sites.scenicness, 1.001 * float(np.sum(sites.scenicness[taken]))),
         ("network_length", sites.network_length,
          1.001 * float(np.sum(sites.network_length[taken])))])
-    start = solver._greedy(capped, cost)
+    start = solver._greedy(capped, solver._FloorOrder(capped, cost))
     ours, ref = copy.deepcopy(start), copy.deepcopy(start)
     rounds = _counting_swaps(ours)
     solver._polish(ours)
@@ -758,11 +760,11 @@ def test_matrix_polish_matches_scalar_rule_random_pools():
         caps = [("scenicness", sites.scenicness, 0.0), ("network_length", sites.network_length, 0.0)]
         cap_obj = float(rng.uniform(0.1, 0.6)) * sum(sites.caps.tolist())
         free = solver._Problem(sites, cap_obj, solver._floors(sites, floors), [])
-        taken = solver._greedy(free, cost).taken
+        taken = solver._greedy(free, solver._FloorOrder(free, cost)).taken
         limits = [float(rng.uniform(0.95, 1.2)) * float(np.sum(v[taken])) for _, v, _ in caps]
         problem = replace(free, caps=[(name, v, m) for (name, v, _), m in zip(
             caps[:int(rng.integers(0, 3))], limits)])
-        start = solver._greedy(problem, cost)
+        start = solver._greedy(problem, solver._FloorOrder(problem, cost))
         ours, ref = copy.deepcopy(start), copy.deepcopy(start)
         solver._polish(ours)
         _scalar_polish(ref)
@@ -831,7 +833,7 @@ def _ratio_rows(sites, cost, j):
 
 def _frac_fill(caps, cost, rows, need, total, used):
     """`total` plus the cost of covering `need` MW fractionally along `rows`,
-    one site at a time, or inf when the rows fall short; `used` takes the
+    one site at a time, or None when the rows fall short; `used` takes the
     fraction taken of each site."""
     for i in rows:
         take = min(caps[i], need)
@@ -840,7 +842,7 @@ def _frac_fill(caps, cost, rows, need, total, used):
         need -= take
         if need <= 1e-15:
             break
-    return total if need <= 1e-9 else np.inf
+    return total if need <= 1e-9 else None
 
 
 def _scalar_lp(sites, cost, cap_obj, floors, v):
@@ -853,7 +855,7 @@ def _scalar_lp(sites, cost, cap_obj, floors, v):
     total, floor_cap = 0.0, 0.0
     for j, floor in floors.items():
         total = _frac_fill(caps, cost, _ratio_rows(sites, cost, j), floor, total, used)
-        if total == np.inf:
+        if total is None:
             return np.inf, np.inf
         floor_cap += floor
     v_total = float(np.sum(used * v)) if floors else 0.0
@@ -916,7 +918,7 @@ def _scalar_floor_int(sites, cost, floors, v, reached):
         else:
             reached["fill"] += 1
             total = _frac_fill(caps, cost, _ratio_rows(sites, cost, j), floor, total, used)
-            if total == np.inf:
+            if total is None:
                 reached["unattainable"] += 1
                 return np.inf, np.inf
     return total, v_total + float(np.sum(used * v))
@@ -926,10 +928,11 @@ def _check_relaxations(sites, cost, cap_obj, floors, reached):
     """Both floor relaxations against their references, with the v-totals
     of the scenicness and of zeros."""
     problem = solver._Problem(sites, cap_obj, solver._floors(sites, floors), [])
+    order = solver._FloorOrder(problem, cost)
     for v, count in ((sites.scenicness, reached), (np.zeros(len(sites)), collections.Counter())):
-        assert solver._lp_nested(problem, cost, v) == _scalar_lp(
+        assert solver._lp_nested(problem, order, v) == _scalar_lp(
             sites, cost, cap_obj, floors, v)
-        assert solver._floor_int_bound(problem, cost, v) == _scalar_floor_int(
+        assert solver._floor_int_bound(problem, order, v) == _scalar_floor_int(
             sites, cost, floors, v, count)
 
 
@@ -975,11 +978,12 @@ def _check_floor_covers(sites, cost, floors, reached):
     except InfeasibleError as err:
         reached["infeasible"] += 1
         with pytest.raises(InfeasibleError) as ours:
-            solver._floor_covers(problem, cost)
+            solver._floor_covers(problem, solver._FloorOrder(problem, cost))
         assert str(ours.value) == str(err)
         return
     reached["met"] += bool(floors)
-    assert solver._floor_covers(problem, cost).tolist() == [int(i) for i in expected]
+    covers = solver._floor_covers(problem, solver._FloorOrder(problem, cost))
+    assert covers.tolist() == [int(i) for i in expected]
 
 
 def _scalar_fill_and_trim(state):
@@ -1071,7 +1075,7 @@ def test_skewed_pool_matches_scalar_loops():
     assert sum(b.rows.size for b in blocks) <= 2 * n
     assert max(b.rows.shape[1] for b in blocks) == 4096
 
-    ours = solver._greedy(problem, cost)
+    ours = solver._greedy(problem, solver._FloorOrder(problem, cost))
     ref = solver._State(problem, cost, np.array(
         _scalar_floor_covers(sites, cost, floors, collections.Counter())))
     _scalar_fill_and_trim(ref)
@@ -1081,6 +1085,108 @@ def test_skewed_pool_matches_scalar_loops():
     reached = collections.Counter()
     _check_relaxations(sites, cost, problem.cap_obj, floors, reached)
     assert min(reached[k] for k in ("single", "subset", "fill")) >= 1, reached
+
+
+def _meeting_at_least(c, above=False):
+    """The floor whose `_at_least` threshold is exactly `c`, or None; with
+    `above` the next floor up, whose threshold is the least above `c`."""
+    mw = c + solver.FEAS_TOL * max(1.0, c)
+    for _ in range(8):
+        ge = solver._at_least(mw)
+        if ge == c:
+            break
+        mw = np.nextafter(mw, np.inf if ge < c else -np.inf)
+    else:
+        return None
+    while above and solver._at_least(mw) == c:
+        mw = np.nextafter(mw, np.inf)
+    return float(mw)
+
+
+def _first_site_pool(rng, kinds):
+    """A `_random_pool` of municipalities of about 6 or 20 sites, some costs
+    inf (a penalised cost that overflowed) in municipalities of more than 12
+    sites, where no subset product meets them, and floors on the tests that
+    settle a floor by its first site c, the municipality's first by ratio:
+    c's capacity exactly, 1e-15 above or below it, 1e-12 or 1e-10
+    relatively above it (inside the cutoffs of the fill and of
+    `_at_least`), the floor whose `_at_least` threshold is c's capacity or
+    the least above it, 1e-15 above the least capacity of the municipality
+    (the single-site bound's test), or a share of the municipality's
+    capacity. `kinds` counts each kind drawn."""
+    n = int(rng.integers(30, 300))
+    sites, cost, _ = _random_pool(rng, n, n_muns=max(1, n // int(rng.choice([6, 20]))))
+    mun, size = np.unique(sites.mun, return_counts=True)
+    cost[np.isin(sites.mun, mun[size > 12]) & (rng.random(n) < rng.choice([0.0, 0.1]))] = np.inf
+    floors = {}
+    for j in np.unique(sites.mun).tolist():
+        c = float(sites.caps[_ratio_rows(sites, cost, j)[0]])
+        caps = sites.caps[sites.mun == j]
+        floor = {"exact": c, "above": c + 1e-15, "below": c - 1e-15, "rel_fill": c + 1e-12,
+                 "rel_ge": c * (1 + 1e-10), "at_least": _meeting_at_least(c),
+                 "over_ge": _meeting_at_least(c, above=True),
+                 "min_cap": float(caps.min()) + 1e-15,
+                 "share": float(rng.uniform(0.0, 1.05)) * float(caps.sum())}
+        kind = list(floor)[int(rng.integers(0, len(floor)))]
+        mw = floor[kind]
+        if mw is not None:
+            kinds[kind] += 1
+            floors[j] = mw
+    return sites, cost, floors
+
+
+def test_first_site_settle_matches_full_sort():
+    # a floor that its first site by ratio settles skips the sort of its
+    # municipality; every walk must give what the full per-floor sort of the
+    # scalar references gives, on the floors that sit on the settling tests
+    rng = np.random.default_rng(53)
+    kinds, paths = collections.Counter(), collections.Counter()
+    for _ in range(60):
+        sites, cost, floors = _first_site_pool(rng, kinds)
+        problem = solver._Problem(sites, float(rng.uniform(0.0, 1.0)) * float(sites.caps.sum()),
+                                  solver._floors(sites, floors), [])
+        order = solver._FloorOrder(problem, cost)
+        for block in order.blocks:
+            first = block.by_ratio[:, 0]
+            sorted_on = sites.caps[first] < problem.floors.mw[block.floors]
+            paths["settled"] += int((~sorted_on).sum())
+            paths["sorted"] += int(sorted_on.sum())
+            paths["at_ge"] += int((sites.caps[first] == problem.floors.ge[block.floors]).sum())
+            paths["inf"] += int(np.isinf(block.cost).any(axis=1).sum())
+        for v in (sites.scenicness, np.zeros(len(sites))):
+            assert solver._lp_nested(problem, order, v) == _scalar_lp(
+                sites, cost, problem.cap_obj, floors, v)
+            assert solver._floor_int_bound(problem, order, v) == _scalar_floor_int(
+                sites, cost, floors, v, collections.Counter())
+        try:
+            expected = _scalar_floor_covers(sites, cost, floors, collections.Counter())
+        except InfeasibleError as err:
+            with pytest.raises(InfeasibleError) as ours:
+                solver._floor_covers(problem, order)
+            assert str(ours.value) == str(err)
+            continue
+        assert solver._floor_covers(problem, order).tolist() == [int(i) for i in expected]
+    assert min(kinds.values()) >= 20 and len(kinds) == 9, kinds
+    assert min(paths.values()) >= 20, paths
+
+
+def test_municipality_blocks_are_built_once_per_pool(monkeypatch):
+    from windplan.scenarios import BASE_TOTAL_MW, builtin_grid, run_grid
+    builds = []
+    build = solver._mun_blocks
+    monkeypatch.setattr(solver, "_mun_blocks", lambda sites: builds.append(sites) or build(sites))
+    inst = rand_instance(83, 300, n_muns=25)
+    potential = sum(inst.sites.caps.tolist())
+    existing = sum(inst.municipalities.existing_capacity.tolist())
+    results = run_grid(inst, builtin_grid(), scale=(existing + 0.3 * potential) / BASE_TOTAL_MW)
+    assert all(r.error is None for r in results)
+    assert len(builds) == 1 and builds[0] is inst.sites
+    # a floorless sweep builds none, and never sorts the pool by municipality
+    free = rand_instance(83, 300, n_muns=25)
+    builds.clear()
+    pareto_sweep(free, "lcoe", "scenicness", Constraints(cap_obj=0.3 * potential), steps=3)
+    assert not builds
+    assert "by_mun" not in free.sites.__dict__
 
 
 def _scan_subsets(sites, cost, cap_obj, floors, cap_specs):
