@@ -27,6 +27,15 @@ import numpy as np
 
 SCENICNESS_MIN = 1.0
 SCENICNESS_MAX = 9.0
+EARTH_RADIUS_KM = 6371.0088  # mean radius
+
+# Physical ranges: a site or turbine value outside them is a RangeViolation,
+# so that no sum or ratio of them overflows, underflows or turns into NaN
+CAPACITY_MIN_MW = 1e-3  # 1 kW
+CAPACITY_MAX_MW = 1e3  # 1 GW
+LCOE_MAX_CT_KWH = 1e3  # 10 EUR/kWh
+FULL_LOAD_HOURS_MAX = 8784.0  # every hour of a leap year
+NETWORK_LENGTH_MAX_KM = math.pi * EARTH_RADIUS_KM  # no great-circle arc is longer
 
 REGION_TAGS = ("South", "NonSouth")
 TRANSFORMER_VOLTAGES = (20, 110)
@@ -315,11 +324,20 @@ def _outside(column: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return ~((column >= lo) & (column <= hi))
 
 
-def _range_check(name: str, column: np.ndarray, out: np.ndarray, rule: str) -> tuple:
+def _range_check(name: str, column: np.ndarray, out: np.ndarray, rule: str,
+                 physical: tuple[float, float] | None = None) -> tuple:
     """A RangeViolation check of a number column: a value outside its range
-    (message `rule`) or, failing that, a non-finite one."""
-    return ("RangeViolation", out | ~np.isfinite(column),
-            lambda k: f": {name} {column[k].tolist()} {rule if out[k] else 'is not finite'}")
+    (message `rule`), failing that a non-finite one, failing that one
+    outside the `physical` range (lo, hi) of its unit."""
+    bad = out | ~np.isfinite(column)
+    if physical is not None:
+        bad |= _outside(column, *physical)
+
+    def tail(k: int) -> str:
+        why = (rule if out[k] else "is not finite" if not np.isfinite(column[k])
+               else f"outside the physical range [{physical[0]}, {physical[1]}]")
+        return f": {name} {column[k].tolist()} {why}"
+    return "RangeViolation", bad, tail
 
 
 def _check_rows(report: ValidationReport, label: str, ids: np.ndarray, checks: list) -> None:
@@ -362,10 +380,12 @@ def validate_instance(instance: Instance) -> ValidationReport:
          lambda k: f" references unknown municipality {sites.mun[k].tolist()}"),
         _range_check("scenicness", sites.scenicness,
                      _outside(sites.scenicness, SCENICNESS_MIN, SCENICNESS_MAX), "outside [1, 9]"),
-        _range_check("capacity", sites.caps, sites.caps <= 0, "<= 0"),
-        _range_check("lcoe", sites.lcoe, sites.lcoe <= 0, "<= 0"),
-        _range_check("full_load_hours", sites.full_load_hours, sites.full_load_hours < 0, "< 0"),
-        _range_check("network_length", length, length < 0, "< 0"),
+        _range_check("capacity", sites.caps, sites.caps <= 0, "<= 0",
+                     (CAPACITY_MIN_MW, CAPACITY_MAX_MW)),
+        _range_check("lcoe", sites.lcoe, sites.lcoe <= 0, "<= 0", (0.0, LCOE_MAX_CT_KWH)),
+        _range_check("full_load_hours", sites.full_load_hours, sites.full_load_hours < 0, "< 0",
+                     (0.0, FULL_LOAD_HOURS_MAX)),
+        _range_check("network_length", length, length < 0, "< 0", (0.0, NETWORK_LENGTH_MAX_KM)),
         _range_check("lat", sites.lat, _outside(sites.lat, -90.0, 90.0), "outside [-90, 90]"),
         _range_check("lon", sites.lon, _outside(sites.lon, -180.0, 180.0), "outside [-180, 180]"),
     ])
@@ -380,6 +400,10 @@ def validate_instance(instance: Instance) -> ValidationReport:
         elif not math.isfinite(t.capacity):
             report.add("RangeViolation", t.turbine_id,
                        f"turbine {t.turbine_id}: capacity {t.capacity} is not finite")
+        elif not CAPACITY_MIN_MW <= t.capacity <= CAPACITY_MAX_MW:
+            report.add("RangeViolation", t.turbine_id,
+                       f"turbine {t.turbine_id}: capacity {t.capacity} outside the physical "
+                       f"range [{CAPACITY_MIN_MW}, {CAPACITY_MAX_MW}]")
         _check_coords(report, t.lat, t.lon, "turbine", t.turbine_id)
 
     for tr in instance.transformers:

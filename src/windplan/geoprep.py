@@ -25,10 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import (ExistingTurbine, Instance, PlanError, SiteTable, Transformer,
-                     ValidationError, with_network_lengths)
-
-EARTH_RADIUS_KM = 6371.0088
+from .domain import (EARTH_RADIUS_KM, ExistingTurbine, Instance, PlanError, SiteTable,
+                     Transformer, ValidationError, with_network_lengths)
 
 DEFAULT_BUFFER_DIAMETER_M = 1088.0
 

@@ -47,9 +47,6 @@ class ScaledCriteria:
     scenicness: np.ndarray
     network_length: np.ndarray
 
-    def by_name(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
 
 def minmax_scale(values) -> tuple[np.ndarray, float, float, bool]:
     """Affine map of values onto [0, 1]; (scaled, x_min, x_max, degenerate).

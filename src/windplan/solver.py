@@ -1,22 +1,24 @@
 """Binary site-selection solver.
 
 Minimizes the weighted site-cost sum subject to a national capacity
-covering target, optional per-criterion epsilon caps and optional
-per-municipality equity floors. Pools of up to BRUTE_FORCE_LIMIT (24)
-sites are solved exactly: a meet-in-the-middle enumeration (Horowitz &
-Sahni, J. ACM 1974) adds two tables of at most 2^12 half-subset sums to
-scan every subset, and the optimum it finds is reported as its own lower
-bound (gap 0). Larger pools use a certified heuristic:
+covering target, an optional epsilon cap on one criterion total and
+optional per-municipality equity floors. A solve takes at most one cap,
+as the epsilon-constraint method caps one criterion at a time. Pools of
+up to BRUTE_FORCE_LIMIT (24) sites are solved exactly: a
+meet-in-the-middle enumeration (Horowitz & Sahni, J. ACM 1974) adds two
+tables of at most 2^12 half-subset sums to scan every subset, and the
+optimum it finds is reported as its own lower bound (gap 0). Larger
+pools use a certified heuristic:
 
   a) satisfy each equity floor by per-municipality greedy on the
      cost/capacity ratio (a single cheapest site is used when cheaper),
   b) cover the remaining national capacity by global ratio greedy,
   c) polish with single-swap local search to a local optimum,
-  d) handle epsilon caps by Lagrangian penalty (Fisher, Mgmt. Sci. 1981):
-     the multiplier comes from a relaxation of the penalised cost (the
-     covering LP, or with floors the integral floor bound when that bound
-     is larger), and a few heuristic runs bracketed around it repair
-     integrality,
+  d) handle the epsilon cap by Lagrangian penalty (Fisher, Mgmt. Sci.
+     1981): the multiplier comes from a relaxation of the penalised cost
+     (the covering LP, or with floors the integral floor bound when that
+     bound is larger), and a few heuristic runs bracketed around it
+     repair integrality,
   e) certify with an LP-relaxation lower bound and report the gap.
 
 The pool is the instance's SiteTable, `Instance.sites`; a row index is a
@@ -85,6 +87,9 @@ class Constraints:
             v = getattr(self, name)
             if v is not None and not 0 <= v < math.inf:
                 raise PlanError(f"{name} {v} is not a finite number >= 0")
+        capped = [name for name in _CAP_FIELDS.values() if getattr(self, name) is not None]
+        if len(capped) > 1:
+            raise PlanError(f"one epsilon cap per solve, not {len(capped)}: {capped}")
         if self.equity_floors:
             bad = {j: f for j, f in self.equity_floors.items() if not 0 <= f < math.inf}
             if bad:
@@ -115,8 +120,8 @@ class Selection:
     means: Means
     lower_bound: float
     gap: float
-    # how the heuristic got there: heuristic_runs and the multiplier per cap
-    # ("lambda"); empty for an exact solve, and in no result file
+    # how the heuristic got there: heuristic_runs and the cap's multiplier
+    # ("lambda", by criterion); empty for an exact solve, and in no result file
     stats: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -167,25 +172,24 @@ class _RatioOrder:
     starts at _FIRST_BLOCK and grows 4x whenever a reader runs past the
     sorted part, which may hold fewer than m rows; the full sort is the
     fallback once m reaches the pool size or t is not finite. Any number
-    of iterations may run, interleaved, over one object.
+    of iterations may run, interleaved, over one object. The ratios live in
+    the `ratio` vector of the solve's workspace `work`, so growing the
+    sorted part after a later order of the solve was built raises.
     """
 
     _FIRST_BLOCK = 1024
 
-    def __init__(self, sites: SiteTable, cost: np.ndarray, work: _Workspace | None = None):
+    def __init__(self, sites: SiteTable, cost: np.ndarray, work: _Workspace):
         self._ids = sites.ids
         self._work = work
-        if work is None:
-            self._ratio = cost / sites.caps
-        else:
-            self._ratio = np.divide(cost, sites.caps, out=work.ratio)
-            work.ratio_owner = self
+        self._ratio = np.divide(cost, sites.caps, out=work.ratio)
+        work.ratio_owner = self
         self._m = self._FIRST_BLOCK // 4
         self._sorted = np.empty(0, dtype=np.intp)
         self._complete = False
 
     def _grow(self) -> None:
-        if self._work is not None and self._work.ratio_owner is not self:
+        if self._work.ratio_owner is not self:
             raise RuntimeError("stale ratio order: its solve has built another since")
         self._m *= 4
         ratio, ids = self._ratio, self._ids
@@ -348,11 +352,11 @@ class _Workspace:
 
 @dataclass(frozen=True)
 class _Problem:
-    """The pool, cover target, floors and caps of one solve, and its workspace."""
+    """The pool, cover target, floors and cap of one solve, and its workspace."""
     sites: SiteTable
     cap_obj: float  # MW of added capacity to cover
     floors: _Floors
-    caps: list[tuple[str, np.ndarray, float]]  # (criterion, per-site values, limit) per cap
+    cap: tuple[str, np.ndarray, float] | None  # (criterion, per-site values, limit), or None
     work: _Workspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -371,7 +375,7 @@ class _State:
         self.cap_total = 0.0
         self.obj = 0.0
         self.floor_totals = np.zeros(len(problem.floors))  # selected MW per floor
-        self.v_totals = [0.0] * len(problem.caps)  # per cap
+        self.v_total = 0.0  # the capped criterion's total
         self.order = _RatioOrder(problem.sites, cost, problem.work)
         self.add_rows(np.asarray(rows, dtype=np.intp))
 
@@ -384,8 +388,8 @@ class _State:
         caps = self.problem.sites.caps
         self.cap_total = _running_sum(self.cap_total, caps[rows])
         self.obj = _running_sum(self.obj, self.cost[rows])
-        for k, (_, v, _) in enumerate(self.problem.caps):
-            self.v_totals[k] = _running_sum(self.v_totals[k], v[rows])
+        if self.problem.cap:
+            self.v_total = _running_sum(self.v_total, self.problem.cap[1][rows])
         k = self.problem.floors.of_site[rows]
         np.add.at(self.floor_totals, k[k >= 0], caps[rows][k >= 0])
 
@@ -396,8 +400,8 @@ class _State:
         k = self.problem.floors.of_site[i]
         if k >= 0:
             self.floor_totals[k] -= self.problem.sites.caps[i]
-        for k, (_, v, _) in enumerate(self.problem.caps):
-            self.v_totals[k] -= v[i]
+        if self.problem.cap:
+            self.v_total -= self.problem.cap[1][i]
 
     def removable(self, i: int) -> bool:
         cap, floors = self.problem.sites.caps[i], self.problem.floors
@@ -406,8 +410,8 @@ class _State:
         k = floors.of_site[i]
         return k < 0 or self.floor_totals[k] - cap >= floors.ge[k]
 
-    def caps_ok(self) -> bool:
-        return all(_le(t, limit) for t, (_, _, limit) in zip(self.v_totals, self.problem.caps))
+    def cap_ok(self) -> bool:
+        return self.problem.cap is None or _le(self.v_total, self.problem.cap[2])
 
     def costliest_first(self) -> np.ndarray:
         """The selected rows by descending cost, ties on the lower site id."""
@@ -560,14 +564,16 @@ def _polish(state: _State) -> None:
     caps, of_site, ge = problem.sites.caps, problem.floors.of_site, problem.floors.ge
     neighborhood = len(caps) if len(caps) <= 400 else 120
     cover_min = _at_least(problem.cap_obj)
-    cap_max = [_at_most(limit) for _, _, limit in problem.caps]
+    if problem.cap:
+        _, v, limit = problem.cap
+        cap_max = _at_most(limit)
     for _ in range(_POLISH_ROUNDS):
         improved = state.drop_removable()
         outs = state.costliest_first()[:neighborhood]
         ins = state.first_unselected(neighborhood)
         caps_in, caps_out = caps[ins], caps[outs]
-        v_in = [v[ins] for _, v, _ in problem.caps]
-        v_out = [v[outs] for _, v, _ in problem.caps]
+        if problem.cap:
+            v_in, v_out = v[ins], v[outs]
         # the tests that the totals do not enter; a column swapped in is
         # cleared, so no later out is offered it
         free = ~(cost[ins] - cost[outs][:, None] >= -1e-12)
@@ -581,8 +587,8 @@ def _polish(state: _State) -> None:
             if problem.floors:
                 t = (state.floor_totals[ko[r:]] - caps_out[r:])[:, None] + floor_in[r:]
                 ok &= unfloored[r:] | (t >= ge_out[r:])
-            for k, total in enumerate(state.v_totals):
-                ok &= (total - v_out[k][r:])[:, None] + v_in[k] <= cap_max[k]
+            if problem.cap:
+                ok &= (state.v_total - v_out[r:])[:, None] + v_in <= cap_max
             hit = ok.any(axis=1)
             row = int(hit.argmax())
             if not hit[row]:
@@ -596,11 +602,6 @@ def _polish(state: _State) -> None:
             r += 1
         if not improved:
             return
-
-
-def _feasible(state: _State) -> bool:
-    return (_ge(state.cap_total, state.problem.cap_obj)
-            and bool(np.all(state.floor_totals >= state.problem.floors.ge)) and state.caps_ok())
 
 
 def _fill(block: _FloorBlock, need: np.ndarray, caps: np.ndarray, cost: np.ndarray,
@@ -730,7 +731,13 @@ def _floor_int_bound(problem: _Problem, order: _FloorOrder, v: np.ndarray
                 feas = bits @ caps[idxs] >= floors.ge[k]
                 if not feas.any():
                     return np.inf, np.inf
-                costs = (bits @ cost[idxs])[feas]
+                # an inf cost (a penalised cost that overflowed) times a bit
+                # of 0 is NaN: sum the finite costs, then price every subset
+                # that holds an inf site at inf
+                inf = cost[idxs] == np.inf
+                costs = bits @ np.where(inf, 0.0, cost[idxs])
+                costs[bits @ inf > 0] = np.inf
+                costs = costs[feas]
                 terms[i] = costs.min()
                 v_terms[i] = bits[feas.nonzero()[0][costs.argmin()]] @ v[idxs]
             parts.append((b.floors, one, terms))
@@ -751,15 +758,14 @@ def _floor_bound(problem: _Problem, order: _FloorOrder) -> float:
     return max(relax(problem, order, zeros)[0] for relax in _relaxations(problem))
 
 
-def _lower_bound(problem: _Problem, order: _FloorOrder, lambdas: list[float]) -> float:
+def _lower_bound(problem: _Problem, order: _FloorOrder, lam: float) -> float:
+    """The floor bound, or with a multiplier `lam` > 0 on the cap the
+    larger of it and the Lagrangian bound at `lam`; 0 when not finite."""
     bound = _floor_bound(problem, order)
-    if any(l > 0 for l in lambdas):
-        pen = order.cost
-        offset = 0.0
-        for (_, v, limit), lam in zip(problem.caps, lambdas):
-            pen = pen + lam * v
-            offset += lam * limit
-        bound = max(bound, _floor_bound(problem, _FloorOrder(problem, pen)) - offset)
+    if lam > 0:
+        _, v, limit = problem.cap
+        bound = max(bound, _floor_bound(problem, _FloorOrder(problem, order.cost + lam * v))
+                    - lam * limit)
     return float(bound) if np.isfinite(bound) else 0.0
 
 
@@ -819,9 +825,10 @@ def _problem(instance: Instance, weights: Weights, constraints: Constraints
     cost = site_costs(sites, weights)
     cap_obj = float(constraints.cap_obj)
     require_potential(sites, cap_obj)
-    caps = [(crit, getattr(sites, crit), float(getattr(constraints, fld)))
-            for crit, fld in _CAP_FIELDS.items() if getattr(constraints, fld) is not None]
-    return _Problem(sites, cap_obj, _floors(sites, constraints.equity_floors), caps), cost
+    cap = next(((crit, getattr(sites, crit), float(getattr(constraints, fld)))
+                for crit, fld in _CAP_FIELDS.items() if getattr(constraints, fld) is not None),
+               None)
+    return _Problem(sites, cap_obj, _floors(sites, constraints.equity_floors), cap), cost
 
 
 def _run_heuristic(problem: _Problem, order: _FloorOrder) -> _State:
@@ -872,7 +879,7 @@ def _enumerate(problem: _Problem, cost: np.ndarray) -> tuple[int, float] | None:
     at_least = [(halves(caps), _at_least(problem.cap_obj))]
     at_least += [(halves(np.where(floors.of_site == k, caps, 0.0)), ge)
                  for k, ge in enumerate(floors.ge)]
-    at_most = [(halves(v), _at_most(limit)) for _, v, limit in problem.caps]
+    at_most = [] if problem.cap is None else [(halves(problem.cap[1]), _at_most(problem.cap[2]))]
     cost_halves = halves(cost)
 
     best_obj = np.inf
@@ -903,20 +910,20 @@ def _enumerate(problem: _Problem, cost: np.ndarray) -> tuple[int, float] | None:
 def _solve_exact(problem: _Problem, cost: np.ndarray) -> Selection:
     """The optimum by enumeration, reported as its own lower bound. When no
     subset is feasible, the error names what enumeration proves
-    unattainable: the floors, one cap, or the caps together."""
+    unattainable: the floors, or else the cap.
+
+    The whole pool meets the cover target (`require_potential`), so
+    without a cap only the floors can fail; with the floors met, the cap
+    fails, and the least total of its criterion exceeds it."""
     exact = _enumerate(problem, cost)
     if exact is None:
-        uncapped = replace(problem, caps=[])
+        uncapped = replace(problem, cap=None)
         if problem.floors and _enumerate(uncapped, cost) is None:
             raise InfeasibleError("equity floors unattainable with this pool")
-        for name, v, limit in problem.caps:
-            vmin = _enumerate(uncapped, v)
-            if vmin is not None and not _le(vmin[1], limit):
-                raise InfeasibleError(
-                    f"cap on total {name} ({limit}) below the minimum "
-                    f"achievable {vmin[1]:.6f}", bound=vmin[1])
+        name, v, limit = problem.cap
+        vmin = _enumerate(uncapped, v)[1]
         raise InfeasibleError(
-            f"caps {[name for name, _, _ in problem.caps]} unattainable together")
+            f"cap on total {name} ({limit}) below the minimum achievable {vmin:.6f}", bound=vmin)
     return _make_selection(problem.sites, _mask_rows(exact[0], len(problem.sites)), cost, None)
 
 
@@ -1031,8 +1038,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
     if len(sites) <= BRUTE_FORCE_LIMIT:
         return _solve_exact(problem, cost)
 
-    lambdas = [0.0] * len(problem.caps)
-    at_break = [0.0] * len(problem.caps)  # the bound's multipliers
+    lam = at_break = 0.0  # the cap's multiplier, and the bound's
     runs = 0
 
     def heuristic(order: _FloorOrder) -> _State:
@@ -1041,70 +1047,46 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
         return _run_heuristic(problem, order)
 
     state = heuristic(order := _FloorOrder(problem, cost))  # the bound reads `order` again
-    if not state.caps_ok():
-        feasible: list[np.ndarray] = []  # selected rows of each run that meets everything
-        for k, (name, v, limit) in enumerate(problem.caps):
-            if feasible:
-                break
-            if _le(state.v_totals[k], limit):
-                continue
-            # is the cap attainable at all? check the min-v solution
-            vmin = float(np.sum(v[heuristic(_FloorOrder(problem, v)).taken]))
-            if not _le(vmin, limit):
-                # the heuristic's minimum proves nothing; only the relaxation
-                # bound on the minimum can rule the cap out
-                bound = _floor_bound(problem, _FloorOrder(problem, v))
-                if not _le(bound, limit):
-                    raise InfeasibleError(
-                        f"cap on total {name} ({limit}) below the minimum achievable, "
-                        f"which is at least {bound:.6f}", bound=bound)
+    if not state.cap_ok():
+        name, v, limit = problem.cap
+        # is the cap attainable at all? check the min-v solution
+        low = heuristic(_FloorOrder(problem, v))
+        vmin = float(np.sum(v[low.taken]))
+        if not _le(vmin, limit):
+            # the heuristic's minimum proves nothing; only the relaxation
+            # bound on the minimum can rule the cap out
+            bound = _floor_bound(problem, _FloorOrder(problem, v))
+            if not _le(bound, limit):
                 raise InfeasibleError(
-                    f"cap on total {name} ({limit}) not met: the lowest total found is "
-                    f"{vmin:.6f}, and the lower bound {bound:.6f} does not rule the "
-                    f"cap out", proven=False, bound=bound)
+                    f"cap on total {name} ({limit}) below the minimum achievable, "
+                    f"which is at least {bound:.6f}", bound=bound)
+            raise InfeasibleError(
+                f"cap on total {name} ({limit}) not met: the lowest total found is "
+                f"{vmin:.6f}, and the lower bound {bound:.6f} does not rule the "
+                f"cap out", proven=False, bound=bound)
 
-            base = cost
-            for kk, (_, vv, _) in enumerate(problem.caps):
-                if lambdas[kk] > 0 and kk != k:
-                    base = base + lambdas[kk] * vv
-            # the multiplier of the relaxation with the larger bound
-            lambdas[k], at_break[k], _ = max(
-                (_multiplier(functools.partial(relax, problem, v=v), problem, base, v, limit)
-                 for relax in _relaxations(problem)),
-                key=lambda m: m[2])
+        # the multiplier of the relaxation with the larger bound
+        lam, at_break, _ = max(
+            (_multiplier(functools.partial(relax, problem, v=v), problem, cost, v, limit)
+             for relax in _relaxations(problem)),
+            key=lambda m: m[2])
+        met: list[np.ndarray] = []  # selected rows of each run that meets the cap
 
-            def meets(lam: float) -> bool:
-                nonlocal state
-                s = heuristic(_FloorOrder(problem, problem.work.penalised(base, lam, v)))
-                if not _le(s.v_totals[k], limit):
-                    return False
-                state = s
-                if _feasible(s):
-                    feasible.append(np.flatnonzero(s.taken))
-                return True
+        def meets(trial: float) -> bool:
+            s = heuristic(_FloorOrder(problem, problem.work.penalised(cost, trial, v)))
+            if not _le(s.v_total, limit):
+                return False
+            met.append(np.flatnonzero(s.taken))
+            return True
 
-            _bracket_runs(meets, lambdas[k] or _FIRST_STEP * _lambda_scale(base, v))
-
-        if not feasible:
-            # repair: start from a selection minimizing each violated cap
-            repair_cost = np.zeros(len(sites))
-            for _, v, _ in problem.caps:
-                repair_cost = repair_cost + v
-            state = heuristic(_FloorOrder(problem, repair_cost))
-            if not _feasible(state):
-                bad = [name for (name, _, limit), t in zip(problem.caps, state.v_totals)
-                       if not _le(t, limit)]
-                found = ", ".join(f"{name} {t:.6f}" for (name, _, _), t
-                                  in zip(problem.caps, state.v_totals))
-                raise InfeasibleError(
-                    f"caps {bad} not met together: the lowest-total selection found has "
-                    f"{found}, and no lower bound rules the caps out", proven=False)
-            feasible.append(np.flatnonzero(state.taken))
-        # constrained polish on the true objective from each distinct feasible
-        # run; the cheapest result wins, ties to the earliest run
+        _bracket_runs(meets, lam or _FIRST_STEP * _lambda_scale(cost, v))
+        # every run meets the cover and the floors, so the min-v run meets
+        # everything when no bracket run did. Constrained polish on the true
+        # objective from each distinct run that meets the cap; the cheapest
+        # result wins, ties to the earliest run
         state = None
         seen: set[bytes] = set()
-        for rows in feasible:
+        for rows in met or [np.flatnonzero(low.taken)]:
             if rows.tobytes() in seen:
                 continue
             seen.add(rows.tobytes())
@@ -1116,7 +1098,7 @@ def solve(instance: Instance, weights: Weights, constraints: Constraints) -> Sel
     bound = _lower_bound(problem, order, at_break)
     sel = _make_selection(sites, np.flatnonzero(state.taken), cost, bound)
     sel.stats = {"heuristic_runs": runs,
-                 "lambda": {name: float(lam) for (name, _, _), lam in zip(problem.caps, lambdas)}}
+                 "lambda": {} if problem.cap is None else {problem.cap[0]: float(lam)}}
     return sel
 
 
@@ -1174,8 +1156,9 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
     """Epsilon-constraint front: tighten the swept criterion by the step
     factor each optimization and minimize the other criterion.
 
-    Point 0 is the unconstrained minimum of `optimize`; its total on the
-    swept criterion anchors the caps T0 * factor^k. The first cap that
+    `constraints` may cap no criterion but the swept one, since a solve
+    takes one cap. Point 0 is the unconstrained minimum of `optimize`; its
+    total on the swept criterion anchors the caps T0 * factor^k. The first cap that
     `solve` cannot meet ends the sweep, so the front has no holes, and
     `front.stop` says why: "proven_limit" when a bound rules the cap out,
     "unproven_miss" when no selection was found but nothing rules the cap
@@ -1193,6 +1176,9 @@ def pareto_sweep(instance: Instance, optimize: str, sweep: str,
     for name in (optimize, sweep):
         if name not in _CAP_FIELDS:
             raise PlanError(f"unknown criterion {name!r}")
+    for crit, fld in _CAP_FIELDS.items():
+        if crit != sweep and getattr(constraints, fld) is not None:
+            raise PlanError(f"a sweep caps only {sweep}, but the constraints also cap {crit}")
     if steps < 1:
         raise PlanError("steps must be >= 1")
     if not 0.0 < step_factor < 1.0:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .domain import (
+    CAPACITY_MAX_MW,
+    CAPACITY_MIN_MW,
     ExistingTurbine,
     Instance,
     MunicipalityTable,
@@ -61,8 +63,13 @@ class SynthSpec:
                 raise PlanError(f"{name} must be >= 1")
         if not -1.0 <= self.rho_lcoe_scenicness <= 1.0:
             raise PlanError("rho_lcoe_scenicness outside [-1, 1]")
-        if self.capacity_min_mw <= 0 or self.capacity_max_mw < self.capacity_min_mw:
-            raise PlanError("invalid capacity range")
+        # an instance with a capacity outside the physical range fails validation
+        for what, lo, hi in (("capacity", self.capacity_min_mw, self.capacity_max_mw),
+                             ("existing capacity", self.existing_capacity_min_mw,
+                              self.existing_capacity_max_mw)):
+            if not CAPACITY_MIN_MW <= lo <= hi <= CAPACITY_MAX_MW:
+                raise PlanError(f"invalid {what} range [{lo}, {hi}] MW: not within "
+                                f"[{CAPACITY_MIN_MW}, {CAPACITY_MAX_MW}]")
         if self.lat_max <= self.lat_min or self.lon_max <= self.lon_min:
             raise PlanError("invalid bounding box")
 

@@ -231,7 +231,7 @@ def test_acceptance_08_scaling_contract():
         assert scaled.min() == 0.0 and scaled.max() == 1.0
     eq = scale_candidates(SiteTable.of(pool))
     for name, raw in raws.items():
-        arr = eq.by_name(name)
+        arr = getattr(eq, name)
         assert abs(float(arr.mean()) - 1.0) <= 1e-9
         assert np.array_equal(np.argsort(raw, kind="stable"),
                               np.argsort(arr, kind="stable"))

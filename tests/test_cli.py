@@ -403,6 +403,18 @@ def test_solve_nan_lcoe_is_validation_error(prepped, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_capacity_outside_physical_range_is_validation_error(prepped, tmp_path, capsys):
+    # a finite 1e308 MW overflowed the sums of a solve into NaN, with exit 0
+    root, prep = prepped
+    site = _corrupted_copy(prep, tmp_path / "prep", "capacity_mw", "1e308")
+    code = main(["solve", "--instance", str(tmp_path / "prep"),
+                 "--scenario", str(_scenario_file(root, 120.0)), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert (f"site {site}: capacity 1e+308 outside the physical range [0.001, 1000.0]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_io(prepped, tmp_path):
     root, prep = prepped
     code = main(["metrics", "--selection", str(tmp_path / "nope.csv"),

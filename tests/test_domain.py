@@ -18,6 +18,11 @@ import windplan
 from conftest import MUN_COLUMNS, SITE_COLUMNS, mk_instance, mk_mun, mk_site, same_muns, same_sites
 from windplan.cli import main
 from windplan.domain import (
+    CAPACITY_MAX_MW,
+    CAPACITY_MIN_MW,
+    FULL_LOAD_HOURS_MAX,
+    LCOE_MAX_CT_KWH,
+    NETWORK_LENGTH_MAX_KM,
     _CAND_HEADER,
     _EXISTING_SCHEMA,
     _MUN_SCHEMA,
@@ -166,14 +171,18 @@ def test_validate_non_finite_site_values(field, value, message):
 
 def _site_violations_loop(sites, mun_ids):
     """Test-local per-site reference: the record loop validate_instance ran
-    before the pool became columns, plus the non-finite rule."""
+    before the pool became columns, plus the non-finite rule and the
+    physical ranges [lo, hi]."""
     out = []
 
-    def check(sid, name, value, bad, rule):
+    def check(sid, name, value, bad, rule, lo=-math.inf, hi=math.inf):
         if bad:
             out.append(("RangeViolation", sid, f"site {sid}: {name} {value} {rule}"))
         elif not math.isfinite(value):
             out.append(("RangeViolation", sid, f"site {sid}: {name} {value} is not finite"))
+        elif not lo <= value <= hi:
+            out.append(("RangeViolation", sid,
+                        f"site {sid}: {name} {value} outside the physical range [{lo}, {hi}]"))
 
     for c in sites:
         if c.municipality_id not in mun_ids:
@@ -181,11 +190,14 @@ def _site_violations_loop(sites, mun_ids):
                                                        f"unknown municipality {c.municipality_id}"))
         check(c.site_id, "scenicness", c.scenicness, not (1.0 <= c.scenicness <= 9.0),
               "outside [1, 9]")
-        check(c.site_id, "capacity", c.capacity, c.capacity <= 0, "<= 0")
-        check(c.site_id, "lcoe", c.lcoe, c.lcoe <= 0, "<= 0")
-        check(c.site_id, "full_load_hours", c.full_load_hours, c.full_load_hours < 0, "< 0")
+        check(c.site_id, "capacity", c.capacity, c.capacity <= 0, "<= 0",
+              CAPACITY_MIN_MW, CAPACITY_MAX_MW)
+        check(c.site_id, "lcoe", c.lcoe, c.lcoe <= 0, "<= 0", 0.0, LCOE_MAX_CT_KWH)
+        check(c.site_id, "full_load_hours", c.full_load_hours, c.full_load_hours < 0, "< 0",
+              0.0, FULL_LOAD_HOURS_MAX)
         if c.network_length is not None and not math.isnan(c.network_length):  # NaN: none
-            check(c.site_id, "network_length", c.network_length, c.network_length < 0, "< 0")
+            check(c.site_id, "network_length", c.network_length, c.network_length < 0, "< 0",
+                  0.0, NETWORK_LENGTH_MAX_KM)
         check(c.site_id, "lat", c.lat, not (-90.0 <= c.lat <= 90.0), "outside [-90, 90]")
         check(c.site_id, "lon", c.lon, not (-180.0 <= c.lon <= 180.0), "outside [-180, 180]")
     return out
@@ -193,7 +205,7 @@ def _site_violations_loop(sites, mun_ids):
 
 def test_validate_matches_per_site_loop():
     rng = random.Random(5)
-    odd = [0.0, -1.0, 0.5, 9.5, 91.0, -181.0, math.nan, math.inf, -math.inf]
+    odd = [0.0, -1.0, 0.5, 9.5, 91.0, -181.0, 1e308, 1e-320, math.nan, math.inf, -math.inf]
 
     def value(good):
         return rng.choice(odd) if rng.random() < 0.08 else good
@@ -208,6 +220,31 @@ def test_validate_matches_per_site_loop():
         want = _site_violations_loop(sorted(sites, key=lambda c: c.site_id), {1, 2})
         assert got == want
         assert want
+
+
+def test_validate_physical_ranges():
+    # finite values outside the range of their unit: a capacity of 1e308 MW
+    # overflowed the solver's sums into a NaN equity share and a 1e305 gap
+    sites = [mk_site(1, capacity=1e308), mk_site(2, capacity=1e-320), mk_site(3, lcoe=1e308),
+             mk_site(4, flh=8784.5), mk_site(5, length=20016.0),
+             # the ends of each range are in it
+             mk_site(6, capacity=CAPACITY_MIN_MW, flh=FULL_LOAD_HOURS_MAX,
+                     length=NETWORK_LENGTH_MAX_KM),
+             mk_site(7, capacity=CAPACITY_MAX_MW, lcoe=LCOE_MAX_CT_KWH, flh=0.0, length=0.0)]
+    turbines = [ExistingTurbine(turbine_id=t, municipality_id=1, lat=50.0, lon=10.0, capacity=c)
+                for t, c in ((8, 1e308), (9, CAPACITY_MAX_MW))]
+    inst = mk_instance(sites, municipalities=[mk_mun(1, existing=1e308)], existing=turbines)
+    assert NETWORK_LENGTH_MAX_KM == pytest.approx(20015.1144, abs=1e-4)
+    assert [(v.kind, v.offending_id, v.message) for v in validate_instance(inst).violations] == [
+        ("RangeViolation", 1, "site 1: capacity 1e+308 outside the physical range [0.001, 1000.0]"),
+        ("RangeViolation", 2, "site 2: capacity 1e-320 outside the physical range [0.001, 1000.0]"),
+        ("RangeViolation", 3, "site 3: lcoe 1e+308 outside the physical range [0.0, 1000.0]"),
+        ("RangeViolation", 4,
+         "site 4: full_load_hours 8784.5 outside the physical range [0.0, 8784.0]"),
+        ("RangeViolation", 5, "site 5: network_length 20016.0 outside the physical range "
+                              f"[0.0, {NETWORK_LENGTH_MAX_KM}]"),
+        ("RangeViolation", 8,
+         "turbine 8: capacity 1e+308 outside the physical range [0.001, 1000.0]")]
 
 
 def test_validate_missing_length_is_not_a_violation():

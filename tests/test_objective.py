@@ -48,7 +48,7 @@ def test_scale_candidates_contract():
     pool = _pool()
     scaled = scale_candidates(SiteTable.of(pool))
     for name in ("lcoe", "scenicness", "network_length"):
-        arr = scaled.by_name(name)
+        arr = getattr(scaled, name)
         # mean equalized to 1.0
         assert abs(float(arr.mean()) - 1.0) <= 1e-9
         # order preserved by the affine + positive rescale

@@ -70,6 +70,11 @@ def test_spec_validation():
         SynthSpec(rho_lcoe_scenicness=1.5).validate()
     with pytest.raises(PlanError):
         SynthSpec(lat_min=55.0, lat_max=47.0).validate()
+    # capacities that the instance's validation would refuse
+    for spec in (SynthSpec(capacity_max_mw=5000.0), SynthSpec(capacity_min_mw=6.0),
+                 SynthSpec(existing_capacity_min_mw=0.0)):
+        with pytest.raises(PlanError, match="capacity range .* not within"):
+            spec.validate()
 
 
 def test_spec_from_json():
